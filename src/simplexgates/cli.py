@@ -333,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown check {exc.args[0]!r}; see 'simplexgates list --checks'",
               file=sys.stderr)
         return 2
-    except verify.DenseDimensionError as exc:
+    except (verify.DenseDimensionError, verify.CampaignArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report.to_json()

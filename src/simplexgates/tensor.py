@@ -129,24 +129,25 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
 
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
-    """Apply an arity-k operator to the listed sites of a statevector.
+    """Apply an arity-k operator to the listed sites of a statevector, or
+    of every column of a block of shape ``(2**n, *batch)``.
 
     Equal to ``embed(op, sites, n) @ state`` but runs in O(2**n * 2**k)
-    time and never forms the 2**n x 2**n matrix: the state is viewed as an
-    n-axis tensor, the listed axes are brought to the front, and the
-    operator multiplies the resulting (2**k, 2**(n-k)) block.
+    time per column and never forms the 2**n x 2**n matrix: the state is
+    viewed as an n-axis tensor, the listed axes are brought to the front,
+    and the operator multiplies the resulting (2**k, 2**(n-k)) block.
     """
     op = np.asarray(op, dtype=complex)
     state = np.asarray(state, dtype=complex)
-    n = register_size_of(state)
+    n = register_size_of(state.reshape(len(state), -1)[:, 0])
     k = arity_of(op)
     sites = _validated_sites(sites, k, n)
     axes = [s - 1 for s in sites]
-    t = np.moveaxis(state.reshape((2,) * n), axes, range(k))
+    t = np.moveaxis(state.reshape((2,) * n + state.shape[1:]), axes, range(k))
     tail = t.shape[k:]
     out = op @ t.reshape(2**k, -1)
     out = np.moveaxis(out.reshape((2,) * k + tail), range(k), axes)
-    return out.reshape(-1)
+    return out.reshape(state.shape)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign.
 
-Residual conventions: dense mode forms both sides of an equation as
-2**N x 2**N matrices and reports ||L - R||_F, plus that value divided by
-||L||_F; tolerances apply to the normalized value.  Matrix-free mode never
-forms the matrices: it applies both products to seeded random unit vectors
-and reports the worst ||(L - R) v||_2, normalized per vector by ||L v||_2.
+Residual conventions: both modes apply the two sides of an equation,
+factor by factor, to a block of columns.  Dense mode applies them to the
+2**N identity block, which yields both sides as 2**N x 2**N matrices, and
+reports ||L - R||_F, plus that value divided by ||L||_F; tolerances apply
+to the normalized value.  Matrix-free mode applies them to seeded random
+unit vectors, one at a time, and reports the worst ||(L - R) v||_2,
+normalized per vector by ||L v||_2.  Either mode reports the raw value
+where the norm it would divide by is zero.
 Campaign trial i draws everything from seed + i, so reports are
 reproducible bit for bit (wall time aside) and trials could run in any
 order or in parallel.
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +34,7 @@ __all__ = [
     "DENSE_SITE_LIMIT",
     "DEFAULT_VECTORS",
     "DenseDimensionError",
+    "CampaignArgumentError",
     "UnknownCheckError",
     "SimplexIndexScheme",
     "index_scheme",
@@ -53,7 +58,7 @@ __all__ = [
     "campaign",
 ]
 
-# 2**12 square complex is ~268 MB per dense matrix; refuse anything bigger
+# the dense identity block at 2**12 sites is ~268 MB; refuse anything bigger
 DENSE_SITE_LIMIT = 12
 DEFAULT_VECTORS = 20
 
@@ -62,6 +67,11 @@ EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 class DenseDimensionError(ValueError):
     """Dense mode requested beyond the register-size ceiling."""
+
+
+class CampaignArgumentError(ValueError):
+    """Campaign asked for fewer than one trial or vector, or a simplex order
+    below 2."""
 
 
 class UnknownCheckError(KeyError):
@@ -114,10 +124,13 @@ def reversal_residual(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product of the
-    embedded factors and the same product reversed.
+    factors and the same product reversed.
 
     ``factors`` is a sequence of (operator, sites) pairs composed left to
-    right, so the last factor acts first on a state.
+    right, so the last factor acts first on a state.  Both products are
+    applied to the 2**N identity block in dense mode and to each of
+    ``vectors`` seeded random unit vectors in matrix-free mode, keeping
+    the worst vector.
     """
     factors = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in factors]
     if mode == "dense":
@@ -126,49 +139,43 @@ def reversal_residual(
                 f"dense mode supports at most {DENSE_SITE_LIMIT} sites, got "
                 f"{register_size}; use matrixfree"
             )
-        mats = [embed(op, sites, register_size) for op, sites in factors]
-        left = mats[0]
-        for m in mats[1:]:
-            left = left @ m
-        right = mats[-1]
-        for m in mats[-2::-1]:
-            right = right @ m
-        raw = float(np.linalg.norm(left - right))
-        return raw, raw / float(np.linalg.norm(left))
-    if mode != "matrixfree":
+        blocks = [np.eye(2**register_size, dtype=complex)]
+    elif mode == "matrixfree":
+        rng = np.random.default_rng(seed)
+        blocks = (random_state(register_size, rng) for _ in range(vectors))
+    else:
         raise ValueError(f"mode must be 'dense' or 'matrixfree', got {mode!r}")
-    rng = np.random.default_rng(seed)
-    worst_raw = worst_norm = 0.0
-    for _ in range(vectors):
-        v = random_state(register_size, rng)
-        lv = v
+    raws, norms = [], []
+    for block in blocks:
+        # the previous right side stays alive until this left side is
+        # built: freeing both sides at once lets malloc trim the heap and
+        # fault it back in for every vector, about 10% slower at 15 sites
+        left = block
         for op, sites in reversed(factors):
-            lv = apply(op, sites, lv)
-        rv = v
+            left = apply(op, sites, left)
+        right = block
         for op, sites in factors:
-            rv = apply(op, sites, rv)
-        raw = float(np.linalg.norm(lv - rv))
-        scale = float(np.linalg.norm(lv))
-        worst_raw = max(worst_raw, raw)
-        worst_norm = max(worst_norm, raw / scale if scale > 0 else raw)
-    return worst_raw, worst_norm
+            right = apply(op, sites, right)
+        raw = float(np.linalg.norm(left - right))
+        scale = float(np.linalg.norm(left))
+        raws.append(raw)
+        norms.append(raw / scale if scale > 0 else raw)
+    # np.max, unlike max(), lets a NaN through to the verdict
+    return float(np.max(raws)), float(np.max(norms))
 
 
 # ---------------------------------------------------------------------------
 # vertex and edge residuals
 
 
-def _vertex_pair(n, provider, assignment, mode, vectors, seed):
-    scheme = index_scheme(n)
-    if len(assignment) != scheme.register_size:
+def _placed_pair(tuples, register_size, provider, assignment, mode, vectors, seed):
+    # (raw, normalized) residual of one operator per placement tuple
+    if len(assignment) != register_size:
         raise ValueError(
-            f"assignment must cover all {scheme.register_size} sites, got {len(assignment)}"
+            f"assignment must cover all {register_size} sites, got {len(assignment)}"
         )
-    factors = [
-        (provider(tuple(assignment[s - 1] for s in tup)), tup) for tup in scheme.tuples
-    ]
-    return reversal_residual(factors, scheme.register_size, mode=mode,
-                             vectors=vectors, seed=seed)
+    factors = [(provider(tuple(assignment[s - 1] for s in tup)), tup) for tup in tuples]
+    return reversal_residual(factors, register_size, mode=mode, vectors=vectors, seed=seed)
 
 
 def vertex_residual(
@@ -186,16 +193,9 @@ def vertex_residual(
     register site (entries may be anything the provider understands, and
     are ignored by constant providers).
     """
-    return _vertex_pair(n, provider, assignment, mode, vectors, seed)[1]
-
-
-def _edge_pair(provider, assignment, mode, vectors, seed):
-    if len(assignment) != 4:
-        raise ValueError(f"edge form runs on 4 sites, got {len(assignment)} parameters")
-    factors = [
-        (provider(tuple(assignment[s - 1] for s in tup)), tup) for tup in EDGE_TUPLES_3
-    ]
-    return reversal_residual(factors, 4, mode=mode, vectors=vectors, seed=seed)
+    scheme = index_scheme(n)
+    return _placed_pair(scheme.tuples, scheme.register_size, provider, assignment,
+                        mode, vectors, seed)[1]
 
 
 def edge_residual_3(
@@ -207,7 +207,7 @@ def edge_residual_3(
 ) -> float:
     """Normalized residual of the edge form of the tetrahedron equation:
     four arity-3 operators on the 4-site tuples (123)(124)(134)(234)."""
-    return _edge_pair(provider, assignment, mode, vectors, seed)[1]
+    return _placed_pair(EDGE_TUPLES_3, 4, provider, assignment, mode, vectors, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +267,6 @@ class CheckReport:
     ms: float
     predicate: str = "residual_within"
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "residuals": self.residuals,
-            "raw_residuals": self.raw_residuals,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "predicate": self.predicate,
-            "verdict": self.verdict,
-            "ms": self.ms,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -297,19 +281,22 @@ class VerificationReport:
     config: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "checks": [c.to_dict() for c in self.checks],
-            "seed": self.seed,
-            "trials": self.trials,
-            "verdict": self.verdict,
-            "ms": self.ms,
-        }
-        if self.config is not None:
-            out["config"] = self.config
+        out = asdict(self)
+        if self.config is None:
+            del out["config"]
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _verdict(residuals: Sequence[float], bound: float, invert: bool = False) -> str:
+    """"pass" only for a non-empty list of finite residuals that are all
+    within ``bound``, or all above it for an inverted check."""
+    ok = bool(residuals) and all(
+        math.isfinite(r) and (r > bound if invert else r <= bound) for r in residuals
+    )
+    return "pass" if ok else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +343,7 @@ def permutation_relation_suite(p_1: AxisAngle, p_2: AxisAngle, p_3: AxisAngle,
     named = _perm_relation_residuals(p_1, p_2, p_3, rng)
     raws = [raw for raw, _ in named.values()]
     norms = [norm for _, norm in named.values()]
-    max_norm = max(norms)
-    tol = {"absolute": 1e-13, "relative": 0.0}
+    absolute = CHECKS["perm-relations"].tolerance
     return CheckReport(
         check="perm-relations",
         n=None,
@@ -366,9 +352,9 @@ def permutation_relation_suite(p_1: AxisAngle, p_2: AxisAngle, p_3: AxisAngle,
         seed=seed,
         residuals=norms,
         raw_residuals=raws,
-        max_residual=max_norm,
-        tolerance=tol,
-        verdict="pass" if max_norm <= tol["absolute"] else "fail",
+        max_residual=max(norms),
+        tolerance={"absolute": absolute, "relative": 0.0},
+        verdict=_verdict(norms, absolute),
         ms=(time.perf_counter() - t0) * 1000.0,
     )
 
@@ -412,7 +398,7 @@ def _check_su2_tetra_vertex(trial_seed, *, n, mode, vectors):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(6, rng)
     provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-    return _vertex_pair(3, provider, assignment, mode, vectors, trial_seed)
+    return _placed_pair(index_scheme(3).tuples, 6, provider, assignment, mode, vectors, trial_seed)
 
 
 @_register("generic-vertex",
@@ -423,7 +409,7 @@ def _check_generic_vertex(trial_seed, *, n, mode, vectors):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(6, rng)
-    return _vertex_pair(3, provider, assignment, mode, vectors, trial_seed)
+    return _placed_pair(index_scheme(3).tuples, 6, provider, assignment, mode, vectors, trial_seed)
 
 
 @_register("edge-form-3",
@@ -434,7 +420,7 @@ def _check_edge_form(trial_seed, *, n, mode, vectors):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(4, rng)
-    return _edge_pair(provider, assignment, mode, vectors, trial_seed)
+    return _placed_pair(EDGE_TUPLES_3, 4, provider, assignment, mode, vectors, trial_seed)
 
 
 @_register("constant-vertex",
@@ -450,9 +436,9 @@ def _check_constant_vertex(trial_seed, *, n, mode, vectors):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    assignment = [None] * 6
+    tuples, assignment = index_scheme(3).tuples, [None] * 6
     pairs = [
-        _vertex_pair(3, constant_provider(m), assignment, mode, vectors, trial_seed)
+        _placed_pair(tuples, 6, constant_provider(m), assignment, mode, vectors, trial_seed)
         for m in members
     ]
     return max(p[0] for p in pairs), max(p[1] for p in pairs)
@@ -528,8 +514,8 @@ def _check_su2_4simplex_vertex(trial_seed, *, n, mode, vectors):
     assignment = random_su2_assignment(10, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
     pairs = [
-        _vertex_pair(4, su2_4simplex_provider(alpha, variant), assignment, mode,
-                     vectors, trial_seed)
+        _placed_pair(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant),
+                     assignment, mode, vectors, trial_seed)
         for variant in op_families.FOUR_SIMPLEX_VARIANTS
     ]
     return max(p[0] for p in pairs), max(p[1] for p in pairs)
@@ -542,8 +528,9 @@ def _check_nsimplex_constant(trial_seed, *, n, mode, vectors):
     rng = np.random.default_rng(trial_seed)
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
-    assignment = [None] * index_scheme(n).register_size
-    return _vertex_pair(n, constant_provider(member), assignment, mode, vectors, trial_seed)
+    scheme = index_scheme(n)
+    return _placed_pair(scheme.tuples, scheme.register_size, constant_provider(member),
+                        [None] * scheme.register_size, mode, vectors, trial_seed)
 
 
 @_register("nsimplex-su2toffoli",
@@ -558,15 +545,16 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n, mode, vectors):
     assignment = random_su2_assignment(scheme.register_size, rng)
     for s in role_conflicted_sites(scheme):
         assignment[s - 1] = AxisAngle((1.0, 0.0, 0.0), float(rng.uniform(0.1, np.pi - 0.1)))
-    return _vertex_pair(n, n_simplex_su2_provider(), assignment, mode, vectors, trial_seed)
+    return _placed_pair(scheme.tuples, scheme.register_size, n_simplex_su2_provider(),
+                        assignment, mode, vectors, trial_seed)
 
 
 @_register("ccnot-negative-control",
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            1e-10, default_n=3, invert=True, threshold=0.5)
 def _check_ccnot_negative_control(trial_seed, *, n, mode, vectors):
-    assignment = [None] * 6
-    return _vertex_pair(3, constant_provider(CCNOT), assignment, mode, vectors, trial_seed)
+    return _placed_pair(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6,
+                        mode, vectors, trial_seed)
 
 
 @_register("apply-vs-embed",
@@ -602,7 +590,12 @@ def campaign(
     normalized residual; ``n`` is honored only by checks that take a
     simplex order; ``mode``/``vectors`` configure the residual backend.
     The verdict is the conjunction over checks (an empty campaign passes).
+    Fewer than one trial or vector, or an ``n`` below 2, raises
+    CampaignArgumentError before any trial runs.
     """
+    for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("n", n, 2)):
+        if value is not None and value < least:
+            raise CampaignArgumentError(f"{label} must be at least {least}, got {value}")
     t0 = time.perf_counter()
     reports = []
     for name in check_names:
@@ -613,22 +606,16 @@ def campaign(
         c0 = time.perf_counter()
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
         use_mode = mode if mode is not None else spec.default_mode
-        absolute = float(tol) if tol is not None else spec.tolerance
+        if spec.invert:
+            bound = spec.threshold
+        else:
+            bound = float(tol) if tol is not None else spec.tolerance
         raws: list[float] = []
         norms: list[float] = []
         for i in range(trials):
             raw, norm = spec.fn(seed + i, n=use_n, mode=use_mode, vectors=vectors)
             raws.append(float(raw))
             norms.append(float(norm))
-        max_norm = max(norms) if norms else 0.0
-        if spec.invert:
-            ok = bool(norms) and min(norms) > spec.threshold
-            predicate = "residual_exceeds"
-            tolerance = {"absolute": spec.threshold, "relative": 0.0}
-        else:
-            ok = all(r <= absolute for r in norms)
-            predicate = "residual_within"
-            tolerance = {"absolute": absolute, "relative": 0.0}
         reports.append(CheckReport(
             check=name,
             n=use_n,
@@ -637,11 +624,11 @@ def campaign(
             seed=seed,
             residuals=norms,
             raw_residuals=raws,
-            max_residual=max_norm,
-            tolerance=tolerance,
-            verdict="pass" if ok else "fail",
+            max_residual=max(norms),
+            tolerance={"absolute": bound, "relative": 0.0},
+            verdict=_verdict(norms, bound, spec.invert),
             ms=(time.perf_counter() - c0) * 1000.0,
-            predicate=predicate,
+            predicate="residual_exceeds" if spec.invert else "residual_within",
         ))
     return VerificationReport(
         checks=reports,

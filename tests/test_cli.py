@@ -139,6 +139,15 @@ class TestVerify:
                      "--trials", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["su2-tetra-vertex", "--trials", "0"],
+        ["nsimplex-constant", "--mode", "matrixfree", "--vectors", "0", "--trials", "1"],
+        ["nsimplex-constant", "--n", "1", "--trials", "1"],
+    ], ids=["zero-trials", "zero-vectors", "order-one"])
+    def test_vacuous_run_is_usage_error(self, capsys, args):
+        assert main(["verify", *args]) == 2
+        assert "must be at least" in capsys.readouterr().err
+
     def test_failure_exits_one(self, capsys):
         code = main(["verify", "su2-tetra-vertex", "--trials", "1", "--tol", "1e-30"])
         assert code == 1

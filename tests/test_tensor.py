@@ -173,6 +173,11 @@ class TestApply:
             sites = tuple(int(s) + 1 for s in rng.permutation(6)[:k])
             v = random_state(6, rng)
             assert np.linalg.norm(apply(op, sites, v) - embed(op, sites, 6) @ v) < 1e-13
+            block = np.stack([v, random_state(6, rng), random_state(6, rng)], axis=1)
+            out = apply(op, sites, block)
+            by_column = np.stack([apply(op, sites, c) for c in block.T], axis=1)
+            assert np.linalg.norm(out - by_column) < 1e-13
+            assert np.linalg.norm(out - embed(op, sites, 6) @ block) < 1e-13
 
     def test_register_size_must_match_sites(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,11 @@ from simplexgates.gates import CCNOT
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import embed, identity
+from simplexgates import verify
 from simplexgates.verify import (
     CHECKS,
+    EDGE_TUPLES_3,
+    CheckSpec,
     DenseDimensionError,
     UnknownCheckError,
     campaign,
@@ -152,6 +155,12 @@ class TestEdgeResidual:
             edge_residual_3(constant_provider(constant_ccz()), [None] * 6)
 
 
+@pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+def test_zero_operator_reports_zero_in_both_modes(mode):
+    zero = np.zeros((8, 8), dtype=complex)
+    assert reversal_residual([(zero, t) for t in EDGE_TUPLES_3], 4, mode=mode) == (0.0, 0.0)
+
+
 def test_residual_invariant_under_global_site_relabeling():
     rng = np.random.default_rng(36)
     provider = su2_tetrahedron_provider(alpha=0.4)
@@ -229,6 +238,16 @@ class TestCampaign:
             return doc
 
         assert json.dumps(strip_ms(a), sort_keys=True) == json.dumps(strip_ms(b), sort_keys=True)
+
+    def test_nan_residual_fails_inverted_check(self, monkeypatch):
+        # min([0.7, nan]) is 0.7, so a NaN trial must not slip past the threshold
+        def fn(trial_seed, **_):
+            return (0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))
+
+        monkeypatch.setitem(verify.CHECKS, "nan-control", CheckSpec(
+            name="nan-control", description="", fn=fn, tolerance=1e-10,
+            invert=True, threshold=0.5))
+        assert campaign(["nan-control"], trials=2, seed=0).verdict == "fail"
 
     def test_tolerance_override_can_fail_a_check(self):
         report = campaign(["su2-tetra-vertex"], trials=1, seed=0, tol=1e-30)
