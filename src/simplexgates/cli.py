@@ -32,19 +32,23 @@ _NAMED_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def parse_angle(text: str) -> float:
-    """Decimal radians or a pi fraction: '0.5', 'pi', '-pi/2', '3pi/4'."""
+    """Decimal radians or a pi fraction: '0.5', 'pi', '-pi/2', '3pi/4'.
+    Anything that does not give a finite number is rejected."""
     m = _PI_RE.match(text)
-    if m:
-        coeff_s, den_s = m.groups()
-        coeff = float(coeff_s + "1") if coeff_s in ("", "+", "-") else float(coeff_s)
-        value = coeff * math.pi
-        if den_s:
-            value /= float(den_s)
-        return value
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            coeff_s, den_s = m.groups()
+            coeff = float(coeff_s + "1") if coeff_s in ("", "+", "-") else float(coeff_s)
+            value = coeff * math.pi
+            if den_s:
+                value /= float(den_s)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_axis(text: str) -> tuple[float, float, float]:
@@ -62,7 +66,7 @@ def parse_axis(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse axis {text!r}") from None
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
+    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
         raise argparse.ArgumentTypeError(
             f"axis {text!r} has norm {norm:.8f}, not within 1e-6 of unit length")
     v = v / norm
@@ -70,11 +74,15 @@ def parse_axis(text: str) -> tuple[float, float, float]:
 
 
 def parse_complex(text: str) -> complex:
-    """Python complex syntax: '1', '-0.5', '1+0.5j', '2j'."""
+    """Python complex syntax: '1', '-0.5', '1+0.5j', '2j'; both parts must be
+    finite."""
     try:
-        return complex(text.strip().replace(" ", ""))
+        value = complex(text.strip().replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _axis_angle(args: argparse.Namespace, label: str) -> AxisAngle:
@@ -94,59 +102,14 @@ def _add_axis_angle(parser, label: str, axis_default: str, theta_default: str) -
 
 @dataclass(frozen=True)
 class Family:
-    name: str
     description: str
-    constructor: Callable
     add_arguments: Callable[[argparse.ArgumentParser], None]
     build: Callable[[argparse.Namespace], np.ndarray]
     reference: Callable[[argparse.Namespace], tuple[str, np.ndarray]] | None = None
 
 
-FAMILIES: dict[str, Family] = {}
-
-
-def _family(name, description, constructor, reference=None):
-    def deco(cls_or_fns):
-        add_args, build = cls_or_fns
-        FAMILIES[name] = Family(name=name, description=description,
-                                constructor=constructor, add_arguments=add_args,
-                                build=build, reference=reference)
-        return cls_or_fns
-
-    return deco
-
-
 def _no_arguments(parser):  # families with no parameters
     pass
-
-
-_family("toffoli-family", "phased Toffoli gate family (CCNOT at alpha 0)",
-        op_families.toffoli_family,
-        reference=lambda args: ("CCNOT", reference_gate("CCNOT")))((
-    lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
-    lambda args: op_families.toffoli_family(args.alpha),
-))
-
-_family("su2-tetrahedron", "three-site rotation family (Toffoli family at its special point)",
-        op_families.su2_tetrahedron,
-        reference=lambda args: (f"toffoli-family(alpha={args.alpha:g})",
-                                op_families.toffoli_family(args.alpha)))((
-    lambda p: (_add_axis_angle(p, "i", "z", "pi/2"), _add_axis_angle(p, "j", "z", "pi/2"),
-               _add_axis_angle(p, "k", "x", "pi/2"),
-               p.add_argument("--alpha", type=parse_angle, default=0.0)),
-    lambda args: op_families.su2_tetrahedron(
-        _axis_angle(args, "i"), _axis_angle(args, "j"), _axis_angle(args, "k"),
-        alpha=args.alpha),
-))
-
-_family("general-toffoli", "Toffoli with rotated control bases and rotated target flip",
-        op_families.general_toffoli,
-        reference=lambda args: ("CCNOT", reference_gate("CCNOT")))((
-    lambda p: (_add_axis_angle(p, "i", "z", "pi/2"), _add_axis_angle(p, "j", "z", "pi/2"),
-               _add_axis_angle(p, "k", "z", "0")),
-    lambda args: op_families.general_toffoli(
-        _axis_angle(args, "i"), _axis_angle(args, "j"), _axis_angle(args, "k")),
-))
 
 
 def _generic_args(p):
@@ -169,42 +132,6 @@ def _generic_build(args):
               else op_families.SiteOperatorFamily.seeded_random(args.family_seed))
     return op_families.generic_tetrahedron(
         family, (args.mu_i, args.mu_j, args.mu_k), op_families.CouplingConstants(*vals))
-
-
-_family("generic-tetrahedron", "coupled products of per-site operators from a chosen family",
-        op_families.generic_tetrahedron)((_generic_args, _generic_build))
-
-_family("constant-ccz", "sign flip on |111>: the constant solution equal to CCZ",
-        op_families.constant_ccz,
-        reference=lambda args: ("CCZ", CCZ.copy()))((
-    _no_arguments, lambda args: op_families.constant_ccz(),
-))
-
-_family("constant-alpha", "constant solution with a phased last factor",
-        op_families.constant_alpha)((
-    lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
-    lambda args: op_families.constant_alpha(args.alpha),
-))
-
-_family("constant-alpha-beta", "unitary constant solution with a two-phase last factor",
-        op_families.constant_alpha_beta)((
-    lambda p: (p.add_argument("--alpha", type=parse_angle, default=0.0),
-               p.add_argument("--beta", type=parse_angle, default=0.0)),
-    lambda args: op_families.constant_alpha_beta(args.alpha, args.beta),
-))
-
-_family("constant-linear", "a*identity + b*|111><111| (constant solution, rarely unitary)",
-        op_families.constant_linear)((
-    lambda p: (p.add_argument("--a", type=parse_complex, default=complex(1.0)),
-               p.add_argument("--b", type=parse_complex, default=complex(-2.0))),
-    lambda args: op_families.constant_linear(args.a, args.b),
-))
-
-_family("cz-yangbaxter", "two-site sign flip on |11> solving the Yang-Baxter equation",
-        op_families.cz_yangbaxter,
-        reference=lambda args: ("CZ", CZ.copy()))((
-    _no_arguments, lambda args: op_families.cz_yangbaxter(),
-))
 
 
 def _4simplex_args(p):
@@ -230,20 +157,6 @@ def _4simplex_build(args):
                                     variant=args.variant.replace("-", "_"))
 
 
-_family("su2-4simplex", "four-site rotation family (two flip-control variants)",
-        op_families.su2_4simplex,
-        reference=lambda args: ("NTOFFOLI(4)", n_toffoli(4)))((
-    _4simplex_args, _4simplex_build,
-))
-
-_family("nsimplex-constant", "diagonal constant n-site solution",
-        op_families.n_simplex_constant)((
-    lambda p: (p.add_argument("--n", type=int, default=3),
-               p.add_argument("--alpha", type=parse_angle, default=0.0)),
-    lambda args: op_families.n_simplex_constant(args.n, args.alpha),
-))
-
-
 def _ntoffoli_args(p):
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--control-axis", type=parse_axis, default=_NAMED_AXES["z"])
@@ -258,26 +171,99 @@ def _ntoffoli_build(args):
     return op_families.n_simplex_su2_toffoli(params)
 
 
-_family("nsimplex-su2toffoli", "n-site Toffoli family with rotated control bases",
-        op_families.n_simplex_su2_toffoli,
-        reference=lambda args: (f"NTOFFOLI({args.n})", n_toffoli(args.n)))((
-    _ntoffoli_args, _ntoffoli_build,
-))
-
-_family("twisted-permutation", "SWAP conjugated by the two site rotations",
-        op_families.twisted_permutation,
-        reference=lambda args: ("SWAP", SWAP.copy()))((
-    lambda p: (_add_axis_angle(p, "1", "z", "0"), _add_axis_angle(p, "2", "z", "0")),
-    lambda args: op_families.twisted_permutation(_axis_angle(args, "1"), _axis_angle(args, "2")),
-))
-
-_family("conjugated-site", "single-site conjugation of a fixed gate into a rotated frame",
-        op_families.conjugated_site_operator)((
-    lambda p: (_add_axis_angle(p, "1", "z", "0"),
-               p.add_argument("--gate", default="X", choices=("I", "X", "Y", "Z", "H"))),
-    lambda args: op_families.conjugated_site_operator(_axis_angle(args, "1"),
-                                                      fixed_gate(args.gate)),
-))
+FAMILIES: dict[str, Family] = {
+    "toffoli-family": Family(
+        "phased Toffoli gate family (CCNOT at alpha 0)",
+        lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
+        lambda args: op_families.toffoli_family(args.alpha),
+        lambda args: ("CCNOT", reference_gate("CCNOT")),
+    ),
+    "su2-tetrahedron": Family(
+        "three-site rotation family (Toffoli family at its special point)",
+        lambda p: (_add_axis_angle(p, "i", "z", "pi/2"), _add_axis_angle(p, "j", "z", "pi/2"),
+                   _add_axis_angle(p, "k", "x", "pi/2"),
+                   p.add_argument("--alpha", type=parse_angle, default=0.0)),
+        lambda args: op_families.su2_tetrahedron(
+            _axis_angle(args, "i"), _axis_angle(args, "j"), _axis_angle(args, "k"),
+            alpha=args.alpha),
+        lambda args: (f"toffoli-family(alpha={args.alpha:g})",
+                      op_families.toffoli_family(args.alpha)),
+    ),
+    "general-toffoli": Family(
+        "Toffoli with rotated control bases and rotated target flip",
+        lambda p: (_add_axis_angle(p, "i", "z", "pi/2"), _add_axis_angle(p, "j", "z", "pi/2"),
+                   _add_axis_angle(p, "k", "z", "0")),
+        lambda args: op_families.general_toffoli(
+            _axis_angle(args, "i"), _axis_angle(args, "j"), _axis_angle(args, "k")),
+        lambda args: ("CCNOT", reference_gate("CCNOT")),
+    ),
+    "generic-tetrahedron": Family(
+        "coupled products of per-site operators from a chosen family",
+        _generic_args,
+        _generic_build,
+    ),
+    "constant-ccz": Family(
+        "sign flip on |111>: the constant solution equal to CCZ",
+        _no_arguments,
+        lambda args: op_families.constant_ccz(),
+        lambda args: ("CCZ", CCZ.copy()),
+    ),
+    "constant-alpha": Family(
+        "constant solution with a phased last factor",
+        lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
+        lambda args: op_families.constant_alpha(args.alpha),
+    ),
+    "constant-alpha-beta": Family(
+        "unitary constant solution with a two-phase last factor",
+        lambda p: (p.add_argument("--alpha", type=parse_angle, default=0.0),
+                   p.add_argument("--beta", type=parse_angle, default=0.0)),
+        lambda args: op_families.constant_alpha_beta(args.alpha, args.beta),
+    ),
+    "constant-linear": Family(
+        "a*identity + b*|111><111| (constant solution, rarely unitary)",
+        lambda p: (p.add_argument("--a", type=parse_complex, default=complex(1.0)),
+                   p.add_argument("--b", type=parse_complex, default=complex(-2.0))),
+        lambda args: op_families.constant_linear(args.a, args.b),
+    ),
+    "cz-yangbaxter": Family(
+        "two-site sign flip on |11> solving the Yang-Baxter equation",
+        _no_arguments,
+        lambda args: op_families.cz_yangbaxter(),
+        lambda args: ("CZ", CZ.copy()),
+    ),
+    "su2-4simplex": Family(
+        "four-site rotation family (two flip-control variants)",
+        _4simplex_args,
+        _4simplex_build,
+        lambda args: ("NTOFFOLI(4)", n_toffoli(4)),
+    ),
+    "nsimplex-constant": Family(
+        "diagonal constant n-site solution",
+        lambda p: (p.add_argument("--n", type=int, default=3),
+                   p.add_argument("--alpha", type=parse_angle, default=0.0)),
+        lambda args: op_families.n_simplex_constant(args.n, args.alpha),
+    ),
+    "nsimplex-su2toffoli": Family(
+        "n-site Toffoli family with rotated control bases",
+        _ntoffoli_args,
+        _ntoffoli_build,
+        lambda args: (f"NTOFFOLI({args.n})", n_toffoli(args.n)),
+    ),
+    "twisted-permutation": Family(
+        "SWAP conjugated by the two site rotations",
+        lambda p: (_add_axis_angle(p, "1", "z", "0"), _add_axis_angle(p, "2", "z", "0")),
+        lambda args: op_families.twisted_permutation(_axis_angle(args, "1"),
+                                                     _axis_angle(args, "2")),
+        lambda args: ("SWAP", SWAP.copy()),
+    ),
+    "conjugated-site": Family(
+        "single-site conjugation of a fixed gate into a rotated frame",
+        lambda p: (_add_axis_angle(p, "1", "z", "0"),
+                   p.add_argument("--gate", default="X", choices=("I", "X", "Y", "Z", "H"))),
+        lambda args: op_families.conjugated_site_operator(_axis_angle(args, "1"),
+                                                          fixed_gate(args.gate)),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +277,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     except DegenerateEigenvaluesError as exc:
         print(f"error: DegenerateEigenvalues: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
+        # ArgumentTypeError: a --couplings entry the complex parser refused
         print(f"error: {exc}", file=sys.stderr)
         return 1
     k = arity_of(op)

@@ -58,7 +58,8 @@ __all__ = [
     "campaign",
 ]
 
-# the dense identity block at 2**12 sites is ~268 MB; refuse anything bigger
+# a residual block holds at most 4**12 entries (~268 MB): the dense identity
+# block on 12 sites, or one matrix-free vector on 24 sites
 DENSE_SITE_LIMIT = 12
 DEFAULT_VECTORS = 20
 
@@ -66,7 +67,9 @@ EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
 class DenseDimensionError(ValueError):
-    """Dense mode requested beyond the register-size ceiling."""
+    """Residual requested beyond the register-size ceiling: a block of more
+    than 4**DENSE_SITE_LIMIT entries, that is more than 12 sites in dense
+    mode or 24 sites in matrix-free mode."""
 
 
 class CampaignArgumentError(ValueError):
@@ -117,6 +120,63 @@ def role_conflicted_sites(scheme: SimplexIndexScheme) -> list[int]:
     return sorted(targets & controls)
 
 
+def _check_block(register_size: int, mode: str) -> None:
+    """Refuse an unknown mode, and a residual block of more than
+    4**DENSE_SITE_LIMIT entries: 2**N x 2**N in dense mode, 2**N per vector
+    in matrix-free mode."""
+    if mode not in ("dense", "matrixfree"):
+        raise ValueError(f"mode must be 'dense' or 'matrixfree', got {mode!r}")
+    most = DENSE_SITE_LIMIT if mode == "dense" else 2 * DENSE_SITE_LIMIT
+    if register_size > most:
+        hint = "; use matrixfree" if mode == "dense" else ""
+        raise DenseDimensionError(
+            f"{mode} mode supports at most {most} sites, got {register_size}{hint}"
+        )
+
+
+def _product_residual(
+    lhs: Sequence[tuple[np.ndarray, Sequence[int]]],
+    rhs: Sequence[tuple[np.ndarray, Sequence[int]]],
+    register_size: int,
+    mode: str = "dense",
+    vectors: int = DEFAULT_VECTORS,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """(raw, normalized) residual between two products of placed factors.
+
+    Each side is a sequence of (operator, sites) pairs composed left to
+    right, so its last factor acts first on a state; an empty side is the
+    identity.  Both products are applied to the 2**N identity block in
+    dense mode and to each of ``vectors`` seeded random unit vectors in
+    matrix-free mode, keeping the worst vector.
+    """
+    _check_block(register_size, mode)
+    lhs = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in lhs]
+    rhs = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in rhs]
+    if mode == "dense":
+        blocks = [np.eye(2**register_size, dtype=complex)]
+    else:
+        rng = np.random.default_rng(seed)
+        blocks = (random_state(register_size, rng) for _ in range(vectors))
+    raws, norms = [], []
+    for block in blocks:
+        # the previous right side stays alive until this left side is
+        # built: freeing both sides at once lets malloc trim the heap and
+        # fault it back in for every vector, about 10% slower at 15 sites
+        left = block
+        for op, sites in reversed(lhs):
+            left = apply(op, sites, left)
+        right = block
+        for op, sites in reversed(rhs):
+            right = apply(op, sites, right)
+        raw = float(np.linalg.norm(left - right))
+        scale = float(np.linalg.norm(left))
+        raws.append(raw)
+        norms.append(raw / scale if scale > 0 else raw)
+    # np.max, unlike max(), lets a NaN through to the verdict
+    return float(np.max(raws)), float(np.max(norms))
+
+
 def reversal_residual(
     factors: Sequence[tuple[np.ndarray, Sequence[int]]],
     register_size: int,
@@ -125,44 +185,9 @@ def reversal_residual(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product of the
-    factors and the same product reversed.
-
-    ``factors`` is a sequence of (operator, sites) pairs composed left to
-    right, so the last factor acts first on a state.  Both products are
-    applied to the 2**N identity block in dense mode and to each of
-    ``vectors`` seeded random unit vectors in matrix-free mode, keeping
-    the worst vector.
-    """
-    factors = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in factors]
-    if mode == "dense":
-        if register_size > DENSE_SITE_LIMIT:
-            raise DenseDimensionError(
-                f"dense mode supports at most {DENSE_SITE_LIMIT} sites, got "
-                f"{register_size}; use matrixfree"
-            )
-        blocks = [np.eye(2**register_size, dtype=complex)]
-    elif mode == "matrixfree":
-        rng = np.random.default_rng(seed)
-        blocks = (random_state(register_size, rng) for _ in range(vectors))
-    else:
-        raise ValueError(f"mode must be 'dense' or 'matrixfree', got {mode!r}")
-    raws, norms = [], []
-    for block in blocks:
-        # the previous right side stays alive until this left side is
-        # built: freeing both sides at once lets malloc trim the heap and
-        # fault it back in for every vector, about 10% slower at 15 sites
-        left = block
-        for op, sites in reversed(factors):
-            left = apply(op, sites, left)
-        right = block
-        for op, sites in factors:
-            right = apply(op, sites, right)
-        raw = float(np.linalg.norm(left - right))
-        scale = float(np.linalg.norm(left))
-        raws.append(raw)
-        norms.append(raw / scale if scale > 0 else raw)
-    # np.max, unlike max(), lets a NaN through to the verdict
-    return float(np.max(raws)), float(np.max(norms))
+    factors and the same product reversed (see ``_product_residual``)."""
+    factors = list(factors)
+    return _product_residual(factors, factors[::-1], register_size, mode, vectors, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +316,32 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _verdict(residuals: Sequence[float], bound: float, invert: bool = False) -> str:
-    """"pass" only for a non-empty list of finite residuals that are all
-    within ``bound``, or all above it for an inverted check."""
-    ok = bool(residuals) and all(
-        math.isfinite(r) and (r > bound if invert else r <= bound) for r in residuals
+def _check_report(check: str, pairs: Sequence[tuple[float, float]], bound: float, *,
+                  n: int | None, mode: str, trials: int, seed: int, started: float,
+                  invert: bool = False) -> CheckReport:
+    """CheckReport over (raw, normalized) residual pairs.  The verdict is
+    "pass" only for a non-empty list of finite normalized residuals that
+    are all within ``bound``, or all above it for an inverted check.
+    ``ms`` counts from ``started``, a time.perf_counter() value."""
+    norms = [float(norm) for _, norm in pairs]
+    ok = bool(norms) and all(
+        math.isfinite(r) and (r > bound if invert else r <= bound) for r in norms
     )
-    return "pass" if ok else "fail"
+    return CheckReport(
+        check=check,
+        n=n,
+        mode=mode,
+        trials=trials,
+        seed=seed,
+        residuals=norms,
+        raw_residuals=[float(raw) for raw, _ in pairs],
+        # np.max, unlike max(), lets a NaN trial show
+        max_residual=float(np.max(norms)),
+        tolerance={"absolute": bound, "relative": 0.0},
+        verdict="pass" if ok else "fail",
+        ms=(time.perf_counter() - started) * 1000.0,
+        predicate="residual_exceeds" if invert else "residual_within",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +350,24 @@ def _verdict(residuals: Sequence[float], bound: float, invert: bool = False) -> 
 
 def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float]]:
     tw = op_families.twisted_permutation
-    out = {}
-    p12 = embed(tw(p_1, p_2), (1, 2), 3)
-    p23 = embed(tw(p_2, p_3), (2, 3), 3)
-    out["braid"] = _lr_residual(p12 @ p23 @ p12, p23 @ p12 @ p23)
-    out["involution"] = _lr_residual(tw(p_1, p_2) @ tw(p_1, p_2), np.eye(4, dtype=complex))
-    # disjoint supports commute regardless of parameters; p_1 reused for site 4
-    q12 = embed(tw(p_1, p_2), (1, 2), 4)
-    q34 = embed(tw(p_3, p_1), (3, 4), 4)
-    out["distant_commutation"] = _lr_residual(q12 @ q34, q34 @ q12)
-    p = tw(p_1, p_2)
+    p12, p23 = (tw(p_1, p_2), (1, 2)), (tw(p_2, p_3), (2, 3))
+    out = {
+        "braid": _product_residual([p12, p23, p12], [p23, p12, p23], 3),
+        "involution": _product_residual([p12, p12], [], 2),
+        # disjoint supports commute regardless of parameters; p_1 reused for site 4
+        "distant_commutation": reversal_residual([p12, (tw(p_3, p_1), (3, 4))], 4),
+    }
     for label, core in (("conjugation_x", X), ("conjugation_h", H),
                         ("conjugation_random", random_unitary(1, rng))):
-        m1 = embed(op_families.conjugated_site_operator(p_1, core), (1,), 2)
-        m2 = embed(op_families.conjugated_site_operator(p_2, core), (2,), 2)
-        out[label] = _lr_residual(p @ m1 @ p, m2)
+        m1 = (op_families.conjugated_site_operator(p_1, core), (1,))
+        m2 = (op_families.conjugated_site_operator(p_2, core), (2,))
+        out[label] = _product_residual([p12, m1, p12], [m2], 2)
     return out
-
-
-def _lr_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    raw = float(np.linalg.norm(lhs - rhs))
-    return raw, raw / float(np.linalg.norm(lhs))
 
 
 def permutation_relation_suite(p_1: AxisAngle, p_2: AxisAngle, p_3: AxisAngle,
                                seed: int = 0) -> CheckReport:
-    """Braid, involution, and distant-commutation relations for embedded
+    """Braid, involution, and distant-commutation relations for placed
     twisted permutations, plus the shared-core conjugation exchange for
     cores X, H, and a seeded random unitary.
 
@@ -340,24 +376,10 @@ def permutation_relation_suite(p_1: AxisAngle, p_2: AxisAngle, p_3: AxisAngle,
     parameters work because the supports are disjoint.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    named = _perm_relation_residuals(p_1, p_2, p_3, rng)
-    raws = [raw for raw, _ in named.values()]
-    norms = [norm for _, norm in named.values()]
-    absolute = CHECKS["perm-relations"].tolerance
-    return CheckReport(
-        check="perm-relations",
-        n=None,
-        mode="dense",
-        trials=1,
-        seed=seed,
-        residuals=norms,
-        raw_residuals=raws,
-        max_residual=max(norms),
-        tolerance={"absolute": absolute, "relative": 0.0},
-        verdict=_verdict(norms, absolute),
-        ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    named = _perm_relation_residuals(p_1, p_2, p_3, np.random.default_rng(seed))
+    return _check_report("perm-relations", list(named.values()),
+                         CHECKS["perm-relations"].tolerance, n=None, mode="dense",
+                         trials=1, seed=seed, started=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +389,8 @@ def permutation_relation_suite(p_1: AxisAngle, p_2: AxisAngle, p_3: AxisAngle,
 @dataclass(frozen=True)
 class CheckSpec:
     """A registered check: one function run per trial, returning the
-    (raw, normalized) residual for that trial's derived seed."""
+    (raw, normalized) residual for that trial's derived seed.  An inverted
+    check passes when every residual exceeds ``tolerance`` instead."""
 
     name: str
     description: str
@@ -377,7 +400,6 @@ class CheckSpec:
     default_mode: str = "dense"
     supports_n: bool = False
     invert: bool = False
-    threshold: float = 0.5
 
 
 CHECKS: dict[str, CheckSpec] = {}
@@ -548,7 +570,7 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n, mode, vectors):
 
 @_register("ccnot-negative-control",
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
-           1e-10, default_n=3, invert=True, threshold=0.5)
+           0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n, mode, vectors):
     return _placed_pair(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6,
                         mode, vectors, trial_seed)
@@ -588,7 +610,8 @@ def campaign(
     simplex order; ``mode``/``vectors`` configure the residual backend.
     The verdict is the conjunction over checks (an empty campaign passes).
     Fewer than one trial or vector, or an ``n`` below 2, raises
-    CampaignArgumentError before any trial runs.
+    CampaignArgumentError before any trial runs; a register beyond the
+    residual-block ceiling raises DenseDimensionError.
     """
     for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("n", n, 2)):
         if value is not None and value < least:
@@ -603,30 +626,15 @@ def campaign(
         c0 = time.perf_counter()
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
         use_mode = mode if mode is not None else spec.default_mode
-        if spec.invert:
-            bound = spec.threshold
-        else:
-            bound = float(tol) if tol is not None else spec.tolerance
-        raws: list[float] = []
-        norms: list[float] = []
-        for i in range(trials):
-            raw, norm = spec.fn(seed + i, n=use_n, mode=use_mode, vectors=vectors)
-            raws.append(float(raw))
-            norms.append(float(norm))
-        reports.append(CheckReport(
-            check=name,
-            n=use_n,
-            mode=use_mode,
-            trials=trials,
-            seed=seed,
-            residuals=norms,
-            raw_residuals=raws,
-            max_residual=max(norms),
-            tolerance={"absolute": bound, "relative": 0.0},
-            verdict=_verdict(norms, bound, spec.invert),
-            ms=(time.perf_counter() - c0) * 1000.0,
-            predicate="residual_exceeds" if spec.invert else "residual_within",
-        ))
+        if spec.supports_n:
+            # the n-site operator itself grows as 4**n: refuse before building it
+            _check_block(index_scheme(use_n).register_size, use_mode)
+        bound = float(tol) if tol is not None and not spec.invert else spec.tolerance
+        pairs = [spec.fn(seed + i, n=use_n, mode=use_mode, vectors=vectors)
+                 for i in range(trials)]
+        reports.append(_check_report(name, pairs, bound, n=use_n, mode=use_mode,
+                                     trials=trials, seed=seed, started=c0,
+                                     invert=spec.invert))
     return VerificationReport(
         checks=reports,
         seed=seed,

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 
 import numpy as np
@@ -38,6 +40,21 @@ class TestParsers:
             parse_axis("1,1,0")
         with pytest.raises(Exception):
             parse_axis("1,0")
+
+    @pytest.mark.parametrize("parse,text", [
+        (parse_angle, "pi/0"),
+        (parse_angle, "nan"),
+        (parse_angle, "-inf"),
+        (parse_angle, "1e400"),
+        (parse_axis, "nan,0,0"),
+        (parse_axis, "inf,0,0"),
+        (parse_complex, "inf"),
+        (parse_complex, "nan"),
+        (parse_complex, "1+nanj"),
+    ])
+    def test_non_finite_is_rejected(self, parse, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(text)
 
     def test_complex(self):
         assert parse_complex("1+0.5j") == 1 + 0.5j
@@ -95,25 +112,37 @@ class TestBuild:
         assert load_operator(out).ndim == 2
 
 
-def test_every_constructor_is_reachable_from_build():
-    covered = {fam.constructor for fam in FAMILIES.values()}
-    constructors = {
-        operators.generic_tetrahedron,
-        operators.su2_tetrahedron,
-        operators.toffoli_family,
-        operators.general_toffoli,
-        operators.constant_ccz,
-        operators.constant_alpha,
-        operators.constant_alpha_beta,
-        operators.constant_linear,
-        operators.cz_yangbaxter,
-        operators.su2_4simplex,
-        operators.n_simplex_constant,
-        operators.n_simplex_su2_toffoli,
-        operators.twisted_permutation,
-        operators.conjugated_site_operator,
+def test_every_constructor_is_called_by_a_default_build(monkeypatch, capsys):
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, value in list(vars(operators).items()):
+        if (inspect.isfunction(value) and value.__module__ == operators.__name__
+                and not name.startswith("_")):
+            monkeypatch.setattr(operators, name, recording(name, value))
+    for family in FAMILIES:
+        assert main(["build", family]) == 0, capsys.readouterr().err
+    assert called == {
+        "generic_tetrahedron",
+        "su2_tetrahedron",
+        "toffoli_family",
+        "general_toffoli",
+        "constant_ccz",
+        "constant_alpha",
+        "constant_alpha_beta",
+        "constant_linear",
+        "cz_yangbaxter",
+        "su2_4simplex",
+        "n_simplex_constant",
+        "n_simplex_su2_toffoli",
+        "twisted_permutation",
+        "conjugated_site_operator",
     }
-    assert constructors <= covered
 
 
 class TestVerify:
@@ -145,6 +174,12 @@ class TestVerify:
         code = main(["verify", "nsimplex-constant", "--n", "5", "--mode", "dense",
                      "--trials", "1"])
         assert code == 2
+
+    def test_matrixfree_beyond_limit_is_usage_error(self, capsys):
+        # 28 sites: one state vector alone would take 4 GiB
+        code = main(["verify", "nsimplex-constant", "--n", "7", "--trials", "1"])
+        assert code == 2
+        assert "at most 24 sites" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["su2-tetra-vertex", "--trials", "0"],

@@ -365,10 +365,10 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
 
 
 class TestProjectorToffoliRoleMix:
-    """The projector-controlled Toffolis act on a site through an
-    eigenprojector (control slot) or a conjugated X (flip slot); the two
-    commute only for x-like axes, so the family is not site-local and the
-    equation fails at generic parameters -- exactly the CCNOT mechanism."""
+    """general_toffoli acts on a site through an eigenprojector (control
+    slot) or a conjugated X (flip slot); the two commute only for x-like
+    axes, so the family is not site-local and the equation fails at generic
+    parameters -- exactly the CCNOT mechanism."""
 
     def test_role_operators_do_not_commute_generically(self):
         from simplexgates.su2 import projector_pm, rotated_x

@@ -245,9 +245,19 @@ class TestCampaign:
             return (0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))
 
         monkeypatch.setitem(verify.CHECKS, "nan-control", CheckSpec(
-            name="nan-control", description="", fn=fn, tolerance=1e-10,
-            invert=True, threshold=0.5))
+            name="nan-control", description="", fn=fn, tolerance=0.5, invert=True))
         assert campaign(["nan-control"], trials=2, seed=0).verdict == "fail"
+
+    def test_nan_trial_shows_in_max_residual(self, monkeypatch):
+        # max([0.7, nan]) is 0.7, which would hide the failing trial
+        def fn(trial_seed, **_):
+            return (0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))
+
+        monkeypatch.setitem(verify.CHECKS, "nan-check", CheckSpec(
+            name="nan-check", description="", fn=fn, tolerance=1.0))
+        check = campaign(["nan-check"], trials=2, seed=0).checks[0]
+        assert check.verdict == "fail"
+        assert np.isnan(check.max_residual)
 
     def test_tolerance_override_can_fail_a_check(self):
         report = campaign(["su2-tetra-vertex"], trials=1, seed=0, tol=1e-30)
