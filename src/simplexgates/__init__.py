@@ -34,6 +34,7 @@ from .tensor import (
     DEFAULT_TOL,
     Tolerance,
     apply,
+    apply_product,
     arity_of,
     embed,
     equal_up_to_global_phase,

@@ -2,8 +2,8 @@
 campaigns, list the registries.
 
 Exit codes: 0 success/pass, 1 verification or construction failure, 2
-usage error (argparse, unknown check name, or a dense request beyond the
-register ceiling)."""
+usage error (argparse, unknown check name, a non-finite or negative
+tolerance, or a build or residual beyond the register ceiling)."""
 
 from __future__ import annotations
 
@@ -85,6 +85,32 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def parse_tolerance(text: str) -> float:
+    """A finite, non-negative residual bound."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text!r} is not a finite non-negative number")
+    return value
+
+
+def parse_site_count(text: str) -> int:
+    """Site count of an n-site family to build: at most DENSE_SITE_LIMIT, so
+    the operator keeps within the 4**DENSE_SITE_LIMIT-entry ceiling of
+    ``verify``; checked while parsing, before anything is allocated."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse site count {text!r}") from None
+    if value > verify.DENSE_SITE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"build supports at most {verify.DENSE_SITE_LIMIT} sites, got {value}")
+    return value
+
+
 def _axis_angle(args: argparse.Namespace, label: str) -> AxisAngle:
     return AxisAngle(getattr(args, f"axis_{label}"), getattr(args, f"theta_{label}"))
 
@@ -158,7 +184,7 @@ def _4simplex_build(args):
 
 
 def _ntoffoli_args(p):
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=parse_site_count, default=3)
     p.add_argument("--control-axis", type=parse_axis, default=_NAMED_AXES["z"])
     p.add_argument("--control-theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--target-axis", type=parse_axis, default=_NAMED_AXES["x"])
@@ -239,7 +265,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "nsimplex-constant": Family(
         "diagonal constant n-site solution",
-        lambda p: (p.add_argument("--n", type=int, default=3),
+        lambda p: (p.add_argument("--n", type=parse_site_count, default=3),
                    p.add_argument("--alpha", type=parse_angle, default=0.0)),
         lambda args: op_families.n_simplex_constant(args.n, args.alpha),
     ),
@@ -376,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=20)
     ver.add_argument("--seed", type=int, default=_default_seed(),
                      help="base seed (default from SIMPLEX_SEED, else 0)")
-    ver.add_argument("--tol", type=float, default=None,
+    ver.add_argument("--tol", type=parse_tolerance, default=None,
                      help="override the absolute tolerance on normalized residuals")
     ver.add_argument("--mode", choices=("dense", "matrixfree"), default=None)
     ver.add_argument("--vectors", type=int, default=verify.DEFAULT_VECTORS,

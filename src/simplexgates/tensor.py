@@ -25,6 +25,7 @@ __all__ = [
     "identity",
     "kron",
     "embed",
+    "apply_product",
     "apply",
     "frobenius_distance",
     "is_unitary",
@@ -128,26 +129,48 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(2**n, 2**n)
 
 
-def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
-    """Apply an arity-k operator to the listed sites of a statevector, or
-    of every column of a block of shape ``(2**n, *batch)``.
+def apply_product(
+    factors: Sequence[tuple[np.ndarray, Sequence[int]]], state: np.ndarray
+) -> np.ndarray:
+    """Apply a product of placed operators to a statevector, or to every
+    column of a block of shape ``(2**n, *batch)``.
 
-    Equal to ``embed(op, sites, n) @ state`` but runs in O(2**n * 2**k)
-    time per column and never forms the 2**n x 2**n matrix: the state is
-    viewed as an n-axis tensor, the listed axes are brought to the front,
-    and the operator multiplies the resulting (2**k, 2**(n-k)) block.
+    ``factors`` is a sequence of (operator, sites) pairs composed left to
+    right, so the last factor acts first; an empty sequence is the
+    identity.  Equal to ``embed(op_1, sites_1, n) @ ... @ embed(op_m,
+    sites_m, n) @ state`` but runs in O(2**n * 2**k) time per column and
+    factor and never forms a 2**n x 2**n matrix.  The state is viewed as an
+    n-axis tensor whose leading axes are tracked wire by wire: each factor
+    gathers its sites into a (2**k, rest) block, keeping the other axes in
+    their current order, and multiplies it, so its sites lead the result.
+    Site order is restored once, after the last factor.
     """
-    op = np.asarray(op, dtype=complex)
     state = np.asarray(state, dtype=complex)
     n = register_size_of(state.reshape(len(state), -1)[:, 0])
-    k = arity_of(op)
-    sites = _validated_sites(sites, k, n)
-    axes = [s - 1 for s in sites]
-    t = np.moveaxis(state.reshape((2,) * n + state.shape[1:]), axes, range(k))
-    tail = t.shape[k:]
-    out = op @ t.reshape(2**k, -1)
-    out = np.moveaxis(out.reshape((2,) * k + tail), range(k), axes)
-    return out.reshape(state.shape)
+    placed = []
+    for op, sites in factors:
+        op = np.asarray(op, dtype=complex)
+        placed.append((op, _validated_sites(sites, arity_of(op), n)))
+    if not placed:
+        return state.copy()
+    # wires[a] is the wire (site - 1) held by axis a; the batch axis stays last
+    wires = list(range(n))
+    t = state.reshape((2,) * n + (-1,))
+    for op, sites in reversed(placed):
+        front = [wires.index(s - 1) for s in sites]
+        rest = [a for a in range(n) if a not in front]
+        # the gathered block is a temporary, freed before the next is built
+        t = (op @ t.transpose(front + rest + [n]).reshape(len(op), -1)).reshape(t.shape)
+        wires = [s - 1 for s in sites] + [wires[a] for a in rest]
+    order = [wires.index(w) for w in range(n)]
+    return t.transpose(order + [n]).reshape(state.shape)
+
+
+def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
+    """Apply an arity-k operator to the listed sites of a statevector, or
+    of every column of a block of shape ``(2**n, *batch)``: the one-factor
+    ``apply_product``, equal to ``embed(op, sites, n) @ state``."""
+    return apply_product([(op, sites)], state)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

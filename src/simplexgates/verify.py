@@ -28,7 +28,7 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, CZ, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import apply, embed, random_state, random_operator, random_unitary
+from .tensor import apply, apply_product, embed, random_state, random_operator, random_unitary
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -151,8 +151,6 @@ def _product_residual(
     matrix-free mode, keeping the worst vector.
     """
     _check_block(register_size, mode)
-    lhs = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in lhs]
-    rhs = [(np.asarray(op, dtype=complex), tuple(sites)) for op, sites in rhs]
     if mode == "dense":
         blocks = [np.eye(2**register_size, dtype=complex)]
     else:
@@ -163,12 +161,8 @@ def _product_residual(
         # the previous right side stays alive until this left side is
         # built: freeing both sides at once lets malloc trim the heap and
         # fault it back in for every vector, about 10% slower at 15 sites
-        left = block
-        for op, sites in reversed(lhs):
-            left = apply(op, sites, left)
-        right = block
-        for op, sites in reversed(rhs):
-            right = apply(op, sites, right)
+        left = apply_product(lhs, block)
+        right = apply_product(rhs, block)
         raw = float(np.linalg.norm(left - right))
         scale = float(np.linalg.norm(left))
         raws.append(raw)

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,21 @@ class TestBuild:
         assert code == 1
         assert "DegenerateEigenvalues" in captured.err
 
+    @pytest.mark.parametrize("family", ["nsimplex-constant", "nsimplex-su2toffoli"])
+    def test_beyond_site_limit_is_usage_error(self, family, capsys):
+        # 13 sites would be a 1 GiB matrix: refused while parsing, before
+        # any array is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["build", family, "--n", "13"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert "at most 12 sites" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
     def test_unknown_family_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["build", "no-such-family"])
@@ -189,6 +205,13 @@ class TestVerify:
     def test_vacuous_run_is_usage_error(self, capsys, args):
         assert main(["verify", *args]) == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "su2-tetra-vertex", "--trials", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "not a finite non-negative number" in capsys.readouterr().err
 
     def test_failure_exits_one(self, capsys):
         code = main(["verify", "su2-tetra-vertex", "--trials", "1", "--tol", "1e-30"])

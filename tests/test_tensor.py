@@ -7,6 +7,7 @@ from simplexgates.gates import CCNOT, CCZ
 from simplexgates.tensor import (
     Tolerance,
     apply,
+    apply_product,
     arity_of,
     embed,
     equal_up_to_global_phase,
@@ -184,6 +185,55 @@ class TestApply:
             apply(X, (4,), np.zeros(8, dtype=complex))
         with pytest.raises(ValueError):
             apply(CNOT, (1,), np.zeros(8, dtype=complex))
+
+
+class TestApplyProduct:
+    @staticmethod
+    def _random_factors(rng, count):
+        # arity 1-3 on 6 sites; sites are drawn independently per factor,
+        # so consecutive factors share sites
+        factors = []
+        for _ in range(count):
+            k = int(rng.integers(1, 4))
+            sites = tuple(int(s) + 1 for s in rng.permutation(6)[:k])
+            factors.append((random_operator(k, rng), sites))
+        return factors
+
+    def test_matches_product_of_embeds(self):
+        rng = np.random.default_rng(23)
+        for trial in range(100):
+            factors = self._random_factors(rng, trial % 5)
+            dense = identity(6)
+            for op, sites in factors:
+                dense = dense @ embed(op, sites, 6)
+            v = random_state(6, rng)
+            block = np.stack([v, random_state(6, rng), random_state(6, rng)], axis=1)
+            scale = max(1.0, float(np.linalg.norm(dense)))
+            assert np.linalg.norm(apply_product(factors, v) - dense @ v) < 1e-13 * scale
+            assert np.linalg.norm(apply_product(factors, block) - dense @ block) < 1e-13 * scale
+
+    def test_empty_product_is_a_copy_of_the_state(self):
+        v = random_state(3, np.random.default_rng(25))
+        out = apply_product([], v)
+        assert np.array_equal(out, v) and not np.shares_memory(out, v)
+
+    def test_inputs_are_not_mutated(self):
+        rng = np.random.default_rng(26)
+        factors = self._random_factors(rng, 4)
+        block = np.stack([random_state(6, rng) for _ in range(3)], axis=1)
+        before = block.copy(), [op.copy() for op, _ in factors]
+        apply_product(factors, block)
+        assert np.array_equal(block, before[0])
+        assert all(np.array_equal(op, kept) for (op, _), kept in zip(factors, before[1]))
+
+    def test_every_factor_is_validated(self):
+        v = np.zeros(8, dtype=complex)
+        with pytest.raises(ValueError, match="outside register"):
+            apply_product([(X, (1,)), (X, (4,))], v)
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_product([(CNOT, (2, 2)), (X, (1,))], v)
+        with pytest.raises(ValueError, match="sites"):
+            apply_product([(X, (1,)), (CNOT, (1,))], v)
 
 
 class TestPredicates:

@@ -6,7 +6,7 @@ import pytest
 from simplexgates.gates import CCNOT
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
-from simplexgates.tensor import embed, identity
+from simplexgates.tensor import apply, embed, identity, random_state, random_unitary
 from simplexgates import verify
 from simplexgates.verify import (
     CHECKS,
@@ -159,6 +159,30 @@ class TestEdgeResidual:
 def test_zero_operator_reports_zero_in_both_modes(mode):
     zero = np.zeros((8, 8), dtype=complex)
     assert reversal_residual([(zero, t) for t in EDGE_TUPLES_3], 4, mode=mode) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("order", [3, 4], ids=["6-sites", "10-sites"])
+def test_matrixfree_residual_matches_per_factor_apply(order):
+    # the product kernel against one apply per factor on the same vectors
+    rng = np.random.default_rng(37 + order)
+    scheme = index_scheme(order)
+    factors = [(random_unitary(len(t), rng), t) for t in scheme.tuples]
+    size, vectors, seed = scheme.register_size, 4, 38
+    vector_rng = np.random.default_rng(seed)
+    raws, norms = [], []
+    for _ in range(vectors):
+        v = random_state(size, vector_rng)
+        left, right = v, v
+        for op, sites in reversed(factors):
+            left = apply(op, sites, left)
+        for op, sites in factors:
+            right = apply(op, sites, right)
+        raws.append(np.linalg.norm(left - right))
+        norms.append(raws[-1] / np.linalg.norm(left))
+    raw, norm = reversal_residual(factors, size, mode="matrixfree", vectors=vectors, seed=seed)
+    assert max(raws) > 0.1  # random unitaries do not solve the equation
+    assert abs(raw - max(raws)) < 1e-14
+    assert abs(norm - max(norms)) < 1e-14
 
 
 def test_residual_invariant_under_global_site_relabeling():
