@@ -43,6 +43,7 @@ from .tensor import (
     is_unitary,
     kron,
     load_operator,
+    product,
     random_operator,
     random_state,
     random_unitary,

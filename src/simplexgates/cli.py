@@ -337,6 +337,12 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         report = verify.campaign(
             args.checks, trials=args.trials, seed=args.seed, tol=args.tol,
@@ -377,7 +383,13 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SIMPLEX_SEED", "0"))
+    """Base seed from SIMPLEX_SEED, else 0; a value that is not an integer
+    raises ValueError naming the variable."""
+    text = os.environ.get("SIMPLEX_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SIMPLEX_SEED must be an integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("checks", nargs="+", metavar="CHECK")
     ver.add_argument("--n", type=int, default=None, help="simplex order for n-aware checks")
     ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--seed", type=int, default=_default_seed(),
+    # the environment is read only when verify runs without --seed
+    ver.add_argument("--seed", type=int, default=None,
                      help="base seed (default from SIMPLEX_SEED, else 0)")
     ver.add_argument("--tol", type=parse_tolerance, default=None,
                      help="override the absolute tolerance on normalized residuals")

@@ -26,6 +26,7 @@ __all__ = [
     "kron",
     "embed",
     "apply_product",
+    "product",
     "apply",
     "frobenius_distance",
     "is_unitary",
@@ -129,6 +130,42 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(2**n, 2**n)
 
 
+def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
+    # every factor as (complex operator, validated sites), before any work
+    placed = []
+    for op, sites in factors:
+        op = np.asarray(op, dtype=complex)
+        placed.append((op, _validated_sites(sites, arity_of(op), n)))
+    return placed
+
+
+def _contract(placed: list, t: np.ndarray, axes: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Multiply the placed factors, last one first, onto the tensor ``t``.
+
+    ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
+    column wire, 0 for the batch axis.  Each factor gathers the row axes of
+    its sites that ``t`` already holds into a (2**held, rest) block,
+    keeping the other axes in their current order.  Its sites with no row
+    axis yet act on the identity, so their input slots move to the output
+    side of the operator: one (2**(k + new), 2**held) GEMM leaves the
+    factor's row axes in front, then the new sites' column axes.
+    """
+    for op, sites in reversed(placed):
+        new = [s for s in sites if s not in axes]
+        held = [s for s in sites if s in axes] if new else sites
+        if new:
+            k = len(sites)
+            slots = list(range(k)) + [k + sites.index(s) for s in new + held]
+            op = op.reshape((2,) * (2 * k)).transpose(slots).reshape(-1, 2 ** len(held))
+        front = [axes.index(s) for s in held]
+        rest = [a for a in range(len(axes)) if a not in front]
+        shape = (2,) * (len(sites) + len(new)) + tuple([t.shape[a] for a in rest])
+        # the gathered block is a temporary, freed before the next is built
+        t = (op @ t.transpose(front + rest).reshape(2 ** len(held), -1)).reshape(shape)
+        axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
+    return t, axes
+
+
 def apply_product(
     factors: Sequence[tuple[np.ndarray, Sequence[int]]], state: np.ndarray
 ) -> np.ndarray:
@@ -147,23 +184,35 @@ def apply_product(
     """
     state = np.asarray(state, dtype=complex)
     n = register_size_of(state.reshape(len(state), -1)[:, 0])
-    placed = []
-    for op, sites in factors:
-        op = np.asarray(op, dtype=complex)
-        placed.append((op, _validated_sites(sites, arity_of(op), n)))
+    placed = _placed(factors, n)
     if not placed:
         return state.copy()
-    # wires[a] is the wire (site - 1) held by axis a; the batch axis stays last
-    wires = list(range(n))
-    t = state.reshape((2,) * n + (-1,))
-    for op, sites in reversed(placed):
-        front = [wires.index(s - 1) for s in sites]
-        rest = [a for a in range(n) if a not in front]
-        # the gathered block is a temporary, freed before the next is built
-        t = (op @ t.transpose(front + rest + [n]).reshape(len(op), -1)).reshape(t.shape)
-        wires = [s - 1 for s in sites] + [wires[a] for a in rest]
-    order = [wires.index(w) for w in range(n)]
-    return t.transpose(order + [n]).reshape(state.shape)
+    t, axes = _contract(placed, state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0])
+    order = [axes.index(s) for s in range(1, n + 1)] + [axes.index(0)]
+    return t.transpose(order).reshape(state.shape)
+
+
+def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.ndarray:
+    """The 2**n x 2**n matrix of a product of placed operators on an n-site
+    register, in site order.
+
+    ``factors`` composes as in ``apply_product``, and the result equals
+    ``apply_product(factors, identity(n))``, but the kernel starts from the
+    scalar 1 instead of the 2**n identity block: a site gets its row and
+    column axes from the first factor that reaches it, so the working
+    tensor only reaches full size once every site is reached.  Every site
+    that no factor touches sees the identity.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"register must have at least one site, got {n}")
+    placed = _placed(factors, n)
+    touched = {s for _, sites in placed for s in sites}
+    # identities on untouched sites act last, as outer products on the full tensor
+    placed = [(identity(1), (s,)) for s in range(1, n + 1) if s not in touched] + placed
+    t, axes = _contract(placed, np.ones((), dtype=complex), [])
+    order = [axes.index(s) for s in range(1, n + 1)] + [axes.index(-s) for s in range(1, n + 1)]
+    return t.transpose(order).reshape(2**n, 2**n)
 
 
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
@@ -217,8 +266,11 @@ def equal_up_to_global_phase(
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm n-site state with iid complex Gaussian amplitudes."""
-    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return v / np.linalg.norm(v)
+    v = np.empty(2**n, dtype=complex)
+    v.real = rng.standard_normal(2**n)
+    v.imag = rng.standard_normal(2**n)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def random_operator(k: int, rng: np.random.Generator) -> np.ndarray:

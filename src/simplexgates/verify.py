@@ -1,9 +1,10 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign.
 
-Residual conventions: both modes apply the two sides of an equation,
-factor by factor, to a block of columns.  Dense mode applies them to the
-2**N identity block, which yields both sides as 2**N x 2**N matrices, and
+Residual conventions: both modes run the two sides of an equation
+through one product kernel, factor by factor.  Dense mode builds both
+sides as 2**N x 2**N matrices, starting from the scalar 1 and giving each
+site its row and column axes when the first factor reaches it, and
 reports ||L - R||_F, plus that value divided by ||L||_F; tolerances apply
 to the normalized value.  Matrix-free mode applies them to seeded random
 unit vectors, one at a time, and reports the worst ||(L - R) v||_2,
@@ -28,7 +29,8 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, CZ, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import apply, apply_product, embed, random_state, random_operator, random_unitary
+from .tensor import (apply, apply_product, embed, product, random_operator, random_state,
+                     random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -58,8 +60,8 @@ __all__ = [
     "campaign",
 ]
 
-# a residual block holds at most 4**12 entries (~268 MB): the dense identity
-# block on 12 sites, or one matrix-free vector on 24 sites
+# a residual block holds at most 4**12 entries (~268 MB): one side of a
+# dense residual on 12 sites, or one matrix-free vector on 24 sites
 DENSE_SITE_LIMIT = 12
 DEFAULT_VECTORS = 20
 
@@ -146,29 +148,33 @@ def _product_residual(
 
     Each side is a sequence of (operator, sites) pairs composed left to
     right, so its last factor acts first on a state; an empty side is the
-    identity.  Both products are applied to the 2**N identity block in
-    dense mode and to each of ``vectors`` seeded random unit vectors in
-    matrix-free mode, keeping the worst vector.
+    identity.  Dense mode builds both products as 2**N x 2**N matrices
+    with ``tensor.product``; matrix-free mode applies them to each of
+    ``vectors`` seeded random unit vectors, keeping the worst vector.
     """
     _check_block(register_size, mode)
     if mode == "dense":
-        blocks = [np.eye(2**register_size, dtype=complex)]
-    else:
-        rng = np.random.default_rng(seed)
-        blocks = (random_state(register_size, rng) for _ in range(vectors))
+        return _side_residual(product(lhs, register_size), product(rhs, register_size))
+    rng = np.random.default_rng(seed)
     raws, norms = [], []
-    for block in blocks:
+    for block in (random_state(register_size, rng) for _ in range(vectors)):
         # the previous right side stays alive until this left side is
         # built: freeing both sides at once lets malloc trim the heap and
         # fault it back in for every vector, about 10% slower at 15 sites
         left = apply_product(lhs, block)
         right = apply_product(rhs, block)
-        raw = float(np.linalg.norm(left - right))
-        scale = float(np.linalg.norm(left))
+        raw, norm = _side_residual(left, right)
         raws.append(raw)
-        norms.append(raw / scale if scale > 0 else raw)
+        norms.append(norm)
     # np.max, unlike max(), lets a NaN through to the verdict
     return float(np.max(raws)), float(np.max(norms))
+
+
+def _side_residual(left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
+    # (||L - R||, ||L - R|| / ||L||), or the raw value twice where ||L|| is zero
+    raw = float(np.linalg.norm(left - right))
+    scale = float(np.linalg.norm(left))
+    return raw, raw / scale if scale > 0 else raw
 
 
 def reversal_residual(
@@ -604,25 +610,29 @@ def campaign(
     simplex order; ``mode``/``vectors`` configure the residual backend.
     The verdict is the conjunction over checks (an empty campaign passes).
     Fewer than one trial or vector, or an ``n`` below 2, raises
-    CampaignArgumentError before any trial runs; a register beyond the
-    residual-block ceiling raises DenseDimensionError.
+    CampaignArgumentError, an unregistered name UnknownCheckError, and an
+    n-aware check's register beyond the residual-block ceiling
+    DenseDimensionError, all before any trial runs.
     """
     for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("n", n, 2)):
         if value is not None and value < least:
             raise CampaignArgumentError(f"{label} must be at least {least}, got {value}")
-    t0 = time.perf_counter()
-    reports = []
+    runs = []
     for name in check_names:
         try:
             spec = CHECKS[name]
         except KeyError:
             raise UnknownCheckError(name) from None
-        c0 = time.perf_counter()
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
         use_mode = mode if mode is not None else spec.default_mode
         if spec.supports_n:
             # the n-site operator itself grows as 4**n: refuse before building it
             _check_block(index_scheme(use_n).register_size, use_mode)
+        runs.append((name, spec, use_n, use_mode))
+    t0 = time.perf_counter()
+    reports = []
+    for name, spec, use_n, use_mode in runs:
+        c0 = time.perf_counter()
         bound = float(tol) if tol is not None and not spec.invert else spec.tolerance
         pairs = [spec.fn(seed + i, n=use_n, mode=use_mode, vectors=vectors)
                  for i in range(trials)]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import tracemalloc
@@ -245,6 +246,31 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["seed"] == 77
+
+    def test_non_integer_env_seed_is_usage_error_only_where_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("SIMPLEX_SEED", "abc")
+        assert main(["list"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "apply-vs-embed", "--trials", "1"]) == 2
+        assert "SIMPLEX_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert main(["verify", "apply-vs-embed", "--trials", "1", "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+    @pytest.mark.parametrize("args", [
+        ["su2-4simplex-vertex", "nope", "--trials", "3"],
+        ["su2-4simplex-vertex", "nsimplex-constant", "--n", "7", "--trials", "3"],
+    ], ids=["unknown-name", "register-ceiling"])
+    def test_every_check_is_resolved_before_any_trial(self, capsys, monkeypatch, args):
+        calls = []
+
+        def record(trial_seed, **kwargs):
+            calls.append(trial_seed)
+            return 0.0, 0.0
+
+        spec = CHECKS["su2-4simplex-vertex"]
+        monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
+        assert main(["verify", *args]) == 2
+        assert calls == []
 
 
 class TestList:

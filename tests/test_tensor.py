@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexgates import operators, verify
 from simplexgates.gates import CCNOT, CCZ
 from simplexgates.tensor import (
     Tolerance,
@@ -18,6 +21,7 @@ from simplexgates.tensor import (
     load_operator,
     operator_from_dict,
     operator_to_dict,
+    product,
     random_operator,
     random_state,
     random_unitary,
@@ -236,6 +240,68 @@ class TestApplyProduct:
             apply_product([(X, (1,)), (CNOT, (1,))], v)
 
 
+class TestProduct:
+    def test_matches_product_of_embeds(self):
+        # lists of 0-2 factors leave some of the 6 sites untouched
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            factors = TestApplyProduct._random_factors(rng, trial % 5)
+            dense = identity(6)
+            for op, sites in factors:
+                dense = dense @ embed(op, sites, 6)
+            scale = max(1.0, float(np.linalg.norm(dense)))
+            assert np.linalg.norm(product(factors, 6) - dense) < 1e-13 * scale
+
+    def test_empty_product_is_the_identity(self):
+        for n in (1, 3):
+            assert np.array_equal(product([], n), identity(n))
+
+    def test_untouched_sites_see_the_identity(self):
+        out = product([(CNOT, (3, 1))], 3)
+        assert np.array_equal(out, embed(CNOT, (3, 1), 3))
+
+    def test_inputs_are_not_mutated(self):
+        rng = np.random.default_rng(32)
+        factors = TestApplyProduct._random_factors(rng, 4)
+        before = [op.copy() for op, _ in factors]
+        product(factors, 6)
+        assert all(np.array_equal(op, kept) for (op, _), kept in zip(factors, before))
+
+    def test_every_factor_is_validated(self):
+        with pytest.raises(ValueError, match="outside register"):
+            product([(X, (1,)), (X, (4,))], 3)
+        with pytest.raises(ValueError, match="duplicate"):
+            product([(CNOT, (2, 2)), (X, (1,))], 3)
+        with pytest.raises(ValueError, match="sites"):
+            product([(X, (1,)), (CNOT, (1,))], 3)
+        with pytest.raises(ValueError, match="at least one site"):
+            product([], 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_the_identity_block(self, seed):
+        rng = np.random.default_rng(seed)
+        assignment = verify.random_su2_assignment(10, rng)
+        alpha = float(rng.uniform(0, 2 * np.pi))
+        for variant in operators.FOUR_SIMPLEX_VARIANTS:
+            provider = verify.su2_4simplex_provider(alpha, variant)
+            factors = [(provider(tuple(assignment[s - 1] for s in tup)), tup)
+                       for tup in verify.index_scheme(4).tuples]
+            for side in (factors, factors[::-1]):
+                assert np.array_equal(product(side, 10), apply_product(side, np.eye(1024)))
+
+    def test_dense_4simplex_trial_allocation_peak(self):
+        # two 16 MiB sides and their difference; the 2**10 identity block
+        # that every factor used to run over peaked at 80 MiB
+        check = verify.CHECKS["su2-4simplex-vertex"]
+        tracemalloc.start()
+        try:
+            check.fn(0, n=4, mode="dense", vectors=verify.DEFAULT_VECTORS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
+
+
 class TestPredicates:
     def test_frobenius_zero_on_equal(self):
         assert frobenius_distance(X, X) == 0.0
@@ -326,3 +392,12 @@ class TestOperatorFile:
             operator_from_dict({"arity": 1, "dim": 3, "entries": []})
         with pytest.raises(ValueError, match="entries"):
             operator_from_dict({"arity": 1, "dim": 2, "entries": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 15])
+def test_random_state_matches_the_sum_of_two_draws(n):
+    # the reference formula, built from two real draws and two temporaries
+    ref_rng, rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+    v = ref_rng.standard_normal(2**n) + 1j * ref_rng.standard_normal(2**n)
+    assert np.array_equal(random_state(n, rng), v / np.linalg.norm(v))
+    assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
