@@ -52,10 +52,10 @@ from .tensor import (
 )
 from .verify import (
     CHECKS,
+    Equation,
     campaign,
     edge_residual_3,
     index_scheme,
-    permutation_relation_suite,
     reversal_residual,
     vertex_residual,
 )

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexgates import operators
+from simplexgates import operators, verify
 from simplexgates.cli import FAMILIES, main, parse_angle, parse_axis, parse_complex
 from simplexgates.gates import n_toffoli
 from simplexgates.tensor import load_operator
@@ -196,6 +196,15 @@ class TestVerify:
         # 28 sites: one state vector alone would take 4 GiB
         code = main(["verify", "nsimplex-constant", "--n", "7", "--trials", "1"])
         assert code == 2
+        assert "at most 24 sites" in capsys.readouterr().err
+
+    def test_register_ceiling_is_checked_before_the_scheme_is_built(self, capsys, monkeypatch):
+        # index_scheme is cubic in n: at n = 100000 it would run for hours
+        def refuse(n):
+            raise AssertionError(f"index_scheme({n}) called")
+
+        monkeypatch.setattr(verify, "index_scheme", refuse)
+        assert main(["verify", "nsimplex-constant", "--n", "100000"]) == 2
         assert "at most 24 sites" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [

@@ -292,10 +292,9 @@ class TestProduct:
     def test_dense_4simplex_trial_allocation_peak(self):
         # two 16 MiB sides and their difference; the 2**10 identity block
         # that every factor used to run over peaked at 80 MiB
-        check = verify.CHECKS["su2-4simplex-vertex"]
         tracemalloc.start()
         try:
-            check.fn(0, n=4, mode="dense", vectors=verify.DEFAULT_VECTORS)
+            verify.campaign(["su2-4simplex-vertex"], trials=1, seed=0, mode="dense")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

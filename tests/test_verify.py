@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,10 +8,11 @@ from simplexgates.gates import CCNOT
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import apply, embed, identity, random_state, random_unitary
-from simplexgates import verify
+from simplexgates import operators, verify
 from simplexgates.verify import (
     CHECKS,
     EDGE_TUPLES_3,
+    CampaignArgumentError,
     CheckSpec,
     DenseDimensionError,
     UnknownCheckError,
@@ -18,7 +20,6 @@ from simplexgates.verify import (
     constant_provider,
     edge_residual_3,
     index_scheme,
-    permutation_relation_suite,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
@@ -202,18 +203,13 @@ def test_residual_invariant_under_global_site_relabeling():
 class TestPermutationRelations:
     def test_plain_permutations(self):
         p = AxisAngle(Z_AXIS, 0.0)
-        report = permutation_relation_suite(p, p, p)
-        assert report.verdict == "pass"
-        assert report.max_residual < 1e-14
+        named = verify._perm_relation_residuals(p, p, p, np.random.default_rng(0))
+        assert all(norm < 1e-14 for _, norm in named.values()), named
 
     def test_random_parameters(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            report = permutation_relation_suite(
-                random_axis_angle(rng), random_axis_angle(rng), random_axis_angle(rng),
-                seed=int(rng.integers(0, 2**31)))
-            assert report.verdict == "pass"
-            assert report.max_residual < 1e-13
+        report = campaign(["perm-relations"], trials=10, seed=37)
+        assert report.verdict == "pass"
+        assert report.checks[0].max_residual < 1e-13
 
     def test_braid_relation_directly(self):
         rng = np.random.default_rng(38)
@@ -282,6 +278,40 @@ class TestCampaign:
         check = campaign(["nan-check"], trials=2, seed=0).checks[0]
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
+
+    def test_nan_member_of_a_multi_equation_check_fails(self, monkeypatch):
+        # the phased member is the second of four, where builtin max() over
+        # the members would drop its NaN
+        monkeypatch.setattr(operators, "constant_alpha",
+                            lambda alpha: np.full((8, 8), np.nan, dtype=complex))
+        check = campaign(["constant-vertex"], trials=2).checks[0]
+        assert check.verdict == "fail"
+        assert np.isnan(check.max_residual)
+
+    def test_unknown_mode_is_refused_before_any_trial(self, monkeypatch):
+        calls = []
+
+        def record(trial_seed, **kwargs):
+            calls.append(trial_seed)
+            return 0.0, 0.0
+
+        spec = CHECKS["hadamard-bridge"]
+        monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
+        with pytest.raises(CampaignArgumentError, match="mode must be"):
+            campaign(["hadamard-bridge", "constant-vertex"], trials=1, mode="bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["constant-vertex", "su2-4simplex-vertex"])
+    def test_campaign_residual_is_the_worst_equation_in_its_mode(self, name):
+        spec, seed, trials = CHECKS[name], 13, 2
+        report = campaign([name], trials=trials, seed=seed, mode="matrixfree", vectors=3)
+        check = report.checks[0]
+        for i in range(trials):
+            equations = spec.fn(seed + i, n=spec.default_n)
+            assert len(equations) > 1
+            pairs = [reversal_residual(*eq, "matrixfree", 3, seed + i) for eq in equations]
+            assert check.raw_residuals[i] == max(raw for raw, _ in pairs)
+            assert check.residuals[i] == max(norm for _, norm in pairs)
 
     def test_tolerance_override_can_fail_a_check(self):
         report = campaign(["su2-tetra-vertex"], trials=1, seed=0, tol=1e-30)
