@@ -139,7 +139,8 @@ def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list
     return placed
 
 
-def _contract(placed: list, t: np.ndarray, axes: list[int]) -> tuple[np.ndarray, list[int]]:
+def _contract(placed: list, t: np.ndarray, axes: list[int],
+              work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Multiply the placed factors, last one first, onto the tensor ``t``.
 
     ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
@@ -149,7 +150,15 @@ def _contract(placed: list, t: np.ndarray, axes: list[int]) -> tuple[np.ndarray,
     axis yet act on the identity, so their input slots move to the output
     side of the operator: one (2**(k + new), 2**held) GEMM leaves the
     factor's row axes in front, then the new sites' column axes.
+
+    ``work = (acc, gat)`` are two flat complex buffers, each at least as
+    large as the largest working tensor, and nothing else is allocated at
+    that size: the gather copies ``t`` into ``gat`` and the GEMM writes
+    into ``acc``, over the previous working tensor, which the gather has
+    already read.  The result is a view of ``acc``, or ``t`` itself when
+    there is no factor.
     """
+    acc, gat = work
     for op, sites in reversed(placed):
         new = [s for s in sites if s not in axes]
         held = [s for s in sites if s in axes] if new else sites
@@ -159,11 +168,43 @@ def _contract(placed: list, t: np.ndarray, axes: list[int]) -> tuple[np.ndarray,
             op = op.reshape((2,) * (2 * k)).transpose(slots).reshape(-1, 2 ** len(held))
         front = [axes.index(s) for s in held]
         rest = [a for a in range(len(axes)) if a not in front]
-        shape = (2,) * (len(sites) + len(new)) + tuple([t.shape[a] for a in rest])
-        # the gathered block is a temporary, freed before the next is built
-        t = (op @ t.transpose(front + rest).reshape(2 ** len(held), -1)).reshape(shape)
+        moved = t.transpose(front + rest)
+        gathered = gat[:t.size].reshape(moved.shape)
+        gathered[...] = moved
+        out = acc[:op.shape[0] * (t.size // op.shape[1])].reshape(op.shape[0], -1)
+        # out by position: the keyword costs about 1 us per small factor
+        np.matmul(op, gathered.reshape(op.shape[1], -1), out)
+        t = out.reshape((2,) * (len(sites) + len(new)) + moved.shape[len(front):])
         axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
     return t, axes
+
+
+def _product_view(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int,
+                  work: tuple[np.ndarray, np.ndarray],
+                  state: np.ndarray | None = None) -> np.ndarray:
+    """The product of the placed factors on an n-site register, contracted
+    in ``work`` (see ``_contract``) and returned as a view with its axes
+    in site order, not copied: the (2,) * 2n matrix tensor of ``product``,
+    or, applied to ``state``, the (2,) * n + (batch,) tensor of
+    ``apply_product``.  The matrix starts from the scalar 1, so ``work``
+    needs 4**n entries; a state needs ``state.size``."""
+    placed = _placed(factors, n)
+    if state is None:
+        touched = {s for _, sites in placed for s in sites}
+        # identities on untouched sites act last, as outer products on the full tensor
+        placed = [(identity(1), (s,)) for s in range(1, n + 1) if s not in touched] + placed
+        t, axes, tail = np.ones((), dtype=complex), [], [-s for s in range(1, n + 1)]
+    else:
+        t, axes, tail = state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0], [0]
+    t, axes = _contract(placed, t, axes, work)
+    return t.transpose([axes.index(s) for s in [*range(1, n + 1), *tail]])
+
+
+def _copied(view: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``view`` copied into the front of the flat ``buffer``, in its shape."""
+    out = buffer[:view.size].reshape(view.shape)
+    out[...] = view
+    return out
 
 
 def apply_product(
@@ -180,16 +221,12 @@ def apply_product(
     n-axis tensor whose leading axes are tracked wire by wire: each factor
     gathers its sites into a (2**k, rest) block, keeping the other axes in
     their current order, and multiplies it, so its sites lead the result.
-    Site order is restored once, after the last factor.
+    Site order is restored once, after the last factor, into a fresh array.
     """
     state = np.asarray(state, dtype=complex)
     n = register_size_of(state.reshape(len(state), -1)[:, 0])
-    placed = _placed(factors, n)
-    if not placed:
-        return state.copy()
-    t, axes = _contract(placed, state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0])
-    order = [axes.index(s) for s in range(1, n + 1)] + [axes.index(0)]
-    return t.transpose(order).reshape(state.shape)
+    work = (np.empty(state.size, dtype=complex), np.empty(state.size, dtype=complex))
+    return _copied(_product_view(factors, n, work, state), work[1]).reshape(state.shape)
 
 
 def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.ndarray:
@@ -201,18 +238,14 @@ def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.n
     scalar 1 instead of the 2**n identity block: a site gets its row and
     column axes from the first factor that reaches it, so the working
     tensor only reaches full size once every site is reached.  Every site
-    that no factor touches sees the identity.
+    that no factor touches sees the identity.  The kernel runs in two
+    buffers of 4**n entries, and the second one becomes the result.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"register must have at least one site, got {n}")
-    placed = _placed(factors, n)
-    touched = {s for _, sites in placed for s in sites}
-    # identities on untouched sites act last, as outer products on the full tensor
-    placed = [(identity(1), (s,)) for s in range(1, n + 1) if s not in touched] + placed
-    t, axes = _contract(placed, np.ones((), dtype=complex), [])
-    order = [axes.index(s) for s in range(1, n + 1)] + [axes.index(-s) for s in range(1, n + 1)]
-    return t.transpose(order).reshape(2**n, 2**n)
+    work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
+    return _copied(_product_view(factors, n, work), work[1]).reshape(2**n, 2**n)
 
 
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:

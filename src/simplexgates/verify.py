@@ -2,14 +2,17 @@
 verification campaign, the one place that picks the residual mode.
 
 Residual conventions: both modes run the two sides of an equation
-through one product kernel, factor by factor.  Dense mode builds both
-sides as 2**N x 2**N matrices, starting from the scalar 1 and giving each
-site its row and column axes when the first factor reaches it, and
-reports ||L - R||_F, plus that value divided by ||L||_F; tolerances apply
-to the normalized value.  Matrix-free mode applies them to seeded random
-unit vectors, one at a time, and reports the worst ||(L - R) v||_2,
-normalized per vector by ||L v||_2.  Either mode reports the raw value
-where the norm it would divide by is zero.
+through one product kernel, factor by factor, in three buffers of one
+block each that both sides and every vector reuse.  Only the left side
+is copied into site order; L - R is taken straight from the right side's
+contraction order.  Dense mode builds both sides as 2**N x 2**N matrices,
+starting from the scalar 1 and giving each site its row and column axes
+when the first factor reaches it, and reports ||L - R||_F, plus that
+value divided by ||L||_F; tolerances apply to the normalized value.
+Matrix-free mode applies them to seeded random unit vectors, one at a
+time, and reports the worst ||(L - R) v||_2, normalized per vector by
+||L v||_2.  Either mode reports the raw value where the norm it would
+divide by is zero.
 Campaign trial i draws everything from seed + i, so reports are
 reproducible bit for bit (wall time aside) and trials could run in any
 order or in parallel.
@@ -29,7 +32,7 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, CZ, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import (apply, apply_product, embed, product, random_operator, random_state,
+from .tensor import (_copied, _product_view, apply, embed, random_operator, random_state,
                      random_unitary)
 
 __all__ = [
@@ -61,7 +64,9 @@ __all__ = [
 ]
 
 # a residual block holds at most 4**12 entries (~268 MB): one side of a
-# dense residual on 12 sites, or one matrix-free vector on 24 sites
+# dense residual on 12 sites, or one matrix-free vector on 24 sites.  A
+# residual holds three blocks (~805 MB) and nothing else of that size,
+# apart from the random vector in matrix-free mode
 DENSE_SITE_LIMIT = 12
 DEFAULT_VECTORS = 20
 
@@ -148,31 +153,35 @@ def _product_residual(
 
     Each side is a sequence of (operator, sites) pairs composed left to
     right, so its last factor acts first on a state; an empty side is the
-    identity.  Dense mode builds both products as 2**N x 2**N matrices
-    with ``tensor.product``; matrix-free mode applies them to each of
-    ``vectors`` seeded random unit vectors, keeping the worst vector.
+    identity.  Dense mode builds both products as 2**N x 2**N matrices;
+    matrix-free mode applies them to each of ``vectors`` seeded random
+    unit vectors, keeping the worst vector.  Both sides and every vector
+    reuse three buffers of one block each (4**N entries in dense mode,
+    2**N in matrix-free mode): the product kernel runs in two of them,
+    the left side is copied into the third in site order, and L - R is
+    written in site order over the kernel's gather buffer, reading the
+    right side in its contraction order.
     """
     _check_block(register_size, mode)
+    size = 4**register_size if mode == "dense" else 2**register_size
+    work = tuple(np.empty(size, dtype=complex) for _ in range(3))
     if mode == "dense":
-        return _side_residual(product(lhs, register_size), product(rhs, register_size))
+        return _side_residual(lhs, rhs, register_size, work)
     rng = np.random.default_rng(seed)
-    raws, norms = [], []
-    for block in (random_state(register_size, rng) for _ in range(vectors)):
-        # the previous right side stays alive until this left side is
-        # built: freeing both sides at once lets malloc trim the heap and
-        # fault it back in for every vector, about 10% slower at 15 sites
-        left = apply_product(lhs, block)
-        right = apply_product(rhs, block)
-        raw, norm = _side_residual(left, right)
-        raws.append(raw)
-        norms.append(norm)
+    pairs = [_side_residual(lhs, rhs, register_size, work, random_state(register_size, rng))
+             for _ in range(vectors)]
     # np.max, unlike max(), lets a NaN through to the verdict
-    return float(np.max(raws)), float(np.max(norms))
+    raw, norm = np.max(pairs, axis=0)
+    return float(raw), float(norm)
 
 
-def _side_residual(left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
-    # (||L - R||, ||L - R|| / ||L||), or the raw value twice where ||L|| is zero
-    raw = float(np.linalg.norm(left - right))
+def _side_residual(lhs, rhs, register_size, work, block=None) -> tuple[float, float]:
+    # (||L - R||, ||L - R|| / ||L||), or the raw value twice where ||L|| is
+    # zero; both norms are summed in site order, like the public products
+    acc, gat, keep = work
+    left = _copied(_product_view(lhs, register_size, (acc, gat), block), keep)
+    right = _product_view(rhs, register_size, (acc, gat), block)
+    raw = float(np.linalg.norm(np.subtract(left, right, out=gat[:left.size].reshape(left.shape))))
     scale = float(np.linalg.norm(left))
     return raw, raw / scale if scale > 0 else raw
 
@@ -477,7 +486,8 @@ def _check_hadamard_bridge(trial_seed, *, n):
                              - op_families.toffoli_family(alpha))),
         float(np.linalg.norm(local_conjugate(op_families.cz_yangbaxter(), [eye2, H]) - CNOT)),
     ]
-    worst = max(dists)
+    # np.max, unlike max(), lets a NaN member through to the verdict
+    worst = float(np.max(dists))
     return worst, worst
 
 
@@ -496,7 +506,7 @@ def _check_toffoli_reduction(trial_seed, *, n):
                                                          alpha=alpha)
                              - op_families.toffoli_family(alpha))),
     ]
-    worst = max(dists)
+    worst = float(np.max(dists))
     return worst, worst
 
 
@@ -513,7 +523,8 @@ def _check_unitary_families(trial_seed, *, n):
                                     random_axis_angle(rng)),
     ]
     devs = [float(np.linalg.norm(m @ m.conj().T - np.eye(8, dtype=complex))) for m in members]
-    return max(devs), max(devs) / np.sqrt(8.0)
+    worst = float(np.max(devs))
+    return worst, worst / np.sqrt(8.0)
 
 
 @_register("perm-relations",
@@ -523,7 +534,7 @@ def _check_perm_relations(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     named = _perm_relation_residuals(random_axis_angle(rng), random_axis_angle(rng),
                                      random_axis_angle(rng), rng)
-    return max(r for r, _ in named.values()), max(nm for _, nm in named.values())
+    return np.max(list(named.values()), axis=0)
 
 
 @_register("su2-4simplex-vertex",

@@ -300,6 +300,17 @@ class TestProduct:
             tracemalloc.stop()
         assert peak < 72 * 2**20
 
+    def test_dense_4simplex_trial_peak_is_three_residual_blocks(self):
+        # the kernel's two buffers and the kept left side, 16 MiB each; the
+        # difference is written over the kernel's gather buffer
+        tracemalloc.start()
+        try:
+            verify.campaign(["su2-4simplex-vertex"], trials=1, seed=0, mode="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * 2**20
+
 
 class TestPredicates:
     def test_frobenius_zero_on_equal(self):

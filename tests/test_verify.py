@@ -7,7 +7,8 @@ import pytest
 from simplexgates.gates import CCNOT
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
-from simplexgates.tensor import apply, embed, identity, random_state, random_unitary
+from simplexgates.tensor import (apply, apply_product, embed, identity, product, random_operator,
+                                random_state, random_unitary)
 from simplexgates import operators, verify
 from simplexgates.verify import (
     CHECKS,
@@ -200,6 +201,46 @@ def test_residual_invariant_under_global_site_relabeling():
     assert abs(base - relabeled) < 1e-12
 
 
+def _reference_residual(lhs, rhs, n, mode, vectors, seed):
+    # the same residual from the public kernel: whole matrices or vectors
+    # in site order, subtracted, then the worst vector
+    if mode == "dense":
+        blocks = [None]
+        side = lambda factors, block: product(factors, n)
+    else:
+        rng = np.random.default_rng(seed)
+        blocks = [random_state(n, rng) for _ in range(vectors)]
+        side = apply_product
+    pairs = []
+    for block in blocks:
+        left, right = side(lhs, block), side(rhs, block)
+        raw = float(np.linalg.norm(left - right))
+        scale = float(np.linalg.norm(left))
+        pairs.append((raw, raw / scale if scale > 0 else raw))
+    return max(raw for raw, _ in pairs), max(norm for _, norm in pairs)
+
+
+def _residual_cases():
+    spec = CHECKS["su2-4simplex-vertex"]
+    cases = [pytest.param(eq.factors, eq.factors[::-1], eq.register_size, id=f"su2-4simplex-{i}")
+             for i, eq in enumerate(spec.fn(3, n=4))]
+    rng = np.random.default_rng(4)
+    p12 = (twisted_permutation(random_axis_angle(rng), random_axis_angle(rng)), (1, 2))
+    cases.append(pytest.param([p12, p12], [], 2, id="involution-vs-empty"))
+    # site 1 only on the left; sites 4 and 5 on neither side
+    cases.append(pytest.param([(random_operator(3, rng), (3, 1, 2))],
+                              [(random_operator(2, rng), (2, 3))], 5, id="untouched-sites"))
+    return cases
+
+
+class TestProductResidual:
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+    @pytest.mark.parametrize("lhs, rhs, n", _residual_cases())
+    def test_bit_identical_to_the_public_kernel(self, mode, lhs, rhs, n):
+        expected = _reference_residual(lhs, rhs, n, mode, vectors=3, seed=11)
+        assert verify._product_residual(lhs, rhs, n, mode, vectors=3, seed=11) == expected
+
+
 class TestPermutationRelations:
     def test_plain_permutations(self):
         p = AxisAngle(Z_AXIS, 0.0)
@@ -285,6 +326,21 @@ class TestCampaign:
         monkeypatch.setattr(operators, "constant_alpha",
                             lambda alpha: np.full((8, 8), np.nan, dtype=complex))
         check = campaign(["constant-vertex"], trials=2).checks[0]
+        assert check.verdict == "fail"
+        assert np.isnan(check.max_residual)
+
+    @pytest.mark.parametrize("name, family, dim", [
+        ("hadamard-bridge", "cz_yangbaxter", 4),
+        ("toffoli-reduction", "su2_tetrahedron", 8),
+        ("unitary-families", "general_toffoli", 8),
+        ("perm-relations", "conjugated_site_operator", 2),
+    ])
+    def test_nan_member_of_a_pair_check_fails(self, monkeypatch, name, family, dim):
+        # the patched family feeds a member after the first, where builtin
+        # max() over the members would drop its NaN
+        monkeypatch.setattr(operators, family,
+                            lambda *args, **kwargs: np.full((dim, dim), np.nan, dtype=complex))
+        check = campaign([name], trials=2).checks[0]
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
 
