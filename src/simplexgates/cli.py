@@ -3,7 +3,9 @@ campaigns, list the registries.
 
 Exit codes: 0 success/pass, 1 verification or construction failure, 2
 usage error (argparse, unknown check name, a non-finite or negative
-tolerance, or a build or residual beyond the register ceiling)."""
+tolerance, a --couplings value that is not seven complex numbers, a build
+site count below 2, or a build or residual beyond the register
+ceiling)."""
 
 from __future__ import annotations
 
@@ -97,14 +99,27 @@ def parse_tolerance(text: str) -> float:
     return value
 
 
+def parse_couplings(text: str) -> op_families.CouplingConstants:
+    """Seven comma-separated complex numbers: alpha1, alpha2, alpha3, beta1,
+    beta2, beta3, gamma."""
+    vals = [parse_complex(v) for v in text.split(",")]
+    if len(vals) != 7:
+        raise argparse.ArgumentTypeError(
+            f"needs 7 comma-separated values, got {len(vals)}")
+    return op_families.CouplingConstants(*vals)
+
+
 def parse_site_count(text: str) -> int:
-    """Site count of an n-site family to build: at most DENSE_SITE_LIMIT, so
-    the operator keeps within the 4**DENSE_SITE_LIMIT-entry ceiling of
-    ``verify``; checked while parsing, before anything is allocated."""
+    """Site count of an n-site family to build: at least 2, the smallest
+    n-site family, and at most DENSE_SITE_LIMIT, so the operator keeps
+    within the 4**DENSE_SITE_LIMIT-entry ceiling of ``verify``; checked
+    while parsing, before anything is allocated."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse site count {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"build needs at least 2 sites, got {value}")
     if value > verify.DENSE_SITE_LIMIT:
         raise argparse.ArgumentTypeError(
             f"build supports at most {verify.DENSE_SITE_LIMIT} sites, got {value}")
@@ -145,19 +160,16 @@ def _generic_args(p):
     p.add_argument("--mu-i", type=parse_complex, default=complex(0.4, 0.2))
     p.add_argument("--mu-j", type=parse_complex, default=complex(-0.8, 0.5))
     p.add_argument("--mu-k", type=parse_complex, default=complex(1.1, -0.3))
-    p.add_argument("--couplings", default="1,1,1,1,1,1,1", metavar="C1,...,C7",
-                   help="alpha1,alpha2,alpha3,beta1,beta2,beta3,gamma")
+    p.add_argument("--couplings", type=parse_couplings, default="1,1,1,1,1,1,1",
+                   metavar="C1,...,C7", help="alpha1,alpha2,alpha3,beta1,beta2,beta3,gamma")
 
 
 def _generic_build(args):
-    vals = [parse_complex(v) for v in args.couplings.split(",")]
-    if len(vals) != 7:
-        raise ValueError(f"--couplings needs 7 comma-separated values, got {len(vals)}")
     family = (op_families.SiteOperatorFamily.pauli_exp()
               if args.family_kind == "pauli-exp"
               else op_families.SiteOperatorFamily.seeded_random(args.family_seed))
     return op_families.generic_tetrahedron(
-        family, (args.mu_i, args.mu_j, args.mu_k), op_families.CouplingConstants(*vals))
+        family, (args.mu_i, args.mu_j, args.mu_k), args.couplings)
 
 
 def _4simplex_args(p):
@@ -303,8 +315,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     except DegenerateEigenvaluesError as exc:
         print(f"error: DegenerateEigenvalues: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
-        # ArgumentTypeError: a --couplings entry the complex parser refused
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     k = arity_of(op)
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="base seed (default from SIMPLEX_SEED, else 0)")
     ver.add_argument("--tol", type=parse_tolerance, default=None,
                      help="override the absolute tolerance on normalized residuals")
-    ver.add_argument("--mode", choices=("dense", "matrixfree"), default=None)
+    ver.add_argument("--mode", choices=verify.MODES, default=None)
     ver.add_argument("--vectors", type=int, default=verify.DEFAULT_VECTORS,
                      help="random unit vectors per matrix-free trial")
     ver.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")

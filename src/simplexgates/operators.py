@@ -91,20 +91,20 @@ class SiteOperatorFamily:
     def __repr__(self) -> str:
         return f"SiteOperatorFamily({self.name})"
 
-    def _screen(self, pairs: int = 16, threshold: float = 0.01) -> None:
+    def _screen(self) -> None:
         rng = np.random.default_rng(0x5EED)
         norms = []
-        for _ in range(pairs):
+        for _ in range(16):
             (ar, ai), (br, bi) = rng.standard_normal((2, 2))
             mu, nu = complex(ar, ai), complex(br, bi)
             if mu == nu:
                 continue
             qm, qn = self(mu), self(nu)
             norms.append(float(np.linalg.norm(qm @ qn - qn @ qm)))
-        if float(np.median(norms)) <= threshold:
+        if float(np.median(norms)) <= 0.01:
             raise ValueError(
                 f"family {self.name!r} looks abelian: median commutator norm "
-                f"{float(np.median(norms)):.2e} over {pairs} sampled pairs"
+                f"{float(np.median(norms)):.2e} over 16 sampled pairs"
             )
 
     @classmethod

@@ -109,12 +109,11 @@ def fixed_gate(name: str) -> np.ndarray:
         raise ValueError(f"unknown gate {name!r}; expected one of {sorted(_FIXED)}") from None
 
 
-def random_axis_angle(
-    rng: np.random.Generator, angle_range: tuple[float, float] = (0.1, np.pi - 0.1)
-) -> AxisAngle:
+def random_axis_angle(rng: np.random.Generator) -> AxisAngle:
     """Axis uniform on the sphere (normalized Gaussian), angle uniform over
-    angle_range.  The default range keeps clear of the projector degeneracy
-    at 0 and pi."""
+    [0.1, pi - 0.1], which keeps clear of the projector degeneracy at 0
+    and pi."""
     v = rng.standard_normal(3)
     v = v / np.linalg.norm(v)
-    return AxisAngle((float(v[0]), float(v[1]), float(v[2])), float(rng.uniform(*angle_range)))
+    return AxisAngle((float(v[0]), float(v[1]), float(v[2])),
+                     float(rng.uniform(0.1, np.pi - 0.1)))

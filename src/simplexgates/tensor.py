@@ -131,7 +131,8 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
 
 def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
-    # every factor as (complex operator, validated sites), before any work
+    # every factor as (complex operator, validated sites): the one check of a
+    # factor, made where it enters, before the kernel that trusts it
     placed = []
     for op, sites in factors:
         op = np.asarray(op, dtype=complex)
@@ -142,6 +143,8 @@ def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list
 def _contract(placed: list, t: np.ndarray, axes: list[int],
               work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Multiply the placed factors, last one first, onto the tensor ``t``.
+    They arrive from ``_placed``, so each operator is complex and its sites
+    are checked; nothing here checks them again.
 
     ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
     column wire, 0 for the batch axis.  Each factor gathers the row axes of
@@ -179,16 +182,15 @@ def _contract(placed: list, t: np.ndarray, axes: list[int],
     return t, axes
 
 
-def _product_view(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int,
-                  work: tuple[np.ndarray, np.ndarray],
+def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
                   state: np.ndarray | None = None) -> np.ndarray:
-    """The product of the placed factors on an n-site register, contracted
-    in ``work`` (see ``_contract``) and returned as a view with its axes
-    in site order, not copied: the (2,) * 2n matrix tensor of ``product``,
-    or, applied to ``state``, the (2,) * n + (batch,) tensor of
-    ``apply_product``.  The matrix starts from the scalar 1, so ``work``
-    needs 4**n entries; a state needs ``state.size``."""
-    placed = _placed(factors, n)
+    """The product of factors already placed by ``_placed`` on an n-site
+    register, contracted in ``work`` (see ``_contract``) and returned as a
+    view with its axes in site order, not copied: the (2,) * 2n matrix
+    tensor of ``product``, or, applied to ``state``, the (2,) * n +
+    (batch,) tensor of ``apply_product``.  The matrix starts from the
+    scalar 1, so ``work`` needs 4**n entries; a state needs
+    ``state.size``."""
     if state is None:
         touched = {s for _, sites in placed for s in sites}
         # identities on untouched sites act last, as outer products on the full tensor
@@ -225,8 +227,9 @@ def apply_product(
     """
     state = np.asarray(state, dtype=complex)
     n = register_size_of(state.reshape(len(state), -1)[:, 0])
+    placed = _placed(factors, n)
     work = (np.empty(state.size, dtype=complex), np.empty(state.size, dtype=complex))
-    return _copied(_product_view(factors, n, work, state), work[1]).reshape(state.shape)
+    return _copied(_product_view(placed, n, work, state), work[1]).reshape(state.shape)
 
 
 def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.ndarray:
@@ -244,8 +247,9 @@ def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.n
     n = int(n)
     if n < 1:
         raise ValueError(f"register must have at least one site, got {n}")
+    placed = _placed(factors, n)
     work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
-    return _copied(_product_view(factors, n, work), work[1]).reshape(2**n, 2**n)
+    return _copied(_product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
 
 
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign, the one place that picks the residual mode.
 
-Residual conventions: both modes run the two sides of an equation
-through one product kernel, factor by factor, in three buffers of one
-block each that both sides and every vector reuse.  Only the left side
-is copied into site order; L - R is taken straight from the right side's
+Residual conventions: the residual places and checks each side's
+factors once, then both modes run the two sides of an equation through
+one product kernel, factor by factor, in three buffers of one block each
+that both sides and every vector reuse.  Only the left side is copied
+into site order; L - R is taken straight from the right side's
 contraction order.  Dense mode builds both sides as 2**N x 2**N matrices,
 starting from the scalar 1 and giving each site its row and column axes
 when the first factor reaches it, and reports ||L - R||_F, plus that
@@ -32,12 +33,13 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, CZ, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import (_copied, _product_view, apply, embed, random_operator, random_state,
-                     random_unitary)
+from .tensor import (_copied, _placed, _product_view, apply, embed, random_operator,
+                     random_state, random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
     "DEFAULT_VECTORS",
+    "MODES",
     "DenseDimensionError",
     "CampaignArgumentError",
     "UnknownCheckError",
@@ -69,6 +71,8 @@ __all__ = [
 # apart from the random vector in matrix-free mode
 DENSE_SITE_LIMIT = 12
 DEFAULT_VECTORS = 20
+# residual modes: a 2**N x 2**N matrix per side, or seeded random vectors
+MODES = ("dense", "matrixfree")
 
 EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
@@ -81,7 +85,8 @@ class DenseDimensionError(ValueError):
 
 class CampaignArgumentError(ValueError):
     """Campaign asked for fewer than one trial or vector, a simplex order
-    below 2, or an unknown residual mode."""
+    below 2, or an unknown residual mode; a residual asked directly for an
+    unknown mode raises it too."""
 
 
 class UnknownCheckError(KeyError):
@@ -127,12 +132,18 @@ def role_conflicted_sites(scheme: SimplexIndexScheme) -> list[int]:
     return sorted(targets & controls)
 
 
+def _check_mode(mode: str) -> None:
+    """Refuse a residual mode that is not in MODES."""
+    if mode not in MODES:
+        raise CampaignArgumentError(
+            f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+
+
 def _check_block(register_size: int, mode: str) -> None:
     """Refuse an unknown mode, and a residual block of more than
     4**DENSE_SITE_LIMIT entries: 2**N x 2**N in dense mode, 2**N per vector
     in matrix-free mode."""
-    if mode not in ("dense", "matrixfree"):
-        raise ValueError(f"mode must be 'dense' or 'matrixfree', got {mode!r}")
+    _check_mode(mode)
     most = DENSE_SITE_LIMIT if mode == "dense" else 2 * DENSE_SITE_LIMIT
     if register_size > most:
         hint = "; use matrixfree" if mode == "dense" else ""
@@ -155,14 +166,16 @@ def _product_residual(
     right, so its last factor acts first on a state; an empty side is the
     identity.  Dense mode builds both products as 2**N x 2**N matrices;
     matrix-free mode applies them to each of ``vectors`` seeded random
-    unit vectors, keeping the worst vector.  Both sides and every vector
-    reuse three buffers of one block each (4**N entries in dense mode,
-    2**N in matrix-free mode): the product kernel runs in two of them,
+    unit vectors, keeping the worst vector.  Each side is placed and its
+    factors checked once, before the first vector.  Both sides and every
+    vector reuse three buffers of one block each (4**N entries in dense
+    mode, 2**N in matrix-free mode): the product kernel runs in two of them,
     the left side is copied into the third in site order, and L - R is
     written in site order over the kernel's gather buffer, reading the
     right side in its contraction order.
     """
     _check_block(register_size, mode)
+    lhs, rhs = _placed(lhs, register_size), _placed(rhs, register_size)
     size = 4**register_size if mode == "dense" else 2**register_size
     work = tuple(np.empty(size, dtype=complex) for _ in range(3))
     if mode == "dense":
@@ -176,8 +189,9 @@ def _product_residual(
 
 
 def _side_residual(lhs, rhs, register_size, work, block=None) -> tuple[float, float]:
-    # (||L - R||, ||L - R|| / ||L||), or the raw value twice where ||L|| is
-    # zero; both norms are summed in site order, like the public products
+    # (||L - R||, ||L - R|| / ||L||) of the placed sides, or the raw value
+    # twice where ||L|| is zero; both norms are summed in site order, like
+    # the public products
     acc, gat, keep = work
     left = _copied(_product_view(lhs, register_size, (acc, gat), block), keep)
     right = _product_view(rhs, register_size, (acc, gat), block)
@@ -211,7 +225,7 @@ def reversal_residual(
 # vertex and edge residuals
 
 
-def _placed(tuples, register_size, provider, assignment) -> Equation:
+def _equation(tuples, register_size, provider, assignment) -> Equation:
     # one operator per placement tuple, built from its sites' parameters
     if len(assignment) != register_size:
         raise ValueError(
@@ -237,7 +251,7 @@ def vertex_residual(
     are ignored by constant providers).
     """
     scheme = index_scheme(n)
-    equation = _placed(scheme.tuples, scheme.register_size, provider, assignment)
+    equation = _equation(scheme.tuples, scheme.register_size, provider, assignment)
     return reversal_residual(*equation, mode, vectors, seed)[1]
 
 
@@ -250,7 +264,7 @@ def edge_residual_3(
 ) -> float:
     """Normalized residual of the edge form of the tetrahedron equation:
     four arity-3 operators on the 4-site tuples (123)(124)(134)(234)."""
-    return reversal_residual(*_placed(EDGE_TUPLES_3, 4, provider, assignment),
+    return reversal_residual(*_equation(EDGE_TUPLES_3, 4, provider, assignment),
                              mode, vectors, seed)[1]
 
 
@@ -432,7 +446,7 @@ def _check_su2_tetra_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(6, rng)
     provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-    return [_placed(index_scheme(3).tuples, 6, provider, assignment)]
+    return [_equation(index_scheme(3).tuples, 6, provider, assignment)]
 
 
 @_register("generic-vertex",
@@ -443,7 +457,7 @@ def _check_generic_vertex(trial_seed, *, n):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(6, rng)
-    return [_placed(index_scheme(3).tuples, 6, provider, assignment)]
+    return [_equation(index_scheme(3).tuples, 6, provider, assignment)]
 
 
 @_register("edge-form-3",
@@ -454,7 +468,7 @@ def _check_edge_form(trial_seed, *, n):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(4, rng)
-    return [_placed(EDGE_TUPLES_3, 4, provider, assignment)]
+    return [_equation(EDGE_TUPLES_3, 4, provider, assignment)]
 
 
 @_register("constant-vertex",
@@ -470,7 +484,8 @@ def _check_constant_vertex(trial_seed, *, n):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    return [_placed(index_scheme(3).tuples, 6, constant_provider(m), [None] * 6) for m in members]
+    return [_equation(index_scheme(3).tuples, 6, constant_provider(m), [None] * 6)
+            for m in members]
 
 
 @_register("hadamard-bridge",
@@ -544,7 +559,8 @@ def _check_su2_4simplex_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(10, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    return [_placed(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant), assignment)
+    return [_equation(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant),
+                      assignment)
             for variant in op_families.FOUR_SIMPLEX_VARIANTS]
 
 
@@ -556,8 +572,8 @@ def _check_nsimplex_constant(trial_seed, *, n):
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
     scheme = index_scheme(n)
-    return [_placed(scheme.tuples, scheme.register_size, constant_provider(member),
-                    [None] * scheme.register_size)]
+    return [_equation(scheme.tuples, scheme.register_size, constant_provider(member),
+                      [None] * scheme.register_size)]
 
 
 @_register("nsimplex-su2toffoli",
@@ -568,14 +584,14 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     scheme = index_scheme(n)
     assignment = random_su2_assignment(scheme.register_size, rng)
-    return [_placed(scheme.tuples, scheme.register_size, n_simplex_su2_provider(), assignment)]
+    return [_equation(scheme.tuples, scheme.register_size, n_simplex_su2_provider(), assignment)]
 
 
 @_register("ccnot-negative-control",
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n):
-    return [_placed(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6)]
+    return [_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6)]
 
 
 @_register("apply-vs-embed",
@@ -619,8 +635,8 @@ def campaign(
     for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("n", n, 2)):
         if value is not None and value < least:
             raise CampaignArgumentError(f"{label} must be at least {least}, got {value}")
-    if mode not in (None, "dense", "matrixfree"):
-        raise CampaignArgumentError(f"mode must be 'dense' or 'matrixfree', got {mode!r}")
+    if mode is not None:
+        _check_mode(mode)
     runs = []
     for name in check_names:
         try:

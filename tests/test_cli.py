@@ -116,6 +116,28 @@ class TestBuild:
         assert "at most 12 sites" in capsys.readouterr().err
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("couplings", ["1,2", "1,2,3,4,5,6,x"])
+    def test_bad_couplings_are_usage_error(self, couplings, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "generic-tetrahedron", "--couplings", couplings])
+        assert exc.value.code == 2
+        assert "--couplings" in capsys.readouterr().err
+
+    def test_couplings_reach_the_operator(self, tmp_path, capsys):
+        out = tmp_path / "op.json"
+        code = main(["build", "generic-tetrahedron", "--couplings", "0,0,0,0,0,0,0",
+                     "--out", str(out)])
+        assert code == 0
+        assert np.array_equal(load_operator(out), np.eye(8))
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    @pytest.mark.parametrize("family", ["nsimplex-constant", "nsimplex-su2toffoli"])
+    def test_below_two_sites_is_usage_error(self, family, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", family, "--n", n])
+        assert exc.value.code == 2
+        assert f"at least 2 sites, got {n}" in capsys.readouterr().err
+
     def test_unknown_family_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["build", "no-such-family"])

@@ -9,7 +9,7 @@ from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, product, random_operator,
                                 random_state, random_unitary)
-from simplexgates import operators, verify
+from simplexgates import operators, tensor, verify
 from simplexgates.verify import (
     CHECKS,
     EDGE_TUPLES_3,
@@ -161,6 +161,37 @@ class TestEdgeResidual:
 def test_zero_operator_reports_zero_in_both_modes(mode):
     zero = np.zeros((8, 8), dtype=complex)
     assert reversal_residual([(zero, t) for t in EDGE_TUPLES_3], 4, mode=mode) == (0.0, 0.0)
+
+
+def test_residual_checks_each_factor_once_per_side(monkeypatch):
+    # the factors are the same for every vector, so each side is checked
+    # once, not once per vector (4 factors x 2 sides x 20 vectors = 160)
+    equation = CHECKS["su2-tetra-vertex"].fn(0, n=3)[0]
+    calls = []
+    checked = tensor._validated_sites
+
+    def counting(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(tensor, "_validated_sites", counting)
+    reversal_residual(*equation, "matrixfree", 20, 0)
+    assert 0 < len(calls) <= 2 * len(equation.factors)
+
+
+@pytest.mark.parametrize("mode", verify.MODES)
+@pytest.mark.parametrize("sites, message", [((2, 2), "duplicate"), ((1, 5), "outside register")])
+def test_residual_refuses_a_bad_factor(mode, sites, message):
+    factors = [(identity(2), (1, 2)), (identity(2), sites)]
+    with pytest.raises(ValueError, match=message):
+        reversal_residual(factors, 4, mode)
+
+
+@pytest.mark.parametrize("mode", verify.MODES)
+def test_residual_refuses_a_bad_right_side(mode):
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="outside register"):
+        verify._product_residual([(x, (1,))], [(x, (3,))], 2, mode)
 
 
 @pytest.mark.parametrize("order", [3, 4], ids=["6-sites", "10-sites"])
