@@ -4,8 +4,8 @@ campaigns, list the registries.
 Exit codes: 0 success/pass, 1 verification or construction failure, 2
 usage error (argparse, unknown check name, a non-finite or negative
 tolerance, a --couplings value that is not seven complex numbers, a build
-site count below 2, or a build or residual beyond the register
-ceiling)."""
+site count below 2, an --out path in a missing directory or naming a
+directory, or a build or residual beyond the register ceiling)."""
 
 from __future__ import annotations
 
@@ -124,6 +124,16 @@ def parse_site_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"build supports at most {verify.DENSE_SITE_LIMIT} sites, got {value}")
     return value
+
+
+def parse_out_path(text: str) -> str:
+    """A file to write: its directory must exist and it must not be one."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def _axis_angle(args: argparse.Namespace, label: str) -> AxisAngle:
@@ -333,20 +343,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_config(args: argparse.Namespace) -> dict:
-    return {
-        "command": "verify",
-        "checks": list(args.checks),
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": args.tol,
-        "mode": args.mode,
-        "vectors": args.vectors,
-        "out": args.out,
-    }
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed is None:
         try:
@@ -357,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = verify.campaign(
             args.checks, trials=args.trials, seed=args.seed, tol=args.tol,
-            n=args.n, mode=args.mode, vectors=args.vectors, config=_run_config(args),
+            n=args.n, mode=args.mode, vectors=args.vectors,
         )
     except verify.UnknownCheckError as exc:
         print(f"error: unknown check {exc.args[0]!r}; see 'simplexgates list --checks'",
@@ -366,6 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (verify.DenseDimensionError, verify.CampaignArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.config = {k: v for k, v in vars(args).items() if k != "func"}
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fam in FAMILIES.items():
         fp = fam_sub.add_parser(name, help=fam.description)
         fam.add_arguments(fp)
-        fp.add_argument("--out", default=None, metavar="PATH",
+        fp.add_argument("--out", type=parse_out_path, default=None, metavar="PATH",
                         help="write the operator as a JSON file")
         fp.set_defaults(func=cmd_build)
 
@@ -431,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mode", choices=verify.MODES, default=None)
     ver.add_argument("--vectors", type=int, default=verify.DEFAULT_VECTORS,
                      help="random unit vectors per matrix-free trial")
-    ver.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")
+    ver.add_argument("--out", type=parse_out_path, default=None, metavar="PATH",
+                     help="write the JSON report here")
     ver.set_defaults(func=cmd_verify)
 
     lst = sub.add_parser("list", help="list operator families and checks")

@@ -86,7 +86,7 @@ class DenseDimensionError(ValueError):
 class CampaignArgumentError(ValueError):
     """Campaign asked for fewer than one trial or vector, a simplex order
     below 2, or an unknown residual mode; a residual asked directly for an
-    unknown mode raises it too."""
+    unknown mode or a register of no sites raises it too."""
 
 
 class UnknownCheckError(KeyError):
@@ -140,10 +140,12 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_block(register_size: int, mode: str) -> None:
-    """Refuse an unknown mode, and a residual block of more than
-    4**DENSE_SITE_LIMIT entries: 2**N x 2**N in dense mode, 2**N per vector
-    in matrix-free mode."""
+    """Refuse an unknown mode, a register of no sites, and a residual block
+    of more than 4**DENSE_SITE_LIMIT entries: 2**N x 2**N in dense mode,
+    2**N per vector in matrix-free mode."""
     _check_mode(mode)
+    if register_size < 1:
+        raise CampaignArgumentError(f"register must have at least one site, got {register_size}")
     most = DENSE_SITE_LIMIT if mode == "dense" else 2 * DENSE_SITE_LIMIT
     if register_size > most:
         hint = "; use matrixfree" if mode == "dense" else ""
@@ -348,34 +350,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _check_report(check: str, pairs: Sequence[tuple[float, float]], bound: float, *,
-                  n: int | None, mode: str, trials: int, seed: int, started: float,
-                  invert: bool = False) -> CheckReport:
-    """CheckReport over (raw, normalized) residual pairs.  The verdict is
-    "pass" only for a non-empty list of finite normalized residuals that
-    are all within ``bound``, or all above it for an inverted check.
-    ``ms`` counts from ``started``, a time.perf_counter() value."""
-    norms = [float(norm) for _, norm in pairs]
-    ok = bool(norms) and all(
-        math.isfinite(r) and (r > bound if invert else r <= bound) for r in norms
-    )
-    return CheckReport(
-        check=check,
-        n=n,
-        mode=mode,
-        trials=trials,
-        seed=seed,
-        residuals=norms,
-        raw_residuals=[float(raw) for raw, _ in pairs],
-        # np.max, unlike max(), lets a NaN trial show
-        max_residual=float(np.max(norms)),
-        tolerance={"absolute": bound, "relative": 0.0},
-        verdict="pass" if ok else "fail",
-        ms=(time.perf_counter() - started) * 1000.0,
-        predicate="residual_exceeds" if invert else "residual_within",
-    )
-
-
 # ---------------------------------------------------------------------------
 # permutation relations
 
@@ -412,14 +386,15 @@ def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float
 @dataclass(frozen=True)
 class CheckSpec:
     """A registered check: one function ``fn(trial_seed, *, n)`` run per
-    trial.  It returns either the trial's Equation instances, which the
-    campaign evaluates in its residual mode, or a (raw, normalized)
-    residual it computed itself.  An inverted check passes when every
-    residual exceeds ``tolerance`` instead."""
+    trial.  It returns the trial's non-empty list of members, each an
+    Equation, which the campaign evaluates in its residual mode, or a
+    (raw, normalized) residual the check computed itself, such as a gate
+    identity's distance.  An inverted check passes when every residual
+    exceeds ``tolerance`` instead."""
 
     name: str
     description: str
-    fn: Callable[..., list[Equation] | tuple[float, float]]
+    fn: Callable[..., list[Equation | tuple[float, float]]]
     tolerance: float
     default_n: int | None = None
     default_mode: str = "dense"
@@ -501,9 +476,7 @@ def _check_hadamard_bridge(trial_seed, *, n):
                              - op_families.toffoli_family(alpha))),
         float(np.linalg.norm(local_conjugate(op_families.cz_yangbaxter(), [eye2, H]) - CNOT)),
     ]
-    # np.max, unlike max(), lets a NaN member through to the verdict
-    worst = float(np.max(dists))
-    return worst, worst
+    return [(d, d) for d in dists]
 
 
 @_register("toffoli-reduction",
@@ -521,8 +494,7 @@ def _check_toffoli_reduction(trial_seed, *, n):
                                                          alpha=alpha)
                              - op_families.toffoli_family(alpha))),
     ]
-    worst = float(np.max(dists))
-    return worst, worst
+    return [(d, d) for d in dists]
 
 
 @_register("unitary-families",
@@ -538,8 +510,7 @@ def _check_unitary_families(trial_seed, *, n):
                                     random_axis_angle(rng)),
     ]
     devs = [float(np.linalg.norm(m @ m.conj().T - np.eye(8, dtype=complex))) for m in members]
-    worst = float(np.max(devs))
-    return worst, worst / np.sqrt(8.0)
+    return [(d, d / np.sqrt(8.0)) for d in devs]
 
 
 @_register("perm-relations",
@@ -549,7 +520,7 @@ def _check_perm_relations(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     named = _perm_relation_residuals(random_axis_angle(rng), random_axis_angle(rng),
                                      random_axis_angle(rng), rng)
-    return np.max(list(named.values()), axis=0)
+    return list(named.values())
 
 
 @_register("su2-4simplex-vertex",
@@ -603,7 +574,7 @@ def _check_apply_vs_embed(trial_seed, *, n):
     sites = tuple(int(s) + 1 for s in rng.permutation(8)[:3])
     v = random_state(8, rng)
     raw = float(np.linalg.norm(apply(op, sites, v) - embed(op, sites, 8) @ v))
-    return raw, raw
+    return [(raw, raw)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +589,16 @@ def campaign(
     n: int | None = None,
     mode: str | None = None,
     vectors: int = DEFAULT_VECTORS,
-    config: dict | None = None,
 ) -> VerificationReport:
     """Run the named checks, ``trials`` times each with derived seeds
     seed + i, and aggregate deterministically.
 
+    A trial's residual is its worst member; Equation members are evaluated
+    in the check's mode with ``vectors`` vectors and the trial seed.
     ``tol`` overrides each check's default absolute tolerance on the
     normalized residual; ``n`` is honored only by checks that take a
-    simplex order; ``mode``/``vectors`` configure the residual backend.
+    simplex order.  A check passes only if every normalized residual is
+    finite and within its bound, or above it for an inverted check.
     The verdict is the conjunction over checks (an empty campaign passes).
     Fewer than one trial or vector, an ``n`` below 2, or an unknown mode
     raises CampaignArgumentError, an unregistered name UnknownCheckError,
@@ -656,20 +629,33 @@ def campaign(
         bound = float(tol) if tol is not None and not spec.invert else spec.tolerance
         pairs = []
         for i in range(trials):
-            out = spec.fn(seed + i, n=use_n)
-            if isinstance(out, list):
-                # np.max, unlike max(), lets a NaN equation through to the verdict
-                out = np.max([reversal_residual(*eq, use_mode, vectors, seed + i)
-                              for eq in out], axis=0)
-            pairs.append(out)
-        reports.append(_check_report(name, pairs, bound, n=use_n, mode=use_mode,
-                                     trials=trials, seed=seed, started=c0,
-                                     invert=spec.invert))
+            members = [reversal_residual(*m, use_mode, vectors, seed + i)
+                       if isinstance(m, Equation) else m
+                       for m in spec.fn(seed + i, n=use_n)]
+            # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
+            pairs.append(np.max(members, axis=0))
+        norms = [float(norm) for _, norm in pairs]
+        ok = bool(norms) and all(
+            math.isfinite(r) and (r > bound if spec.invert else r <= bound) for r in norms
+        )
+        reports.append(CheckReport(
+            check=name,
+            n=use_n,
+            mode=use_mode,
+            trials=trials,
+            seed=seed,
+            residuals=norms,
+            raw_residuals=[float(raw) for raw, _ in pairs],
+            max_residual=float(np.max(norms)),
+            tolerance={"absolute": bound, "relative": 0.0},
+            verdict="pass" if ok else "fail",
+            ms=(time.perf_counter() - c0) * 1000.0,
+            predicate="residual_exceeds" if spec.invert else "residual_within",
+        ))
     return VerificationReport(
         checks=reports,
         seed=seed,
         trials=trials,
         verdict="pass" if all(r.verdict == "pass" for r in reports) else "fail",
         ms=(time.perf_counter() - t0) * 1000.0,
-        config=config,
     )

@@ -143,6 +143,17 @@ class TestBuild:
             main(["build", "no-such-family"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("target", ["missing/op.json", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_is_usage_error_before_building(self, target, tmp_path,
+                                                          capsys, monkeypatch):
+        monkeypatch.setattr(operators, "toffoli_family", lambda alpha: pytest.fail("built"))
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "toffoli-family", "--out", str(tmp_path / target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family_builds_with_defaults(self, family, tmp_path, capsys):
         out = tmp_path / f"{family}.json"
@@ -256,6 +267,23 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "pass"
         assert doc["config"]["checks"] == ["hadamard-bridge"]
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_is_usage_error_before_any_trial(self, target, tmp_path,
+                                                           capsys, monkeypatch):
+        calls = []
+
+        def record(trial_seed, **kwargs):
+            calls.append(trial_seed)
+            return [(0.0, 0.0)]
+
+        spec = CHECKS["hadamard-bridge"]
+        monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "hadamard-bridge", "--out", str(tmp_path / target)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert calls == []
 
     def test_reports_reproducible_except_wall_time(self, capsys):
         main(["verify", "generic-vertex", "--trials", "3", "--seed", "11"])

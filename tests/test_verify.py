@@ -188,6 +188,15 @@ def test_residual_refuses_a_bad_factor(mode, sites, message):
 
 
 @pytest.mark.parametrize("mode", verify.MODES)
+@pytest.mark.parametrize("register_size", [0, -1])
+def test_residual_refuses_an_empty_register(mode, register_size):
+    # an empty register would compare two empty products and pass as (0, 0)
+    with pytest.raises(CampaignArgumentError,
+                       match=f"register must have at least one site, got {register_size}"):
+        reversal_residual([], register_size, mode)
+
+
+@pytest.mark.parametrize("mode", verify.MODES)
 def test_residual_refuses_a_bad_right_side(mode):
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="outside register"):
@@ -334,7 +343,7 @@ class TestCampaign:
     def test_nan_residual_fails_inverted_check(self, monkeypatch):
         # min([0.7, nan]) is 0.7, so a NaN trial must not slip past the threshold
         def fn(trial_seed, **_):
-            return (0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))
+            return [(0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))]
 
         monkeypatch.setitem(verify.CHECKS, "nan-control", CheckSpec(
             name="nan-control", description="", fn=fn, tolerance=0.5, invert=True))
@@ -343,7 +352,7 @@ class TestCampaign:
     def test_nan_trial_shows_in_max_residual(self, monkeypatch):
         # max([0.7, nan]) is 0.7, which would hide the failing trial
         def fn(trial_seed, **_):
-            return (0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))
+            return [(0.7, 0.7) if trial_seed == 0 else (float("nan"), float("nan"))]
 
         monkeypatch.setitem(verify.CHECKS, "nan-check", CheckSpec(
             name="nan-check", description="", fn=fn, tolerance=1.0))
@@ -403,6 +412,14 @@ class TestCampaign:
     def test_tolerance_override_can_fail_a_check(self):
         report = campaign(["su2-tetra-vertex"], trials=1, seed=0, tol=1e-30)
         assert report.verdict == "fail"
+
+    def test_every_check_returns_members(self):
+        for name, spec in CHECKS.items():
+            members = spec.fn(7, n=spec.default_n)
+            assert isinstance(members, list) and members, name
+            for m in members:
+                assert isinstance(m, verify.Equation) or (
+                    len(m) == 2 and all(isinstance(x, float) for x in m)), (name, m)
 
     def test_every_registered_check_passes_one_trial(self):
         report = campaign(sorted(CHECKS), trials=1, seed=123)
