@@ -1,7 +1,7 @@
 """Tetrahedron and n-simplex operator families, the Toffoli gate families
 they contain, and numerical verification of the simplex equations."""
 
-from .gates import CCNOT, CCZ, CNOT, CZ, SWAP, local_conjugate, n_toffoli, reference_gate
+from .gates import CCNOT, CCZ, CNOT, CZ, SWAP, local_conjugate, n_toffoli
 from .operators import (
     FOUR_SIMPLEX_VARIANTS,
     CouplingConstants,
@@ -31,13 +31,10 @@ from .su2 import (
     rotation,
 )
 from .tensor import (
-    DEFAULT_TOL,
-    Tolerance,
     apply,
     apply_product,
     arity_of,
     embed,
-    equal_up_to_global_phase,
     frobenius_distance,
     identity,
     is_unitary,
@@ -54,10 +51,9 @@ from .verify import (
     CHECKS,
     Equation,
     campaign,
-    edge_residual_3,
     index_scheme,
     reversal_residual,
-    vertex_residual,
+    simplex_equation,
 )
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@ campaigns, list the registries.
 
 Exit codes: 0 success/pass, 1 verification or construction failure, 2
 usage error (argparse, unknown check name, a non-finite or negative
-tolerance, a --couplings value that is not seven complex numbers, a build
-site count below 2, an --out path in a missing directory or naming a
-directory, or a build or residual beyond the register ceiling)."""
+tolerance, a negative seed from --seed or SIMPLEX_SEED, a --couplings
+value that is not seven complex numbers, a build site count below 2, an
+--out path in a missing directory or naming a directory, or a build or
+residual beyond the register ceiling)."""
 
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import operators as op_families
 from . import verify
-from .gates import CCZ, CZ, SWAP, n_toffoli, reference_gate
+from .gates import CCNOT, CCZ, CZ, SWAP, n_toffoli
 from .su2 import AxisAngle, DegenerateEigenvaluesError, fixed_gate
-from .tensor import DEFAULT_TOL, arity_of, frobenius_distance, identity, is_unitary, save_operator
+from .tensor import arity_of, frobenius_distance, identity, is_unitary, save_operator
 
 _PI_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?\s*$", re.IGNORECASE
@@ -224,7 +225,7 @@ FAMILIES: dict[str, Family] = {
         "phased Toffoli gate family (CCNOT at alpha 0)",
         lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
         lambda args: op_families.toffoli_family(args.alpha),
-        lambda args: ("CCNOT", reference_gate("CCNOT")),
+        lambda args: ("CCNOT", CCNOT.copy()),
     ),
     "su2-tetrahedron": Family(
         "three-site rotation family (Toffoli family at its special point)",
@@ -243,7 +244,7 @@ FAMILIES: dict[str, Family] = {
                    _add_axis_angle(p, "k", "z", "0")),
         lambda args: op_families.general_toffoli(
             _axis_angle(args, "i"), _axis_angle(args, "j"), _axis_angle(args, "k")),
-        lambda args: ("CCNOT", reference_gate("CCNOT")),
+        lambda args: ("CCNOT", CCNOT.copy()),
     ),
     "generic-tetrahedron": Family(
         "coupled products of per-site operators from a chosen family",
@@ -332,7 +333,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     deviation = float(np.linalg.norm(op @ op.conj().T - identity(k)))
     print(f"family: {args.family}")
     print(f"arity: {k}  dim: {2 ** k}")
-    print(f"unitary: {'yes' if is_unitary(op, DEFAULT_TOL) else 'no'} "
+    print(f"unitary: {'yes' if is_unitary(op) else 'no'} "
           f"(deviation {deviation:.3e})")
     if fam.reference is not None:
         ref_name, ref = fam.reference(args)

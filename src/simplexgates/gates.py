@@ -13,7 +13,6 @@ __all__ = [
     "CCNOT",
     "CCZ",
     "n_toffoli",
-    "reference_gate",
     "local_conjugate",
 ]
 
@@ -35,23 +34,6 @@ CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 CCNOT = n_toffoli(3)
 CCZ = np.diag([1.0] * 7 + [-1.0]).astype(complex)
-
-_BY_NAME = {"CNOT": CNOT, "CZ": CZ, "SWAP": SWAP, "CCNOT": CCNOT, "CCZ": CCZ}
-
-
-def reference_gate(name: str, n: int | None = None) -> np.ndarray:
-    """Look up a reference gate by name; NTOFFOLI additionally takes the
-    total site count n (controls on the leading n - 1 sites)."""
-    key = name.upper().replace("-", "").replace("_", "")
-    if key == "NTOFFOLI":
-        if n is None:
-            raise ValueError("NTOFFOLI needs the total site count n")
-        return n_toffoli(int(n))
-    try:
-        return _BY_NAME[key].copy()
-    except KeyError:
-        raise ValueError(f"unknown gate {name!r}; expected one of "
-                         f"{sorted(_BY_NAME)} or NTOFFOLI") from None
 
 
 def local_conjugate(op: np.ndarray, singles) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,17 +73,15 @@ class SiteOperatorFamily:
 
     One member operator attaches to each register site.  Members should
     genuinely fail to commute across parameters, otherwise simplex-equation
-    checks hold for a weaker reason than intended; the built-in families
-    are screened for this at construction by sampling random parameter
-    pairs and requiring a median commutator norm above 0.01.
+    checks hold for a weaker reason than intended; every family is
+    screened for this at construction by sampling random parameter pairs
+    and requiring a median commutator norm above 0.01.
     """
 
-    def __init__(self, fn: Callable[[complex], np.ndarray], name: str,
-                 screen_noncommuting: bool = True):
+    def __init__(self, fn: Callable[[complex], np.ndarray], name: str):
         self._fn = fn
         self.name = name
-        if screen_noncommuting:
-            self._screen()
+        self._screen()
 
     def __call__(self, mu: complex) -> np.ndarray:
         return self._fn(complex(mu))
@@ -134,19 +132,6 @@ class SiteOperatorFamily:
             return sub.standard_normal((2, 2)) + 1j * sub.standard_normal((2, 2))
 
         return cls(fn, f"seeded_random({seed})")
-
-    @classmethod
-    def custom(cls, table: Mapping[complex, np.ndarray]) -> "SiteOperatorFamily":
-        """Explicit parameter table; no noncommutativity screening."""
-        fixed = {complex(k): np.asarray(v, dtype=complex) for k, v in table.items()}
-
-        def fn(mu: complex) -> np.ndarray:
-            try:
-                return fixed[mu]
-            except KeyError:
-                raise KeyError(f"parameter {mu!r} not in the custom table") from None
-
-        return cls(fn, "custom", screen_noncommuting=False)
 
 
 def generic_tetrahedron(

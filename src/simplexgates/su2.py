@@ -13,7 +13,6 @@ __all__ = [
     "Y",
     "Z",
     "H",
-    "PAULI",
     "AxisAngle",
     "DegenerateEigenvaluesError",
     "rotation",
@@ -28,7 +27,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = (X + Z) / np.sqrt(2)
-PAULI = (X, Y, Z)
 
 _AXIS_NORM_TOL = 1e-12
 # separates genuine angles at multiples of pi from float noise

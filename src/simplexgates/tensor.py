@@ -11,15 +11,12 @@ concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "arity_of",
     "register_size_of",
     "identity",
@@ -30,7 +27,6 @@ __all__ = [
     "apply",
     "frobenius_distance",
     "is_unitary",
-    "equal_up_to_global_phase",
     "random_state",
     "random_operator",
     "random_unitary",
@@ -39,24 +35,6 @@ __all__ = [
     "save_operator",
     "load_operator",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative residual budget.
-
-    A residual passes when ``residual <= absolute + relative * scale``,
-    where ``scale`` is the Frobenius norm of the reference object.
-    """
-
-    absolute: float = 1e-10
-    relative: float = 1e-12
-
-    def check(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.absolute + self.relative * scale
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def arity_of(op: np.ndarray) -> int:
@@ -268,37 +246,13 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_unitary(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ||a a+ - 1||_F is within tol (scale = ||1||_F = sqrt(dim))."""
+def is_unitary(a: np.ndarray) -> bool:
+    """True when ||a a+ - 1||_F is within 1e-10 absolute plus 1e-12 times
+    ||1||_F = sqrt(dim)."""
     a = np.asarray(a, dtype=complex)
     k = arity_of(a)
     residual = float(np.linalg.norm(a @ a.conj().T - identity(k)))
-    return tol.check(residual, scale=float(np.sqrt(2**k)))
-
-
-def equal_up_to_global_phase(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, float | None]:
-    """Test a == exp(i phi) * b for some real phi.
-
-    The phase is estimated from the ratio of the largest-magnitude entry of
-    a to the matching entry of b and then verified globally.  Returns
-    (True, phi) on success and (False, None) otherwise, including the case
-    where b's matching entry is essentially zero.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if arity_of(a) != arity_of(b):
-        raise ValueError(f"arity mismatch: {a.shape} vs {b.shape}")
-    idx = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-    peak = abs(a[idx])
-    if abs(b[idx]) <= 1e-14 * max(1.0, peak):
-        return False, None
-    phi = float(np.angle(a[idx] / b[idx]))
-    scale = float(np.linalg.norm(b))
-    if tol.check(float(np.linalg.norm(a - np.exp(1j * phi) * b)), scale=scale):
-        return True, phi
-    return False, None
+    return residual <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

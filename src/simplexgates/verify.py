@@ -1,15 +1,16 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign, the one place that picks the residual mode.
 
-Residual conventions: the residual places and checks each side's
-factors once, then both modes run the two sides of an equation through
-one product kernel, factor by factor, in three buffers of one block each
-that both sides and every vector reuse.  Only the left side is copied
-into site order; L - R is taken straight from the right side's
-contraction order.  Dense mode builds both sides as 2**N x 2**N matrices,
-starting from the scalar 1 and giving each site its row and column axes
-when the first factor reaches it, and reports ||L - R||_F, plus that
-value divided by ||L||_F; tolerances apply to the normalized value.
+Residual conventions: the residual places and checks each factor once
+(a reversal reverses the placed list), then both modes run the two sides
+of an equation through one product kernel, factor by factor, in three
+buffers of one block each that both sides and every vector reuse.  Only
+the left side is copied into site order; L - R is taken straight from
+the right side's contraction order.  Dense mode builds both sides as
+2**N x 2**N matrices, starting from the scalar 1 and giving each site
+its row and column axes when the first factor reaches it, and reports
+||L - R||_F, plus that value divided by ||L||_F; tolerances apply to the
+normalized value.
 Matrix-free mode applies them to seeded random unit vectors, one at a
 time, and reports the worst ||(L - R) v||_2, normalized per vector by
 ||L v||_2.  Either mode reports the raw value where the norm it would
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import operators as op_families
-from .gates import CCNOT, CNOT, CZ, local_conjugate
+from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
 from .tensor import (_copied, _placed, _product_view, apply, embed, random_operator,
                      random_state, random_unitary)
@@ -48,8 +49,7 @@ __all__ = [
     "role_conflicted_sites",
     "Equation",
     "reversal_residual",
-    "vertex_residual",
-    "edge_residual_3",
+    "simplex_equation",
     "EDGE_TUPLES_3",
     "constant_provider",
     "su2_tetrahedron_provider",
@@ -84,9 +84,9 @@ class DenseDimensionError(ValueError):
 
 
 class CampaignArgumentError(ValueError):
-    """Campaign asked for fewer than one trial or vector, a simplex order
-    below 2, or an unknown residual mode; a residual asked directly for an
-    unknown mode or a register of no sites raises it too."""
+    """Campaign asked for fewer than one trial or vector, a negative seed, a
+    simplex order below 2, or an unknown residual mode; a residual asked
+    directly for an unknown mode or a register of no sites raises it too."""
 
 
 class UnknownCheckError(KeyError):
@@ -166,18 +166,26 @@ def _product_residual(
 
     Each side is a sequence of (operator, sites) pairs composed left to
     right, so its last factor acts first on a state; an empty side is the
-    identity.  Dense mode builds both products as 2**N x 2**N matrices;
-    matrix-free mode applies them to each of ``vectors`` seeded random
-    unit vectors, keeping the worst vector.  Each side is placed and its
-    factors checked once, before the first vector.  Both sides and every
-    vector reuse three buffers of one block each (4**N entries in dense
-    mode, 2**N in matrix-free mode): the product kernel runs in two of them,
-    the left side is copied into the third in site order, and L - R is
-    written in site order over the kernel's gather buffer, reading the
-    right side in its contraction order.
+    identity.  The block is checked, then each side is placed and its
+    factors checked once, before the first vector (see ``_placed_residual``).
     """
     _check_block(register_size, mode)
-    lhs, rhs = _placed(lhs, register_size), _placed(rhs, register_size)
+    return _placed_residual(_placed(lhs, register_size), _placed(rhs, register_size),
+                            register_size, mode, vectors, seed)
+
+
+def _placed_residual(lhs, rhs, register_size, mode, vectors, seed) -> tuple[float, float]:
+    """``_product_residual`` of sides already placed by ``_placed``.
+
+    Dense mode builds both products as 2**N x 2**N matrices; matrix-free
+    mode applies them to each of ``vectors`` seeded random unit vectors,
+    keeping the worst vector.  Both sides and every vector reuse three
+    buffers of one block each (4**N entries in dense mode, 2**N in
+    matrix-free mode): the product kernel runs in two of them, the left
+    side is copied into the third in site order, and L - R is written in
+    site order over the kernel's gather buffer, reading the right side in
+    its contraction order.
+    """
     size = 4**register_size if mode == "dense" else 2**register_size
     work = tuple(np.empty(size, dtype=complex) for _ in range(3))
     if mode == "dense":
@@ -218,56 +226,36 @@ def reversal_residual(
     seed: int = 0,
 ) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product of the
-    factors and the same product reversed (see ``_product_residual``)."""
-    factors = list(factors)
-    return _product_residual(factors, factors[::-1], register_size, mode, vectors, seed)
+    factors and the same product reversed (see ``_product_residual``).
+    Each factor is placed and checked once; the reversed side reuses the
+    placed list."""
+    _check_block(register_size, mode)
+    placed = _placed(factors, register_size)
+    return _placed_residual(placed, placed[::-1], register_size, mode, vectors, seed)
 
 
-# ---------------------------------------------------------------------------
-# vertex and edge residuals
+def simplex_equation(
+    tuples: Sequence[tuple[int, ...]],
+    register_size: int,
+    provider: Callable[[tuple], np.ndarray],
+    assignment: Sequence,
+) -> Equation:
+    """The simplex equation with one operator per placement tuple.
 
-
-def _equation(tuples, register_size, provider, assignment) -> Equation:
-    # one operator per placement tuple, built from its sites' parameters
+    ``tuples`` lists each operator's sites (``index_scheme(n).tuples`` for
+    the n-simplex vertex form, ``EDGE_TUPLES_3`` for the edge form of the
+    tetrahedron equation); ``provider`` maps the tuple of per-site
+    parameters of one placement to its dense matrix; ``assignment`` lists
+    one parameter per register site (entries may be anything the provider
+    understands, and are ignored by constant providers).  An assignment
+    that does not cover all ``register_size`` sites raises ValueError.
+    """
     if len(assignment) != register_size:
         raise ValueError(
             f"assignment must cover all {register_size} sites, got {len(assignment)}"
         )
     factors = [(provider(tuple(assignment[s - 1] for s in tup)), tup) for tup in tuples]
     return Equation(factors, register_size)
-
-
-def vertex_residual(
-    n: int,
-    provider: Callable[[tuple], np.ndarray],
-    assignment: Sequence,
-    mode: str = "dense",
-    vectors: int = DEFAULT_VECTORS,
-    seed: int = 0,
-) -> float:
-    """Normalized residual of the n-simplex vertex equation.
-
-    ``provider`` maps the tuple of per-site parameters of one operator
-    placement to its dense matrix; ``assignment`` lists one parameter per
-    register site (entries may be anything the provider understands, and
-    are ignored by constant providers).
-    """
-    scheme = index_scheme(n)
-    equation = _equation(scheme.tuples, scheme.register_size, provider, assignment)
-    return reversal_residual(*equation, mode, vectors, seed)[1]
-
-
-def edge_residual_3(
-    provider: Callable[[tuple], np.ndarray],
-    assignment: Sequence,
-    mode: str = "dense",
-    vectors: int = DEFAULT_VECTORS,
-    seed: int = 0,
-) -> float:
-    """Normalized residual of the edge form of the tetrahedron equation:
-    four arity-3 operators on the 4-site tuples (123)(124)(134)(234)."""
-    return reversal_residual(*_equation(EDGE_TUPLES_3, 4, provider, assignment),
-                             mode, vectors, seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ def _check_su2_tetra_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(6, rng)
     provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-    return [_equation(index_scheme(3).tuples, 6, provider, assignment)]
+    return [simplex_equation(index_scheme(3).tuples, 6, provider, assignment)]
 
 
 @_register("generic-vertex",
@@ -432,7 +420,7 @@ def _check_generic_vertex(trial_seed, *, n):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(6, rng)
-    return [_equation(index_scheme(3).tuples, 6, provider, assignment)]
+    return [simplex_equation(index_scheme(3).tuples, 6, provider, assignment)]
 
 
 @_register("edge-form-3",
@@ -443,7 +431,7 @@ def _check_edge_form(trial_seed, *, n):
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
     provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
     assignment = random_mu_assignment(4, rng)
-    return [_equation(EDGE_TUPLES_3, 4, provider, assignment)]
+    return [simplex_equation(EDGE_TUPLES_3, 4, provider, assignment)]
 
 
 @_register("constant-vertex",
@@ -459,7 +447,7 @@ def _check_constant_vertex(trial_seed, *, n):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    return [_equation(index_scheme(3).tuples, 6, constant_provider(m), [None] * 6)
+    return [simplex_equation(index_scheme(3).tuples, 6, constant_provider(m), [None] * 6)
             for m in members]
 
 
@@ -530,8 +518,8 @@ def _check_su2_4simplex_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(10, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    return [_equation(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant),
-                      assignment)
+    return [simplex_equation(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant),
+                             assignment)
             for variant in op_families.FOUR_SIMPLEX_VARIANTS]
 
 
@@ -543,8 +531,8 @@ def _check_nsimplex_constant(trial_seed, *, n):
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
     scheme = index_scheme(n)
-    return [_equation(scheme.tuples, scheme.register_size, constant_provider(member),
-                      [None] * scheme.register_size)]
+    return [simplex_equation(scheme.tuples, scheme.register_size, constant_provider(member),
+                             [None] * scheme.register_size)]
 
 
 @_register("nsimplex-su2toffoli",
@@ -555,14 +543,15 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     scheme = index_scheme(n)
     assignment = random_su2_assignment(scheme.register_size, rng)
-    return [_equation(scheme.tuples, scheme.register_size, n_simplex_su2_provider(), assignment)]
+    return [simplex_equation(scheme.tuples, scheme.register_size, n_simplex_su2_provider(),
+                             assignment)]
 
 
 @_register("ccnot-negative-control",
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n):
-    return [_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6)]
+    return [simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6)]
 
 
 @_register("apply-vs-embed",
@@ -600,12 +589,13 @@ def campaign(
     simplex order.  A check passes only if every normalized residual is
     finite and within its bound, or above it for an inverted check.
     The verdict is the conjunction over checks (an empty campaign passes).
-    Fewer than one trial or vector, an ``n`` below 2, or an unknown mode
-    raises CampaignArgumentError, an unregistered name UnknownCheckError,
+    Fewer than one trial or vector, a negative seed, an ``n`` below 2, or
+    an unknown mode raises CampaignArgumentError, an unregistered name UnknownCheckError,
     and an n-aware check's register beyond the residual-block ceiling
     DenseDimensionError, all before any trial runs.
     """
-    for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("n", n, 2)):
+    for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("seed", seed, 0),
+                                ("n", n, 2)):
         if value is not None and value < least:
             raise CampaignArgumentError(f"{label} must be at least {least}, got {value}")
     if mode is not None:

@@ -27,16 +27,17 @@ from simplexgates.operators import (
 from simplexgates.su2 import H, I2, X, AxisAngle, random_axis_angle
 from simplexgates.tensor import apply, embed, is_unitary, random_operator, random_state, random_unitary
 from simplexgates.verify import (
+    EDGE_TUPLES_3,
     constant_provider,
-    edge_residual_3,
     generic_tetrahedron_provider,
     index_scheme,
     n_simplex_su2_provider,
     random_mu_assignment,
     random_su2_assignment,
     su2_4simplex_provider,
+    reversal_residual,
+    simplex_equation,
     su2_tetrahedron_provider,
-    vertex_residual,
 )
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -64,7 +65,8 @@ def test_criterion_2_su2_tetrahedron_vertex():
     for trial in range(100):
         rng = np.random.default_rng(200 + trial)
         provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-        worst = max(worst, vertex_residual(3, provider, random_su2_assignment(6, rng)))
+        worst = max(worst, reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-11 and elapsed < 5.0
     _report("criterion 2 (SU(2) vertex equation, 100 trials)", ok,
@@ -79,9 +81,12 @@ def test_criterion_3_generic_trivial_solution():
         family = SiteOperatorFamily.seeded_random(seed=300 + trial)
         provider = generic_tetrahedron_provider(family, CouplingConstants.random(rng))
         worst_vertex = max(worst_vertex,
-                           vertex_residual(3, provider, random_mu_assignment(6, rng)))
+                           reversal_residual(*simplex_equation(
+                               index_scheme(3).tuples, 6, provider,
+                               random_mu_assignment(6, rng)))[1])
         worst_edge = max(worst_edge,
-                         edge_residual_3(provider, random_mu_assignment(4, rng)))
+                         reversal_residual(*simplex_equation(
+                             EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1])
     elapsed = time.perf_counter() - t0
     worst = max(worst_vertex, worst_edge)
     ok = worst < 1e-11 and elapsed < 5.0
@@ -95,13 +100,15 @@ def test_criterion_4_constant_solutions():
     worst = 0.0
     members = [constant_ccz(), constant_alpha(1.3), constant_alpha_beta(0.7, -2.1)]
     for member in members:
-        worst = max(worst, vertex_residual(3, constant_provider(member), [None] * 6))
+        worst = max(worst, reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1])
         assert is_unitary(member)
     detected_nonunitary = 0
     for _ in range(20):
         a, b = (complex(x, y) for x, y in rng.standard_normal((2, 2)))
         member = constant_linear(a, b)
-        worst = max(worst, vertex_residual(3, constant_provider(member), [None] * 6))
+        worst = max(worst, reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1])
         if not is_unitary(member):
             detected_nonunitary += 1
     elapsed = time.perf_counter() - t0
@@ -132,7 +139,8 @@ def test_criterion_6_four_simplex():
         alpha = float(rng.uniform(0, 2 * np.pi))
         for variant in FOUR_SIMPLEX_VARIANTS:
             provider = su2_4simplex_provider(alpha=alpha, variant=variant)
-            worst = max(worst, vertex_residual(4, provider, assignment))
+            worst = max(worst, reversal_residual(*simplex_equation(
+                index_scheme(4).tuples, 10, provider, assignment))[1])
     elapsed = time.perf_counter() - t0
 
     reducing = su2_4simplex(CTRL, CTRL, CTRL, FLIP, alpha=0.0, variant="three_control")
@@ -155,13 +163,14 @@ def test_criterion_7_five_simplex_matrix_free():
     scheme = index_scheme(5)
     register = scheme.register_size
     assert register == 15
-    r_constant = vertex_residual(
-        5, constant_provider(n_simplex_constant(5, alpha=1.1)), [None] * register,
-        mode="matrixfree", vectors=20, seed=700)
+    r_constant = reversal_residual(
+        *simplex_equation(scheme.tuples, register,
+                          constant_provider(n_simplex_constant(5, alpha=1.1)), [None] * register),
+        mode="matrixfree", vectors=20, seed=700)[1]
     assignment = random_su2_assignment(register, rng)
-    r_su2 = vertex_residual(
-        5, n_simplex_su2_provider(), assignment,
-        mode="matrixfree", vectors=20, seed=701)
+    r_su2 = reversal_residual(
+        *simplex_equation(scheme.tuples, register, n_simplex_su2_provider(), assignment),
+        mode="matrixfree", vectors=20, seed=701)[1]
     elapsed = time.perf_counter() - t0
 
     from simplexgates.verify import role_conflicted_sites
@@ -169,9 +178,9 @@ def test_criterion_7_five_simplex_matrix_free():
     compatible = list(assignment)
     for s in role_conflicted_sites(scheme):
         compatible[s - 1] = AxisAngle(X_AXIS, float(rng.uniform(0.1, np.pi - 0.1)))
-    r_su2_compatible = vertex_residual(
-        5, n_simplex_su2_provider(), compatible,
-        mode="matrixfree", vectors=20, seed=701)
+    r_su2_compatible = reversal_residual(
+        *simplex_equation(scheme.tuples, register, n_simplex_su2_provider(), compatible),
+        mode="matrixfree", vectors=20, seed=701)[1]
 
     worst = max(r_constant, r_su2)
     ok = worst < 1e-10 and elapsed < 60.0
@@ -206,7 +215,8 @@ def test_criterion_8_twisted_permutations():
 
 
 def test_criterion_9_ccnot_negative_control():
-    residual = vertex_residual(3, constant_provider(CCNOT), [None] * 6)
+    residual = reversal_residual(*simplex_equation(
+        index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6))[1]
 
     scheme = index_scheme(3)
     v = np.zeros(64, dtype=complex)

@@ -331,6 +331,27 @@ class TestVerify:
         assert main(["verify", *args]) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("args, env, seed", [
+        (["--seed", "-3"], None, -3),
+        ([], "-1", -1),
+    ], ids=["flag", "env"])
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, args, env, seed):
+        calls = []
+
+        def record(trial_seed, **kwargs):
+            calls.append(trial_seed)
+            return [(0.0, 0.0)]
+
+        spec = CHECKS["hadamard-bridge"]
+        monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
+        if env is None:
+            monkeypatch.delenv("SIMPLEX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SIMPLEX_SEED", env)
+        assert main(["verify", "hadamard-bridge", "--trials", "1", *args]) == 2
+        assert f"error: seed must be at least 0, got {seed}" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestList:
     def test_families_listed(self, capsys):

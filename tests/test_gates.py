@@ -9,7 +9,6 @@ from simplexgates.gates import (
     SWAP,
     local_conjugate,
     n_toffoli,
-    reference_gate,
 )
 from simplexgates.operators import n_simplex_su2_toffoli
 from simplexgates.su2 import H, I2, AxisAngle
@@ -38,16 +37,6 @@ def test_n_toffoli_sizes():
 def test_n_toffoli_rejects_small_n():
     with pytest.raises(ValueError):
         n_toffoli(1)
-
-
-def test_reference_gate_lookup():
-    assert np.array_equal(reference_gate("ccnot"), CCNOT)
-    assert np.array_equal(reference_gate("CZ"), CZ)
-    assert np.array_equal(reference_gate("NTOFFOLI", n=4), n_toffoli(4))
-    with pytest.raises(ValueError, match="unknown gate"):
-        reference_gate("TOFFOLI5")
-    with pytest.raises(ValueError, match="site count"):
-        reference_gate("NTOFFOLI")
 
 
 class TestLocalConjugate:
@@ -83,4 +72,4 @@ def test_reference_gate_matches_rotated_toffoli_construction(n):
     ctrl = AxisAngle((0.0, 0.0, 1.0), np.pi / 2)
     target = AxisAngle((1.0, 0.0, 0.0), np.pi / 2)
     built = n_simplex_su2_toffoli([ctrl] * (n - 1) + [target])
-    assert np.linalg.norm(built - reference_gate("NTOFFOLI", n=n)) < 1e-14
+    assert np.linalg.norm(built - n_toffoli(n)) < 1e-14

@@ -32,13 +32,15 @@ from simplexgates.su2 import (
 )
 from simplexgates.tensor import embed, identity, is_unitary, kron, random_unitary
 from simplexgates.verify import (
+    EDGE_TUPLES_3,
     constant_provider,
-    edge_residual_3,
     generic_tetrahedron_provider,
+    index_scheme,
     random_mu_assignment,
     random_su2_assignment,
+    reversal_residual,
+    simplex_equation,
     su2_tetrahedron_provider,
-    vertex_residual,
 )
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -69,12 +71,6 @@ class TestSiteOperatorFamily:
         assert not np.array_equal(fam0(mu), fam1(mu))
         assert not np.array_equal(fam0(mu), fam0(mu + 1e-12))
 
-    def test_custom_table(self):
-        fam = SiteOperatorFamily.custom({2.0: 2.0 * Z})
-        assert np.array_equal(fam(2.0), 2.0 * Z)
-        with pytest.raises(KeyError):
-            fam(3.0)
-
     def test_abelian_family_rejected(self):
         with pytest.raises(ValueError, match="abelian"):
             SiteOperatorFamily(lambda mu: mu * Z, "scalar-z")
@@ -88,23 +84,25 @@ class TestGenericTetrahedron:
 
     def test_single_coupling_places_operator_on_first_slot(self):
         mus = (0.5 + 0.25j, -1.0, 2.0)
-        fam = SiteOperatorFamily.custom({mu: mu * Z for mu in mus})
+        fam = SiteOperatorFamily.pauli_exp()
         got = generic_tetrahedron(fam, mus, CouplingConstants(alpha1=1.0))
-        assert np.allclose(got, identity(3) + mus[0] * kron(Z, I2, I2), atol=0)
+        assert np.allclose(got, identity(3) + kron(fam(mus[0]), I2, I2), atol=0)
 
     def test_vertex_equation_with_all_couplings(self):
         rng = np.random.default_rng(42)
         fam = SiteOperatorFamily.seeded_random(42)
         couplings = CouplingConstants(1, 1, 1, 1, 1, 1, 1)
         provider = generic_tetrahedron_provider(fam, couplings)
-        residual = vertex_residual(3, provider, random_mu_assignment(6, rng))
+        residual = reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, provider, random_mu_assignment(6, rng)))[1]
         assert residual < 1e-11
 
     def test_edge_equation(self):
         rng = np.random.default_rng(43)
         fam = SiteOperatorFamily.seeded_random(43)
         provider = generic_tetrahedron_provider(fam, CouplingConstants.random(rng))
-        assert edge_residual_3(provider, random_mu_assignment(4, rng)) < 1e-12
+        assert reversal_residual(*simplex_equation(
+            EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1] < 1e-12
 
 
 class TestSu2Tetrahedron:
@@ -124,7 +122,8 @@ class TestSu2Tetrahedron:
     def test_vertex_equation_random_parameters(self):
         rng = np.random.default_rng(7)
         provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-        assert vertex_residual(3, provider, random_su2_assignment(6, rng)) < 1e-11
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1] < 1e-11
 
 
 class TestToffoliFamily:
@@ -182,7 +181,8 @@ class TestConstantSolutions:
         assert np.linalg.norm(w @ constant_ccz() @ w.conj().T - CCNOT) < 1e-15
 
     def test_ccz_vertex_residual_vanishes(self):
-        residual = vertex_residual(3, constant_provider(constant_ccz()), [None] * 6)
+        residual = reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(constant_ccz()), [None] * 6))[1]
         assert residual < 1e-12
 
     def test_alpha_zero_matches_ccz(self):
@@ -199,7 +199,8 @@ class TestConstantSolutions:
 
     def test_linear_generic_solves_but_is_not_unitary(self):
         member = constant_linear(1.0, 0.5)
-        assert vertex_residual(3, constant_provider(member), [None] * 6) < 1e-12
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1] < 1e-12
         assert not is_unitary(member)
 
 
@@ -211,7 +212,8 @@ class TestCzYangBaxter:
         assert np.allclose(cz_yangbaxter(), identity(2) - 2 * proj, atol=0)
 
     def test_two_simplex_equation(self):
-        residual = vertex_residual(2, constant_provider(cz_yangbaxter()), [None] * 3)
+        residual = reversal_residual(*simplex_equation(
+            index_scheme(2).tuples, 3, constant_provider(cz_yangbaxter()), [None] * 3))[1]
         assert residual < 1e-13
 
     def test_hadamard_conjugate_is_cnot(self):
@@ -242,7 +244,8 @@ class TestSu24Simplex:
 
         rng = np.random.default_rng(10)
         provider = su2_4simplex_provider(alpha=0.9, variant=variant)
-        assert vertex_residual(4, provider, random_su2_assignment(10, rng)) < 1e-10
+        assert reversal_residual(*simplex_equation(
+            index_scheme(4).tuples, 10, provider, random_su2_assignment(10, rng)))[1] < 1e-10
 
 
 class TestNSimplexFamilies:
@@ -277,13 +280,15 @@ class TestNSimplexFamilies:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_su2_toffoli_vertex_equation_at_generic_assignments(self, n):
-        from simplexgates.verify import index_scheme, n_simplex_su2_provider
+        from simplexgates.verify import n_simplex_su2_provider
 
         rng = np.random.default_rng(30 + n)
-        register = index_scheme(n).register_size
+        scheme = index_scheme(n)
         for _ in range(3):
-            assignment = random_su2_assignment(register, rng)
-            assert vertex_residual(n, n_simplex_su2_provider(), assignment) < 1e-10
+            assignment = random_su2_assignment(scheme.register_size, rng)
+            equation = simplex_equation(scheme.tuples, scheme.register_size,
+                                        n_simplex_su2_provider(), assignment)
+            assert reversal_residual(*equation)[1] < 1e-10
 
     def test_su2_toffoli_needs_two_sites(self):
         with pytest.raises(ValueError):
@@ -357,11 +362,15 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
     for seed in range(5):
         trial = np.random.default_rng(seed)
         generic = generic_tetrahedron_provider(fam, CouplingConstants.random(trial))
-        assert vertex_residual(3, generic, random_mu_assignment(6, trial)) < 1e-11
-        assert edge_residual_3(generic, random_mu_assignment(4, trial)) < 1e-11
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, generic, random_mu_assignment(6, trial)))[1] < 1e-11
+        assert reversal_residual(*simplex_equation(
+            EDGE_TUPLES_3, 4, generic, random_mu_assignment(4, trial)))[1] < 1e-11
         su2 = su2_tetrahedron_provider(alpha=float(trial.uniform(0, 2 * np.pi)))
-        assert vertex_residual(3, su2, random_su2_assignment(6, trial)) < 1e-11
-        assert edge_residual_3(su2, random_su2_assignment(4, trial)) < 1e-11
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, su2, random_su2_assignment(6, trial)))[1] < 1e-11
+        assert reversal_residual(*simplex_equation(
+            EDGE_TUPLES_3, 4, su2, random_su2_assignment(4, trial)))[1] < 1e-11
 
 
 class TestProjectorToffoliRoleMix:
@@ -384,11 +393,12 @@ class TestProjectorToffoliRoleMix:
     def test_generic_parameters_violate_the_vertex_equation(self):
         rng = np.random.default_rng(17)
         provider = lambda params: general_toffoli(*params)
-        residual = vertex_residual(3, provider, random_su2_assignment(6, rng))
+        residual = reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1]
         assert residual > 0.01
 
     def test_role_compatible_assignment_satisfies_the_equation(self):
-        from simplexgates.verify import index_scheme, role_conflicted_sites
+        from simplexgates.verify import role_conflicted_sites
 
         rng = np.random.default_rng(18)
         provider = lambda params: general_toffoli(*params)
@@ -397,4 +407,5 @@ class TestProjectorToffoliRoleMix:
         assert role_conflicted_sites(scheme) == [3, 5]
         for s in role_conflicted_sites(scheme):
             assignment[s - 1] = AxisAngle(X_AXIS, float(rng.uniform(0.1, np.pi - 0.1)))
-        assert vertex_residual(3, provider, assignment) < 1e-11
+        equation = simplex_equation(scheme.tuples, 6, provider, assignment)
+        assert reversal_residual(*equation)[1] < 1e-11

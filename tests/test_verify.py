@@ -19,14 +19,13 @@ from simplexgates.verify import (
     UnknownCheckError,
     campaign,
     constant_provider,
-    edge_residual_3,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
+    simplex_equation,
     su2_tetrahedron_provider,
     generic_tetrahedron_provider,
-    vertex_residual,
 )
 from simplexgates.operators import CouplingConstants, SiteOperatorFamily
 
@@ -68,20 +67,23 @@ class TestIndexScheme:
 
 class TestVertexResidual:
     def test_constant_ccz_vanishes(self):
-        assert vertex_residual(3, constant_provider(constant_ccz()), [None] * 6) < 1e-12
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(constant_ccz()), [None] * 6))[1] < 1e-12
 
     def test_su2_family_vanishes(self):
         rng = np.random.default_rng(31)
         provider = su2_tetrahedron_provider(alpha=1.0)
-        assert vertex_residual(3, provider, random_su2_assignment(6, rng)) < 1e-11
+        assert reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1] < 1e-11
 
     def test_ccnot_violates_the_equation(self):
-        residual = vertex_residual(3, constant_provider(CCNOT), [None] * 6)
+        residual = reversal_residual(*simplex_equation(
+            index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6))[1]
         assert residual >= 0.5
 
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="assignment"):
-            vertex_residual(3, constant_provider(CCNOT), [None] * 5)
+            simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 5)
 
     def test_dense_refused_beyond_site_limit(self):
         def provider(params):
@@ -89,23 +91,27 @@ class TestVertexResidual:
             return n_simplex_constant(5)
 
         with pytest.raises(DenseDimensionError):
-            vertex_residual(5, provider, [None] * 15, mode="dense")
+            reversal_residual(*simplex_equation(
+                index_scheme(5).tuples, 15, provider, [None] * 15), mode="dense")[1]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            vertex_residual(3, constant_provider(CCNOT), [None] * 6, mode="sparse")
+            reversal_residual(*simplex_equation(
+                index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6), mode="sparse")[1]
 
     def test_matrixfree_agrees_with_dense_on_solution(self):
         rng = np.random.default_rng(33)
         provider = su2_tetrahedron_provider(alpha=0.5)
         assignment = random_su2_assignment(6, rng)
-        dense = vertex_residual(3, provider, assignment, mode="dense")
-        free = vertex_residual(3, provider, assignment, mode="matrixfree", vectors=8, seed=5)
+        equation = simplex_equation(index_scheme(3).tuples, 6, provider, assignment)
+        dense = reversal_residual(*equation, mode="dense")[1]
+        free = reversal_residual(*equation, mode="matrixfree", vectors=8, seed=5)[1]
         assert dense < 1e-11 and free < 1e-11
 
     def test_matrixfree_detects_violation(self):
-        free = vertex_residual(3, constant_provider(CCNOT), [None] * 6,
-                               mode="matrixfree", vectors=8, seed=5)
+        free = reversal_residual(
+            *simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6),
+            mode="matrixfree", vectors=8, seed=5)[1]
         assert free > 0.1
 
 
@@ -142,10 +148,12 @@ class TestEdgeResidual:
         rng = np.random.default_rng(35)
         fam = SiteOperatorFamily.seeded_random(35)
         provider = generic_tetrahedron_provider(fam, CouplingConstants.random(rng))
-        assert edge_residual_3(provider, random_mu_assignment(4, rng)) < 1e-12
+        assert reversal_residual(*simplex_equation(
+            EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1] < 1e-12
 
     def test_constant_ccz(self):
-        assert edge_residual_3(constant_provider(constant_ccz()), [None] * 4) < 1e-13
+        assert reversal_residual(*simplex_equation(
+            EDGE_TUPLES_3, 4, constant_provider(constant_ccz()), [None] * 4))[1] < 1e-13
 
     def test_identity_provider_is_exactly_zero(self):
         raw, norm = reversal_residual(
@@ -154,7 +162,7 @@ class TestEdgeResidual:
 
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="4 sites"):
-            edge_residual_3(constant_provider(constant_ccz()), [None] * 6)
+            simplex_equation(EDGE_TUPLES_3, 4, constant_provider(constant_ccz()), [None] * 6)
 
 
 @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
@@ -164,8 +172,8 @@ def test_zero_operator_reports_zero_in_both_modes(mode):
 
 
 def test_residual_checks_each_factor_once_per_side(monkeypatch):
-    # the factors are the same for every vector, so each side is checked
-    # once, not once per vector (4 factors x 2 sides x 20 vectors = 160)
+    # the factors are the same for every vector and on both sides, so each
+    # is checked once, not once per side (8) or per vector (4 x 2 x 20 = 160)
     equation = CHECKS["su2-tetra-vertex"].fn(0, n=3)[0]
     calls = []
     checked = tensor._validated_sites
@@ -176,7 +184,7 @@ def test_residual_checks_each_factor_once_per_side(monkeypatch):
 
     monkeypatch.setattr(tensor, "_validated_sites", counting)
     reversal_residual(*equation, "matrixfree", 20, 0)
-    assert 0 < len(calls) <= 2 * len(equation.factors)
+    assert len(calls) == len(equation.factors)
 
 
 @pytest.mark.parametrize("mode", verify.MODES)
@@ -395,6 +403,20 @@ class TestCampaign:
         monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
         with pytest.raises(CampaignArgumentError, match="mode must be"):
             campaign(["hadamard-bridge", "constant-vertex"], trials=1, mode="bogus")
+        assert calls == []
+
+    def test_negative_seed_is_refused_before_any_trial(self, monkeypatch):
+        # np.random.default_rng would refuse seed + 0 only inside the first trial
+        calls = []
+
+        def record(trial_seed, **kwargs):
+            calls.append(trial_seed)
+            return [(0.0, 0.0)]
+
+        spec = CHECKS["hadamard-bridge"]
+        monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
+        with pytest.raises(CampaignArgumentError, match="seed must be at least 0, got -3"):
+            campaign(["hadamard-bridge"], trials=1, seed=-3)
         assert calls == []
 
     @pytest.mark.parametrize("name", ["constant-vertex", "su2-4simplex-vertex"])
