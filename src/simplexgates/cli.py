@@ -26,7 +26,7 @@ from . import operators as op_families
 from . import verify
 from .gates import CCNOT, CCZ, CZ, SWAP, n_toffoli
 from .su2 import AxisAngle, DegenerateEigenvaluesError, fixed_gate
-from .tensor import arity_of, frobenius_distance, identity, is_unitary, save_operator
+from .tensor import _unitarity, arity_of, frobenius_distance, save_operator
 
 _PI_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?\s*$", re.IGNORECASE
@@ -330,10 +330,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     k = arity_of(op)
-    deviation = float(np.linalg.norm(op @ op.conj().T - identity(k)))
+    deviation, unitary = _unitarity(op)
     print(f"family: {args.family}")
     print(f"arity: {k}  dim: {2 ** k}")
-    print(f"unitary: {'yes' if is_unitary(op) else 'no'} "
+    print(f"unitary: {'yes' if unitary else 'no'} "
           f"(deviation {deviation:.3e})")
     if fam.reference is not None:
         ref_name, ref = fam.reference(args)

@@ -109,23 +109,30 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
 
 def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
-    # every factor as (complex operator, validated sites): the one check of a
-    # factor, made where it enters, before the kernel that trusts it
+    # every factor as (complex operator, validated sites, diagonal): the one
+    # check of a factor, made where it enters, before the kernel that trusts
+    # it; the diagonal is a (2,) * k tensor if no off-diagonal entry is nonzero
     placed = []
     for op, sites in factors:
         op = np.asarray(op, dtype=complex)
-        placed.append((op, _validated_sites(sites, arity_of(op), n)))
+        k = arity_of(op)
+        diag = np.diagonal(op)
+        diag = diag.reshape((2,) * k) if np.count_nonzero(op) == np.count_nonzero(diag) else None
+        placed.append((op, _validated_sites(sites, k, n), diag))
     return placed
 
 
 def _contract(placed: list, t: np.ndarray, axes: list[int],
               work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Multiply the placed factors, last one first, onto the tensor ``t``.
-    They arrive from ``_placed``, so each operator is complex and its sites
-    are checked; nothing here checks them again.
+    They arrive from ``_placed``, so each operator is complex, its sites
+    are checked and its diagonal is marked; nothing here checks them again.
 
     ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
-    column wire, 0 for the batch axis.  Each factor gathers the row axes of
+    column wire, 0 for the batch axis.  A diagonal factor whose sites all
+    have row axes multiplies ``t`` elementwise by its diagonal, transposed
+    and broadcast onto those axes: O(size of t), no gather, no GEMM, and
+    ``axes`` stays as it is.  Every other factor gathers the row axes of
     its sites that ``t`` already holds into a (2**held, rest) block,
     keeping the other axes in their current order.  Its sites with no row
     axis yet act on the identity, so their input slots move to the output
@@ -136,12 +143,19 @@ def _contract(placed: list, t: np.ndarray, axes: list[int],
     large as the largest working tensor, and nothing else is allocated at
     that size: the gather copies ``t`` into ``gat`` and the GEMM writes
     into ``acc``, over the previous working tensor, which the gather has
-    already read.  The result is a view of ``acc``, or ``t`` itself when
-    there is no factor.
+    already read.  A diagonal factor writes into ``acc`` too, in place
+    when ``t`` is already there, so ``t`` itself is never written.  The
+    result is a view of ``acc``, or ``t`` itself when there is no factor.
     """
     acc, gat = work
-    for op, sites in reversed(placed):
+    for op, sites, diag in reversed(placed):
         new = [s for s in sites if s not in axes]
+        if diag is not None and not new:
+            front = [axes.index(s) for s in sites]
+            shape = [2 if a in front else 1 for a in range(t.ndim)]
+            d = diag.transpose(sorted(range(len(sites)), key=front.__getitem__)).reshape(shape)
+            t = np.multiply(t, d, acc[:t.size].reshape(t.shape))
+            continue
         held = [s for s in sites if s in axes] if new else sites
         if new:
             k = len(sites)
@@ -170,9 +184,9 @@ def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
     scalar 1, so ``work`` needs 4**n entries; a state needs
     ``state.size``."""
     if state is None:
-        touched = {s for _, sites in placed for s in sites}
+        touched = {s for _, sites, _ in placed for s in sites}
         # identities on untouched sites act last, as outer products on the full tensor
-        placed = [(identity(1), (s,)) for s in range(1, n + 1) if s not in touched] + placed
+        placed = [(identity(1), (s,), None) for s in range(1, n + 1) if s not in touched] + placed
         t, axes, tail = np.ones((), dtype=complex), [], [-s for s in range(1, n + 1)]
     else:
         t, axes, tail = state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0], [0]
@@ -201,9 +215,16 @@ def apply_product(
     n-axis tensor whose leading axes are tracked wire by wire: each factor
     gathers its sites into a (2**k, rest) block, keeping the other axes in
     their current order, and multiplies it, so its sites lead the result.
-    Site order is restored once, after the last factor, into a fresh array.
+    A diagonal factor (every off-diagonal entry exactly zero) does no
+    gather: it multiplies the tensor elementwise by its diagonal, in
+    O(2**n) time per column.  Site order is restored once, after the last
+    factor, into a fresh array; the state itself is never written.  A state
+    with no entries (0-d, or an empty axis) raises ValueError.
     """
     state = np.asarray(state, dtype=complex)
+    if state.ndim == 0 or state.size == 0:
+        raise ValueError(f"state must be a (2**n, *batch) block with no empty axis, "
+                         f"got shape {state.shape}")
     n = register_size_of(state.reshape(len(state), -1)[:, 0])
     placed = _placed(factors, n)
     work = (np.empty(state.size, dtype=complex), np.empty(state.size, dtype=complex))
@@ -246,13 +267,21 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _unitarity(a: np.ndarray) -> tuple[float, bool]:
+    """(||a a+ - 1||_F, ``is_unitary(a)``) from one product a a+, with 1
+    subtracted from its diagonal in place: the same bits as minus identity."""
+    a = np.asarray(a, dtype=complex)
+    k = arity_of(a)
+    gram = a @ a.conj().T
+    gram.flat[::2**k + 1] -= 1
+    deviation = float(np.linalg.norm(gram))
+    return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
+
+
 def is_unitary(a: np.ndarray) -> bool:
     """True when ||a a+ - 1||_F is within 1e-10 absolute plus 1e-12 times
     ||1||_F = sqrt(dim)."""
-    a = np.asarray(a, dtype=complex)
-    k = arity_of(a)
-    residual = float(np.linalg.norm(a @ a.conj().T - identity(k)))
-    return residual <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
+    return _unitarity(a)[1]
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,9 @@ Residual conventions: the residual places and checks each factor once
 of an equation through one product kernel, factor by factor, in three
 buffers of one block each that both sides and every vector reuse.  Only
 the left side is copied into site order; L - R is taken straight from
-the right side's contraction order.  Dense mode builds both sides as
+the right side's contraction order.  A diagonal factor, such as every
+constant solution, is an elementwise multiply there once all its sites
+are reached, not a gather and a GEMM.  Dense mode builds both sides as
 2**N x 2**N matrices, starting from the scalar 1 and giving each site
 its row and column axes when the first factor reaches it, and reports
 ||L - R||_F, plus that value divided by ||L||_F; tolerances apply to the

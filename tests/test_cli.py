@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexgates import operators, verify
+from simplexgates import cli, operators, tensor, verify
 from simplexgates.cli import FAMILIES, main, parse_angle, parse_axis, parse_complex
 from simplexgates.gates import n_toffoli
 from simplexgates.tensor import load_operator
@@ -160,6 +160,25 @@ class TestBuild:
         code = main(["build", family, "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         assert load_operator(out).ndim == 2
+
+
+@pytest.mark.parametrize("argv", [["nsimplex-constant", "--n", "4"],
+                                  ["constant-linear", "--a", "1.5", "--b", "2j"]])
+def test_build_forms_one_product_for_deviation_and_verdict(monkeypatch, capsys, argv):
+    # the printed deviation and the unitary verdict come from one a a+
+    deviations = []
+
+    def counting(a):
+        deviation, unitary = unitarity(a)
+        deviations.append(deviation)
+        return deviation, unitary
+
+    unitarity = tensor._unitarity
+    monkeypatch.setattr(tensor, "_unitarity", counting)
+    monkeypatch.setattr(cli, "_unitarity", counting)
+    assert main(["build", *argv]) == 0
+    assert len(deviations) == 1
+    assert f"(deviation {deviations[0]:.3e})" in capsys.readouterr().out
 
 
 def test_every_constructor_is_called_by_a_default_build(monkeypatch, capsys):

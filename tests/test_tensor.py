@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,11 @@ class TestApplyProduct:
         assert np.array_equal(block, before[0])
         assert all(np.array_equal(op, kept) for (op, _), kept in zip(factors, before[1]))
 
+    @pytest.mark.parametrize("state", [np.array(1.0 + 0j), np.zeros((4, 0)), np.zeros(0)])
+    def test_state_without_entries_is_refused_naming_its_shape(self, state):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(state.shape))}"):
+            apply_product([(X, (1,))], state)
+
     def test_every_factor_is_validated(self):
         v = np.zeros(8, dtype=complex)
         with pytest.raises(ValueError, match="outside register"):
@@ -307,6 +313,82 @@ class TestProduct:
         finally:
             tracemalloc.stop()
         assert peak < 52 * 2**20
+
+
+class TestDiagonalFactors:
+    """Factors whose off-diagonal entries are exactly zero multiply the
+    working tensor by their diagonal instead of gathering it and running a
+    GEMM, once every site of the factor has a row axis."""
+
+    @staticmethod
+    def _mixed_factors(rng, count):
+        # arity 1-3 on 6 sites, each factor diagonal or dense at random; the
+        # diagonal entries differ, so a diagonal laid onto the wrong axes
+        # changes the product
+        factors = []
+        for _ in range(count):
+            k = int(rng.integers(1, 4))
+            sites = tuple(int(s) + 1 for s in rng.permutation(6)[:k])
+            op = random_operator(k, rng)
+            factors.append((np.diag(np.diagonal(op)) if rng.integers(2) else op, sites))
+        return factors
+
+    @staticmethod
+    def _embedded(factors, n=6):
+        dense = identity(n)
+        for op, sites in factors:
+            dense = dense @ embed(op, sites, n)
+        return dense
+
+    def test_random_mixes_match_the_product_of_embeds(self):
+        rng = np.random.default_rng(41)
+        for trial in range(100):
+            factors = self._mixed_factors(rng, 1 + trial % 6)
+            dense = self._embedded(factors)
+            v = random_state(6, rng)
+            block = np.stack([v, random_state(6, rng), random_state(6, rng)], axis=1)
+            scale = max(1.0, float(np.linalg.norm(dense)))
+            assert np.linalg.norm(product(factors, 6) - dense) < 1e-13 * scale
+            assert np.linalg.norm(apply_product(factors, v) - dense @ v) < 1e-13 * scale
+            assert np.linalg.norm(apply_product(factors, block) - dense @ block) < 1e-13 * scale
+
+    def test_diagonal_factor_first_to_reach_a_site(self):
+        # the diagonal factor on (3, 1, 2) reaches site 3 before any other
+        # factor, so it builds that site's axes by GEMM; site 4 stays untouched
+        rng = np.random.default_rng(42)
+        diag = np.diag(random_operator(3, rng).diagonal())
+        for factors in ([(diag, (3, 1, 2)), (random_operator(2, rng), (2, 1))],
+                        [(diag, (3, 1, 2))]):
+            assert np.linalg.norm(product(factors, 4) - self._embedded(factors, 4)) < 1e-13 * 8
+
+    def test_a_tiny_off_diagonal_entry_keeps_the_gemm(self):
+        # 1e-300 times a state entry of 1e300 contributes 1.0, which a factor
+        # wrongly taken for diagonal would drop
+        op = np.diag([2.0, 3.0]).astype(complex)
+        op[0, 1] = 1e-300
+        v = np.zeros(8, dtype=complex)
+        v[0b010] = 1e300
+        expected = embed(op, (2,), 3) @ v
+        assert expected[0b000] == pytest.approx(1.0)
+        assert np.allclose(apply_product([(op, (2,))], v), expected, rtol=1e-15, atol=0)
+        big = np.array([[0, 0], [1e300, 0]], dtype=complex)
+        factors = [(op, (2,)), (big, (2,))]
+        assert np.allclose(product(factors, 3), self._embedded(factors, 3), rtol=1e-15, atol=0)
+
+    def test_state_is_neither_mutated_nor_aliased(self):
+        # the diagonal factor acts first, on the caller's state itself
+        rng = np.random.default_rng(43)
+        diag = np.diag(random_operator(2, rng).diagonal())
+        v = random_state(6, rng)
+        block = np.stack([v, random_state(6, rng)], axis=1)
+        for state in (v, block, block.T.copy().T):
+            kept = state.copy()
+            for factors in ([(diag, (4, 2))], [(random_operator(1, rng), (3,)), (diag, (4, 2))]):
+                out = apply_product(factors, state)
+                assert np.array_equal(state, kept)
+                assert not np.shares_memory(out, state)
+                expected = self._embedded(factors) @ kept
+                assert np.linalg.norm(out - expected) < 1e-13 * max(1.0, np.linalg.norm(expected))
 
 
 class TestPredicates:

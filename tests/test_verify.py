@@ -377,6 +377,16 @@ class TestCampaign:
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
 
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+    def test_nan_diagonal_member_fails(self, monkeypatch, mode):
+        # a diagonal member takes the kernel's broadcast multiply, which the
+        # all-NaN matrix above, not being diagonal, never reaches
+        monkeypatch.setattr(operators, "constant_alpha",
+                            lambda alpha: np.diag([np.nan] * 8).astype(complex))
+        check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
+        assert check.verdict == "fail"
+        assert np.isnan(check.max_residual)
+
     @pytest.mark.parametrize("name, family, dim", [
         ("hadamard-bridge", "cz_yangbaxter", 4),
         ("toffoli-reduction", "su2_tetrahedron", 8),
