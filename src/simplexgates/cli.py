@@ -112,9 +112,8 @@ def parse_couplings(text: str) -> op_families.CouplingConstants:
 
 def parse_site_count(text: str) -> int:
     """Site count of an n-site family to build: at least 2, the smallest
-    n-site family, and at most DENSE_SITE_LIMIT, so the operator keeps
-    within the 4**DENSE_SITE_LIMIT-entry ceiling of ``verify``; checked
-    while parsing, before anything is allocated."""
+    n-site family, and at most DENSE_SITE_LIMIT, so the operator holds at
+    most 4**12 entries; checked while parsing, before any allocation."""
     try:
         value = int(text)
     except ValueError:

@@ -122,8 +122,8 @@ def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list
     return placed
 
 
-def _contract(placed: list, t: np.ndarray, axes: list[int],
-              work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, list[int]]:
+def _contract(placed: list, t: np.ndarray, axes: list[int], work: tuple[np.ndarray, np.ndarray],
+              pins: dict[int, int]) -> tuple[np.ndarray, list[int]]:
     """Multiply the placed factors, last one first, onto the tensor ``t``.
     They arrive from ``_placed``, so each operator is complex, its sites
     are checked and its diagonal is marked; nothing here checks them again.
@@ -137,7 +137,9 @@ def _contract(placed: list, t: np.ndarray, axes: list[int],
     keeping the other axes in their current order.  Its sites with no row
     axis yet act on the identity, so their input slots move to the output
     side of the operator: one (2**(k + new), 2**held) GEMM leaves the
-    factor's row axes in front, then the new sites' column axes.
+    factor's row axes in front, then the new sites' column axes.  A new
+    site pinned to bit b in ``pins`` has its input slot indexed at b
+    instead, so it gets no column axis; with no pins, none of this runs.
 
     ``work = (acc, gat)`` are two flat complex buffers, each at least as
     large as the largest working tensor, and nothing else is allocated at
@@ -159,8 +161,13 @@ def _contract(placed: list, t: np.ndarray, axes: list[int],
         held = [s for s in sites if s in axes] if new else sites
         if new:
             k = len(sites)
-            slots = list(range(k)) + [k + sites.index(s) for s in new + held]
-            op = op.reshape((2,) * (2 * k)).transpose(slots).reshape(-1, 2 ** len(held))
+            pinned = [s for s in new if s in pins] if pins else []
+            new = [s for s in new if s not in pins] if pinned else new
+            slots = list(range(k)) + [k + sites.index(s) for s in new + held + pinned]
+            op = op.reshape((2,) * (2 * k)).transpose(slots)
+            if pinned:
+                op = op[(..., *[pins[s] for s in pinned])]
+            op = op.reshape(-1, 2 ** len(held))
         front = [axes.index(s) for s in held]
         rest = [a for a in range(len(axes)) if a not in front]
         moved = t.transpose(front + rest)
@@ -175,22 +182,25 @@ def _contract(placed: list, t: np.ndarray, axes: list[int],
 
 
 def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
-                  state: np.ndarray | None = None) -> np.ndarray:
+                  state: np.ndarray | None = None, pins: dict | None = None) -> np.ndarray:
     """The product of factors already placed by ``_placed`` on an n-site
     register, contracted in ``work`` (see ``_contract``) and returned as a
     view with its axes in site order, not copied: the (2,) * 2n matrix
     tensor of ``product``, or, applied to ``state``, the (2,) * n +
     (batch,) tensor of ``apply_product``.  The matrix starts from the
     scalar 1, so ``work`` needs 4**n entries; a state needs
-    ``state.size``."""
+    ``state.size``.  ``pins``, a {site: bit} map, keeps only the matrix
+    columns where those sites read those bits, in 4**n >> len(pins) entries."""
+    pins = pins or {}
     if state is None:
         touched = {s for _, sites, _ in placed for s in sites}
         # identities on untouched sites act last, as outer products on the full tensor
         placed = [(identity(1), (s,), None) for s in range(1, n + 1) if s not in touched] + placed
-        t, axes, tail = np.ones((), dtype=complex), [], [-s for s in range(1, n + 1)]
+        t, axes = np.ones((), dtype=complex), []
+        tail = [-s for s in range(1, n + 1) if s not in pins]
     else:
         t, axes, tail = state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0], [0]
-    t, axes = _contract(placed, t, axes, work)
+    t, axes = _contract(placed, t, axes, work, pins)
     return t.transpose([axes.index(s) for s in [*range(1, n + 1), *tail]])
 
 
@@ -211,21 +221,18 @@ def apply_product(
     right, so the last factor acts first; an empty sequence is the
     identity.  Equal to ``embed(op_1, sites_1, n) @ ... @ embed(op_m,
     sites_m, n) @ state`` but runs in O(2**n * 2**k) time per column and
-    factor and never forms a 2**n x 2**n matrix.  The state is viewed as an
-    n-axis tensor whose leading axes are tracked wire by wire: each factor
-    gathers its sites into a (2**k, rest) block, keeping the other axes in
-    their current order, and multiplies it, so its sites lead the result.
-    A diagonal factor (every off-diagonal entry exactly zero) does no
-    gather: it multiplies the tensor elementwise by its diagonal, in
-    O(2**n) time per column.  Site order is restored once, after the last
-    factor, into a fresh array; the state itself is never written.  A state
-    with no entries (0-d, or an empty axis) raises ValueError.
+    factor and never forms a 2**n x 2**n matrix: each factor gathers its
+    sites and multiplies them, or, if diagonal, multiplies elementwise (see
+    ``_contract``).  Site order is restored once, after the last factor,
+    into a fresh array; the state itself is never written.  A state
+    with no entries (0-d, or an empty axis) or a leading dimension that is
+    not a power of two >= 2 raises one ValueError naming its shape.
     """
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 0 or state.size == 0:
-        raise ValueError(f"state must be a (2**n, *batch) block with no empty axis, "
+    n = (len(state) if state.ndim else 0).bit_length() - 1
+    if state.size == 0 or n < 1 or len(state) != 2**n:
+        raise ValueError(f"state must be a (2**n, *batch) block with n >= 1 and no empty axis, "
                          f"got shape {state.shape}")
-    n = register_size_of(state.reshape(len(state), -1)[:, 0])
     placed = _placed(factors, n)
     work = (np.empty(state.size, dtype=complex), np.empty(state.size, dtype=complex))
     return _copied(_product_view(placed, n, work, state), work[1]).reshape(state.shape)

@@ -3,16 +3,11 @@ verification campaign, the one place that picks the residual mode.
 
 Residual conventions: the residual places and checks each factor once
 (a reversal reverses the placed list), then both modes run the two sides
-of an equation through one product kernel, factor by factor, in three
-buffers of one block each that both sides and every vector reuse.  Only
-the left side is copied into site order; L - R is taken straight from
-the right side's contraction order.  A diagonal factor, such as every
-constant solution, is an elementwise multiply there once all its sites
-are reached, not a gather and a GEMM.  Dense mode builds both sides as
-2**N x 2**N matrices, starting from the scalar 1 and giving each site
-its row and column axes when the first factor reaches it, and reports
-||L - R||_F, plus that value divided by ||L||_F; tolerances apply to the
-normalized value.
+of an equation through one product kernel in three small reused buffers
+(see ``_placed_residual``).  Dense mode builds both sides one column
+block of at most 2**16 entries at a time, never a whole 2**N x 2**N
+side, and reports ||L - R||_F plus that value divided by ||L||_F;
+tolerances apply to the normalized value.
 Matrix-free mode applies them to seeded random unit vectors, one at a
 time, and reports the worst ||(L - R) v||_2, normalized per vector by
 ||L v||_2.  Either mode reports the raw value where the norm it would
@@ -36,7 +31,7 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import (_copied, _placed, _product_view, apply, embed, random_operator,
+from .tensor import (_copied, _placed, _product_view, _unitarity, apply, embed, random_operator,
                      random_state, random_unitary)
 
 __all__ = [
@@ -67,22 +62,23 @@ __all__ = [
     "campaign",
 ]
 
-# a residual block holds at most 4**12 entries (~268 MB): one side of a
-# dense residual on 12 sites, or one matrix-free vector on 24 sites.  A
-# residual holds three blocks (~805 MB) and nothing else of that size,
-# apart from the random vector in matrix-free mode
+# dense mode is refused above 12 sites, a bound on time (4**12 entries per
+# side): it holds three column blocks of 2**_BLOCK_BITS entries, 1 MiB, the
+# fastest of 2**12 to 2**20 for the 10-site su2-4simplex residual.  The
+# matrix-free limit, 24 sites, bounds memory: three 2**24 vectors, ~805 MB
 DENSE_SITE_LIMIT = 12
+_BLOCK_BITS = 16
 DEFAULT_VECTORS = 20
-# residual modes: a 2**N x 2**N matrix per side, or seeded random vectors
+# residual modes: each side's matrix in column blocks, or random vectors
 MODES = ("dense", "matrixfree")
 
 EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
 class DenseDimensionError(ValueError):
-    """Residual requested beyond the register-size ceiling: a block of more
-    than 4**DENSE_SITE_LIMIT entries, that is more than 12 sites in dense
-    mode or 24 sites in matrix-free mode."""
+    """Residual requested beyond the register-size ceiling: more than
+    DENSE_SITE_LIMIT = 12 sites in dense mode (a bound on time) or 24 in
+    matrix-free mode (a bound on the memory of a 2**N vector)."""
 
 
 class CampaignArgumentError(ValueError):
@@ -142,9 +138,9 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_block(register_size: int, mode: str) -> None:
-    """Refuse an unknown mode, a register of no sites, and a residual block
-    of more than 4**DENSE_SITE_LIMIT entries: 2**N x 2**N in dense mode,
-    2**N per vector in matrix-free mode."""
+    """Refuse an unknown mode, a register of no sites, and a register of
+    more than DENSE_SITE_LIMIT sites in dense mode or twice that in
+    matrix-free mode."""
     _check_mode(mode)
     if register_size < 1:
         raise CampaignArgumentError(f"register must have at least one site, got {register_size}")
@@ -176,40 +172,41 @@ def _product_residual(
                             register_size, mode, vectors, seed)
 
 
-def _placed_residual(lhs, rhs, register_size, mode, vectors, seed) -> tuple[float, float]:
-    """``_product_residual`` of sides already placed by ``_placed``.
+def _placed_residual(lhs, rhs, n, mode, vectors, seed) -> tuple[float, float]:
+    """``_product_residual`` of sides already placed by ``_placed`` on n sites.
 
-    Dense mode builds both products as 2**N x 2**N matrices; matrix-free
-    mode applies them to each of ``vectors`` seeded random unit vectors,
-    keeping the worst vector.  Both sides and every vector reuse three
-    buffers of one block each (4**N entries in dense mode, 2**N in
-    matrix-free mode): the product kernel runs in two of them, the left
-    side is copied into the third in site order, and L - R is written in
-    site order over the kernel's gather buffer, reading the right side in
-    its contraction order.
+    Dense mode pins the column bits of sites 1..m, m = max(0, 2n -
+    _BLOCK_BITS), to each bit pattern in turn, builds both products one
+    block of 2**(2n - m) entries at a time, and takes the root of each
+    norm's summed squares, so with m = 0 they are the whole-matrix norms
+    bit for bit.  Matrix-free mode applies both products to each of
+    ``vectors`` seeded random unit vectors, keeping the worst.
     """
-    size = 4**register_size if mode == "dense" else 2**register_size
-    work = tuple(np.empty(size, dtype=complex) for _ in range(3))
     if mode == "dense":
-        return _side_residual(lhs, rhs, register_size, work)
+        m = max(0, 2 * n - _BLOCK_BITS)
+        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
+        blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
+                  for bits in itertools.product((0, 1), repeat=m)]
+        raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
+        return raw, raw / scale if scale > 0 else raw
+    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
     rng = np.random.default_rng(seed)
-    pairs = [_side_residual(lhs, rhs, register_size, work, random_state(register_size, rng))
-             for _ in range(vectors)]
+    pairs = [_side_norms(lhs, rhs, n, work, random_state(n, rng)) for _ in range(vectors)]
     # np.max, unlike max(), lets a NaN through to the verdict
-    raw, norm = np.max(pairs, axis=0)
+    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
     return float(raw), float(norm)
 
 
-def _side_residual(lhs, rhs, register_size, work, block=None) -> tuple[float, float]:
-    # (||L - R||, ||L - R|| / ||L||) of the placed sides, or the raw value
-    # twice where ||L|| is zero; both norms are summed in site order, like
-    # the public products
+def _side_norms(lhs, rhs, n, work, block=None, pins=None) -> tuple[float, float]:
+    # (||L - R||, ||L||) on one vector or pinned column block: the kernel runs
+    # in two buffers of ``work``, the left side is copied into the third in
+    # site order, and L - R is written over the gather buffer from the right
+    # side's contraction order; both norms sum in site order, like ``product``
     acc, gat, keep = work
-    left = _copied(_product_view(lhs, register_size, (acc, gat), block), keep)
-    right = _product_view(rhs, register_size, (acc, gat), block)
-    raw = float(np.linalg.norm(np.subtract(left, right, out=gat[:left.size].reshape(left.shape))))
-    scale = float(np.linalg.norm(left))
-    return raw, raw / scale if scale > 0 else raw
+    left = _copied(_product_view(lhs, n, (acc, gat), block, pins), keep)
+    right = _product_view(rhs, n, (acc, gat), block, pins)
+    diff = np.subtract(left, right, out=gat[:left.size].reshape(left.shape))
+    return float(np.linalg.norm(diff)), float(np.linalg.norm(left))
 
 
 class Equation(NamedTuple):
@@ -499,7 +496,7 @@ def _check_unitary_families(trial_seed, *, n):
         op_families.general_toffoli(random_axis_angle(rng), random_axis_angle(rng),
                                     random_axis_angle(rng)),
     ]
-    devs = [float(np.linalg.norm(m @ m.conj().T - np.eye(8, dtype=complex))) for m in members]
+    devs = [_unitarity(m)[0] for m in members]
     return [(d, d / np.sqrt(8.0)) for d in devs]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexgates import operators, verify
+from simplexgates import operators, tensor, verify
 from simplexgates.gates import CCNOT, CCZ
 from simplexgates.tensor import (
     apply,
@@ -23,6 +24,7 @@ from simplexgates.tensor import (
     product,
     random_operator,
     random_state,
+    random_unitary,
     register_size_of,
     save_operator,
 )
@@ -233,6 +235,11 @@ class TestApplyProduct:
         with pytest.raises(ValueError, match=rf"got shape {re.escape(str(state.shape))}"):
             apply_product([(X, (1,))], state)
 
+    @pytest.mark.parametrize("shape", [(6, 2), (6,), (1,), (1, 3), (12, 1, 2)])
+    def test_bad_leading_dimension_is_refused_naming_the_whole_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
+            apply_product([(X, (1,))], np.zeros(shape))
+
     def test_every_factor_is_validated(self):
         v = np.zeros(8, dtype=complex)
         with pytest.raises(ValueError, match="outside register"):
@@ -313,6 +320,61 @@ class TestProduct:
         finally:
             tracemalloc.stop()
         assert peak < 52 * 2**20
+
+    def test_dense_4simplex_trial_peak_is_three_column_blocks(self):
+        # three buffers of one 1 MiB column block each, about 3.1 MiB in
+        # all; whole 16 MiB sides peaked at 64 MiB
+        tracemalloc.start()
+        try:
+            verify.campaign(["su2-4simplex-vertex"], trials=1, seed=0, mode="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestPinnedBlocks:
+    """Dense residuals build each side one column block at a time, with
+    the column bits of sites 1..m pinned: every block must be exactly the
+    matching columns of the whole product."""
+
+    @staticmethod
+    def _assert_blocks_match_product(factors, n):
+        m = max(0, 2 * n - verify._BLOCK_BITS)
+        assert m > 0
+        whole = product(factors, n)
+        placed = tensor._placed(factors, n)
+        work = (np.empty(4**n >> m, dtype=complex), np.empty(4**n >> m, dtype=complex))
+        width = 2 ** (n - m)
+        for b, bits in enumerate(itertools.product((0, 1), repeat=m)):
+            view = tensor._product_view(placed, n, work, pins=dict(enumerate(bits, 1)))
+            assert view.shape == (2,) * (2 * n - m)
+            assert np.array_equal(view.reshape(2**n, width), whole[:, b * width:(b + 1) * width])
+
+    @pytest.mark.parametrize("variant", operators.FOUR_SIMPLEX_VARIANTS)
+    def test_su2_4simplex_blocks(self, variant):
+        rng = np.random.default_rng(51)
+        assignment = verify.random_su2_assignment(10, rng)
+        provider = verify.su2_4simplex_provider(float(rng.uniform(0, 2 * np.pi)), variant)
+        eq = verify.simplex_equation(verify.index_scheme(4).tuples, 10, provider, assignment)
+        for side in (eq.factors, eq.factors[::-1]):
+            self._assert_blocks_match_product(side, 10)
+
+    def test_random_unitary_blocks(self):
+        rng = np.random.default_rng(52)
+        factors = [(random_unitary(4, rng), t) for t in verify.index_scheme(4).tuples]
+        for side in (factors, factors[::-1]):
+            self._assert_blocks_match_product(side, 10)
+
+    def test_untouched_pinned_site_is_a_basis_column(self):
+        # 9 sites pin sites 1 and 2; no factor touches site 1, a diagonal
+        # factor first reaches pinned site 2
+        rng = np.random.default_rng(53)
+        diag = np.diag(random_operator(2, rng).diagonal())
+        factors = [(random_unitary(3, rng), (4, 5, 3)), (diag, (2, 6)),
+                   (random_unitary(4, rng), (9, 3, 7, 8))]
+        for side in (factors, factors[::-1]):
+            self._assert_blocks_match_product(side, 9)
 
 
 class TestDiagonalFactors:

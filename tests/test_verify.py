@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,7 +252,17 @@ def test_residual_invariant_under_global_site_relabeling():
 
 def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     # the same residual from the public kernel: whole matrices or vectors
-    # in site order, subtracted, then the worst vector
+    # in site order, subtracted, then the worst vector.  Above 8 sites a
+    # dense residual sums squared norms over the column blocks whose
+    # leading m column bits are pinned, as the residual does
+    m = max(0, 2 * n - verify._BLOCK_BITS)
+    if mode == "dense" and m > 0:
+        left, right = product(lhs, n), product(rhs, n)
+        width = 2 ** (n - m)
+        blocks = [slice(j, j + width) for j in range(0, 2**n, width)]
+        raw = math.sqrt(sum(np.linalg.norm(left[:, b] - right[:, b]) ** 2 for b in blocks))
+        scale = math.sqrt(sum(np.linalg.norm(left[:, b]) ** 2 for b in blocks))
+        return raw, raw / scale
     if mode == "dense":
         blocks = [None]
         side = lambda factors, block: product(factors, n)
@@ -287,6 +298,19 @@ class TestProductResidual:
     def test_bit_identical_to_the_public_kernel(self, mode, lhs, rhs, n):
         expected = _reference_residual(lhs, rhs, n, mode, vectors=3, seed=11)
         assert verify._product_residual(lhs, rhs, n, mode, vectors=3, seed=11) == expected
+
+    def test_blocked_dense_residual_matches_the_whole_matrix_norm(self):
+        # Haar-random 4-site unitaries do not solve the 10-site equation, so
+        # every column block adds an O(1) share to both norms
+        rng = np.random.default_rng(61)
+        factors = [(random_unitary(4, rng), t) for t in index_scheme(4).tuples]
+        left, right = product(factors, 10), product(factors[::-1], 10)
+        raw = np.linalg.norm(left - right)
+        norm = raw / np.linalg.norm(left)
+        assert norm > 0.1
+        got_raw, got_norm = reversal_residual(factors, 10)
+        assert abs(got_raw - raw) <= 1e-14 * raw
+        assert abs(got_norm - norm) <= 1e-14 * norm
 
 
 class TestPermutationRelations:
