@@ -362,8 +362,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (verify.DenseDimensionError, verify.CampaignArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.config = {k: v for k, v in vars(args).items() if k != "func"}
-    text = report.to_json()
+    doc = report.to_dict()
+    doc["config"] = {k: v for k, v in vars(args).items() if k != "func"}
+    text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

@@ -325,7 +325,10 @@ def operator_to_dict(op: np.ndarray) -> dict:
 
 
 def operator_from_dict(data: dict) -> np.ndarray:
-    k = int(data["arity"])
+    """Inverse of ``operator_to_dict``: an integer arity, checked by ``arity_of``."""
+    k = data["arity"]
+    if not isinstance(k, int):
+        raise ValueError(f"arity must be an integer, got {k!r}")
     dim = int(data["dim"])
     if dim != 2**k:
         raise ValueError(f"dim {dim} does not match arity {k}")
@@ -333,7 +336,9 @@ def operator_from_dict(data: dict) -> np.ndarray:
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(dim, dim)
+    op = flat.reshape(dim, dim)
+    arity_of(op)
+    return op
 
 
 def save_operator(op: np.ndarray, path: str | Path) -> None:

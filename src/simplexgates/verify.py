@@ -1,13 +1,13 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign, the one place that picks the residual mode.
 
-Residual conventions: the residual places and checks each factor once
-(a reversal reverses the placed list), then both modes run the two sides
-of an equation through one product kernel in three small reused buffers
-(see ``_placed_residual``).  Dense mode builds both sides one column
-block of at most 2**16 entries at a time, never a whole 2**N x 2**N
-side, and reports ||L - R||_F plus that value divided by ||L||_F;
-tolerances apply to the normalized value.
+Residual conventions: ``reversal_residual`` is the one evaluator of an
+equation.  It places and checks each factor once (the reversed side
+reverses the placed list), then both modes run the two sides through one
+product kernel in three small reused buffers.  Dense mode builds both
+sides one column block of at most 2**16 entries at a time, never a whole
+2**N x 2**N side, and reports ||L - R||_F plus that value divided by
+||L||_F; tolerances apply to the normalized value.
 Matrix-free mode applies them to seeded random unit vectors, one at a
 time, and reports the worst ||(L - R) v||_2, normalized per vector by
 ||L v||_2.  Either mode reports the raw value where the norm it would
@@ -30,9 +30,9 @@ import numpy as np
 
 from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
-from .su2 import H, X, AxisAngle, random_axis_angle
-from .tensor import (_copied, _placed, _product_view, _unitarity, apply, embed, random_operator,
-                     random_state, random_unitary)
+from .su2 import I2, H, X, AxisAngle, random_axis_angle
+from .tensor import (_copied, _placed, _product_view, _unitarity, _validated_sites, apply, embed,
+                     frobenius_distance, product, random_operator, random_state, random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -152,56 +152,11 @@ def _check_block(register_size: int, mode: str) -> None:
         )
 
 
-def _product_residual(
-    lhs: Sequence[tuple[np.ndarray, Sequence[int]]],
-    rhs: Sequence[tuple[np.ndarray, Sequence[int]]],
-    register_size: int,
-    mode: str = "dense",
-    vectors: int = DEFAULT_VECTORS,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(raw, normalized) residual between two products of placed factors.
-
-    Each side is a sequence of (operator, sites) pairs composed left to
-    right, so its last factor acts first on a state; an empty side is the
-    identity.  The block is checked, then each side is placed and its
-    factors checked once, before the first vector (see ``_placed_residual``).
-    """
-    _check_block(register_size, mode)
-    return _placed_residual(_placed(lhs, register_size), _placed(rhs, register_size),
-                            register_size, mode, vectors, seed)
-
-
-def _placed_residual(lhs, rhs, n, mode, vectors, seed) -> tuple[float, float]:
-    """``_product_residual`` of sides already placed by ``_placed`` on n sites.
-
-    Dense mode pins the column bits of sites 1..m, m = max(0, 2n -
-    _BLOCK_BITS), to each bit pattern in turn, builds both products one
-    block of 2**(2n - m) entries at a time, and takes the root of each
-    norm's summed squares, so with m = 0 they are the whole-matrix norms
-    bit for bit.  Matrix-free mode applies both products to each of
-    ``vectors`` seeded random unit vectors, keeping the worst.
-    """
-    if mode == "dense":
-        m = max(0, 2 * n - _BLOCK_BITS)
-        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
-        blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
-                  for bits in itertools.product((0, 1), repeat=m)]
-        raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
-        return raw, raw / scale if scale > 0 else raw
-    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
-    rng = np.random.default_rng(seed)
-    pairs = [_side_norms(lhs, rhs, n, work, random_state(n, rng)) for _ in range(vectors)]
-    # np.max, unlike max(), lets a NaN through to the verdict
-    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
-    return float(raw), float(norm)
-
-
 def _side_norms(lhs, rhs, n, work, block=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) on one vector or pinned column block: the kernel runs
-    # in two buffers of ``work``, the left side is copied into the third in
-    # site order, and L - R is written over the gather buffer from the right
-    # side's contraction order; both norms sum in site order, like ``product``
+    # (||L - R||, ||L||) for ``reversal_residual`` on one vector or column
+    # block: the kernel runs in two buffers of ``work``, L is copied into the
+    # third in site order, and L - R is written over the gather buffer from
+    # R's contraction order; both norms sum in site order, like ``product``
     acc, gat, keep = work
     left = _copied(_product_view(lhs, n, (acc, gat), block, pins), keep)
     right = _product_view(rhs, n, (acc, gat), block, pins)
@@ -224,13 +179,35 @@ def reversal_residual(
     vectors: int = DEFAULT_VECTORS,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """(raw, normalized) residual between the forward product of the
-    factors and the same product reversed (see ``_product_residual``).
-    Each factor is placed and checked once; the reversed side reuses the
-    placed list."""
+    """(raw, normalized) residual between the forward product L of the
+    factors, composed left to right, and the same product reversed, R.
+
+    The block is checked, then each factor is placed and checked once; R
+    reuses the placed list.  Dense mode pins the column bits of sites
+    1..m, m = max(0, 2n - _BLOCK_BITS), to each bit pattern in turn,
+    builds both products one block of 2**(2n - m) entries at a time, and
+    takes the root of each norm's summed squares, so with m = 0 they are
+    the whole-matrix norms bit for bit.  Matrix-free mode applies both
+    products to each of ``vectors`` random unit vectors drawn from
+    ``seed``, keeping the worst.
+    """
     _check_block(register_size, mode)
-    placed = _placed(factors, register_size)
-    return _placed_residual(placed, placed[::-1], register_size, mode, vectors, seed)
+    n = register_size
+    lhs = _placed(factors, n)
+    rhs = lhs[::-1]
+    if mode == "dense":
+        m = max(0, 2 * n - _BLOCK_BITS)
+        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
+        blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
+                  for bits in itertools.product((0, 1), repeat=m)]
+        raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
+        return raw, raw / scale if scale > 0 else raw
+    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
+    rng = np.random.default_rng(seed)
+    pairs = [_side_norms(lhs, rhs, n, work, random_state(n, rng)) for _ in range(vectors)]
+    # np.max, unlike max(), lets a NaN through to the verdict
+    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
+    return float(raw), float(norm)
 
 
 def simplex_equation(
@@ -247,12 +224,14 @@ def simplex_equation(
     parameters of one placement to its dense matrix; ``assignment`` lists
     one parameter per register site (entries may be anything the provider
     understands, and are ignored by constant providers).  An assignment
-    that does not cover all ``register_size`` sites raises ValueError.
+    that does not cover all ``register_size`` sites, or a tuple site that
+    ``_placed`` would refuse, raises ValueError before any provider call.
     """
     if len(assignment) != register_size:
         raise ValueError(
             f"assignment must cover all {register_size} sites, got {len(assignment)}"
         )
+    tuples = [_validated_sites(tup, len(tup), register_size) for tup in tuples]
     factors = [(provider(tuple(assignment[s - 1] for s in tup)), tup) for tup in tuples]
     return Equation(factors, register_size)
 
@@ -325,13 +304,9 @@ class VerificationReport:
     trials: int
     verdict: str
     ms: float
-    config: dict | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.config is None:
-            del out["config"]
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -339,6 +314,14 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # permutation relations
+
+
+def _relation_distance(lhs, rhs, n) -> tuple[float, float]:
+    """(||L - R||_F, that over ||L||_F) for the matrices L = product(lhs, n)
+    and R = product(rhs, n) of an operator identity L = R."""
+    left = product(lhs, n)
+    raw = frobenius_distance(left, product(rhs, n))
+    return raw, raw / float(np.linalg.norm(left))
 
 
 def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float]]:
@@ -352,17 +335,18 @@ def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float
     """
     tw = op_families.twisted_permutation
     p12, p23 = (tw(p_1, p_2), (1, 2)), (tw(p_2, p_3), (2, 3))
+    # disjoint supports commute regardless of parameters; p_1 reused for site 4
+    p34 = (tw(p_3, p_1), (3, 4))
     out = {
-        "braid": _product_residual([p12, p23, p12], [p23, p12, p23], 3),
-        "involution": _product_residual([p12, p12], [], 2),
-        # disjoint supports commute regardless of parameters; p_1 reused for site 4
-        "distant_commutation": reversal_residual([p12, (tw(p_3, p_1), (3, 4))], 4),
+        "braid": _relation_distance([p12, p23, p12], [p23, p12, p23], 3),
+        "involution": _relation_distance([p12, p12], [], 2),
+        "distant_commutation": _relation_distance([p12, p34], [p34, p12], 4),
     }
     for label, core in (("conjugation_x", X), ("conjugation_h", H),
                         ("conjugation_random", random_unitary(1, rng))):
         m1 = (op_families.conjugated_site_operator(p_1, core), (1,))
         m2 = (op_families.conjugated_site_operator(p_2, core), (2,))
-        out[label] = _product_residual([p12, m1, p12], [m2], 2)
+        out[label] = _relation_distance([p12, m1, p12], [m2], 2)
     return out
 
 
@@ -456,12 +440,11 @@ def _check_constant_vertex(trial_seed, *, n):
 def _check_hadamard_bridge(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    eye2 = np.eye(2, dtype=complex)
     dists = [
-        float(np.linalg.norm(local_conjugate(op_families.constant_ccz(), [eye2, eye2, H]) - CCNOT)),
-        float(np.linalg.norm(local_conjugate(op_families.constant_alpha(alpha), [eye2, eye2, H])
-                             - op_families.toffoli_family(alpha))),
-        float(np.linalg.norm(local_conjugate(op_families.cz_yangbaxter(), [eye2, H]) - CNOT)),
+        frobenius_distance(local_conjugate(op_families.constant_ccz(), [I2, I2, H]), CCNOT),
+        frobenius_distance(local_conjugate(op_families.constant_alpha(alpha), [I2, I2, H]),
+                           op_families.toffoli_family(alpha)),
+        frobenius_distance(local_conjugate(op_families.cz_yangbaxter(), [I2, H]), CNOT),
     ]
     return [(d, d) for d in dists]
 
@@ -475,11 +458,11 @@ def _check_toffoli_reduction(trial_seed, *, n):
     z_axis, x_axis = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
     ctrl = AxisAngle(z_axis, np.pi / 2)
     dists = [
-        float(np.linalg.norm(op_families.toffoli_family(0.0) - CCNOT)),
-        float(np.linalg.norm(op_families.general_toffoli(ctrl, ctrl, AxisAngle(z_axis, 0.0)) - CCNOT)),
-        float(np.linalg.norm(op_families.su2_tetrahedron(ctrl, ctrl, AxisAngle(x_axis, np.pi / 2),
-                                                         alpha=alpha)
-                             - op_families.toffoli_family(alpha))),
+        frobenius_distance(op_families.toffoli_family(0.0), CCNOT),
+        frobenius_distance(op_families.general_toffoli(ctrl, ctrl, AxisAngle(z_axis, 0.0)), CCNOT),
+        frobenius_distance(op_families.su2_tetrahedron(ctrl, ctrl, AxisAngle(x_axis, np.pi / 2),
+                                                       alpha=alpha),
+                           op_families.toffoli_family(alpha)),
     ]
     return [(d, d) for d in dists]
 

@@ -512,6 +512,13 @@ class TestOperatorFile:
         with pytest.raises(ValueError, match="entries"):
             operator_from_dict({"arity": 1, "dim": 2, "entries": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("arity, dim, message", [(0, 1, "power of two >= 2"),
+                                                     (1.5, 2, "arity must be an integer")],
+                             ids=["arity-0", "fractional-arity"])
+    def test_from_dict_refuses_what_arity_of_refuses(self, arity, dim, message):
+        with pytest.raises(ValueError, match=message):
+            operator_from_dict({"arity": arity, "dim": dim, "entries": [[1.0, 0.0]] * dim * dim})
+
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])
 def test_random_state_matches_the_sum_of_two_draws(n):

@@ -86,6 +86,16 @@ class TestVertexResidual:
         with pytest.raises(ValueError, match="assignment"):
             simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 5)
 
+    @pytest.mark.parametrize("site", [0, 7])
+    def test_site_outside_the_register_is_refused_before_the_provider(self, site):
+        # site 0 would read assignment[-1] and site 7 assignment[6], an IndexError
+        def provider(params):
+            raise AssertionError("provider called")
+
+        tuples = ((1, 2, 3), (1, 4, site))
+        with pytest.raises(ValueError, match=f"site {site} outside register 1..6"):
+            simplex_equation(tuples, 6, provider, list(range(6)))
+
     def test_dense_refused_beyond_site_limit(self):
         def provider(params):
             from simplexgates.operators import n_simplex_constant
@@ -205,13 +215,6 @@ def test_residual_refuses_an_empty_register(mode, register_size):
         reversal_residual([], register_size, mode)
 
 
-@pytest.mark.parametrize("mode", verify.MODES)
-def test_residual_refuses_a_bad_right_side(mode):
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(ValueError, match="outside register"):
-        verify._product_residual([(x, (1,))], [(x, (3,))], 2, mode)
-
-
 @pytest.mark.parametrize("order", [3, 4], ids=["6-sites", "10-sites"])
 def test_matrixfree_residual_matches_per_factor_apply(order):
     # the product kernel against one apply per factor on the same vectors
@@ -279,25 +282,37 @@ def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     return max(raw for raw, _ in pairs), max(norm for _, norm in pairs)
 
 
-def _residual_cases():
+def _reversal_cases():
     spec = CHECKS["su2-4simplex-vertex"]
-    cases = [pytest.param(eq.factors, eq.factors[::-1], eq.register_size, id=f"su2-4simplex-{i}")
+    cases = [pytest.param(eq.factors, eq.register_size, id=f"su2-4simplex-{i}")
              for i, eq in enumerate(spec.fn(3, n=4))]
     rng = np.random.default_rng(4)
-    p12 = (twisted_permutation(random_axis_angle(rng), random_axis_angle(rng)), (1, 2))
-    cases.append(pytest.param([p12, p12], [], 2, id="involution-vs-empty"))
-    # site 1 only on the left; sites 4 and 5 on neither side
-    cases.append(pytest.param([(random_operator(3, rng), (3, 1, 2))],
-                              [(random_operator(2, rng), (2, 3))], 5, id="untouched-sites"))
+    # sites 5 and 6 are on no factor
+    cases.append(pytest.param([(random_operator(3, rng), (3, 1, 2)),
+                               (random_operator(2, rng), (2, 4))], 6, id="untouched-sites"))
     return cases
+
+
+def _relation_cases():
+    rng = np.random.default_rng(4)
+    p12 = (twisted_permutation(random_axis_angle(rng), random_axis_angle(rng)), (1, 2))
+    # site 1 only on the left; sites 4 and 5 on neither side
+    return [pytest.param([p12, p12], [], 2, id="involution-vs-empty"),
+            pytest.param([(random_operator(3, rng), (3, 1, 2))],
+                         [(random_operator(2, rng), (2, 3))], 5, id="untouched-sites")]
 
 
 class TestProductResidual:
     @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
-    @pytest.mark.parametrize("lhs, rhs, n", _residual_cases())
-    def test_bit_identical_to_the_public_kernel(self, mode, lhs, rhs, n):
-        expected = _reference_residual(lhs, rhs, n, mode, vectors=3, seed=11)
-        assert verify._product_residual(lhs, rhs, n, mode, vectors=3, seed=11) == expected
+    @pytest.mark.parametrize("factors, n", _reversal_cases())
+    def test_bit_identical_to_the_public_kernel(self, mode, factors, n):
+        expected = _reference_residual(factors, factors[::-1], n, mode, vectors=3, seed=11)
+        assert reversal_residual(factors, n, mode, vectors=3, seed=11) == expected
+
+    @pytest.mark.parametrize("lhs, rhs, n", _relation_cases())
+    def test_relation_distance_matches_product(self, lhs, rhs, n):
+        assert verify._relation_distance(lhs, rhs, n) == _reference_residual(
+            lhs, rhs, n, "dense", vectors=3, seed=11)
 
     def test_blocked_dense_residual_matches_the_whole_matrix_norm(self):
         # Haar-random 4-site unitaries do not solve the 10-site equation, so
