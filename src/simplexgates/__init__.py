@@ -44,7 +44,6 @@ from .tensor import (
     random_operator,
     random_state,
     random_unitary,
-    register_size_of,
     save_operator,
 )
 from .verify import (

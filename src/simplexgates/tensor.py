@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "arity_of",
-    "register_size_of",
     "identity",
     "kron",
     "embed",
@@ -47,18 +46,6 @@ def arity_of(op: np.ndarray) -> int:
     if dim < 2 or 2**k != dim:
         raise ValueError(f"operator dimension {dim} is not a power of two >= 2")
     return k
-
-
-def register_size_of(state: np.ndarray) -> int:
-    """Number of sites of a statevector (length 2**n)."""
-    state = np.asarray(state)
-    if state.ndim != 1:
-        raise ValueError(f"state must be a flat vector, got shape {state.shape}")
-    dim = int(state.shape[0])
-    n = dim.bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise ValueError(f"state length {dim} is not a power of two >= 2")
-    return n
 
 
 def identity(k: int) -> np.ndarray:

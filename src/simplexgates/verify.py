@@ -4,10 +4,11 @@ verification campaign, the one place that picks the residual mode.
 Residual conventions: ``reversal_residual`` is the one evaluator of an
 equation.  It places and checks each factor once (the reversed side
 reverses the placed list), then both modes run the two sides through one
-product kernel in three small reused buffers.  Dense mode builds both
-sides one column block of at most 2**16 entries at a time, never a whole
-2**N x 2**N side, and reports ||L - R||_F plus that value divided by
-||L||_F; tolerances apply to the normalized value.
+product kernel in three small reused buffers.  Dense mode, which the
+twisted-permutation relations share, builds both sides one column block
+of at most 2**16 entries at a time, never a whole 2**N x 2**N side, and
+reports ||L - R||_F plus that value divided by ||L||_F; tolerances apply
+to the normalized value.
 Matrix-free mode applies them to seeded random unit vectors, one at a
 time, and reports the worst ||(L - R) v||_2, normalized per vector by
 ||L v||_2.  Either mode reports the raw value where the norm it would
@@ -20,7 +21,6 @@ order or in parallel.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -32,7 +32,7 @@ from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import I2, H, X, AxisAngle, random_axis_angle
 from .tensor import (_copied, _placed, _product_view, _unitarity, _validated_sites, apply, embed,
-                     frobenius_distance, product, random_operator, random_state, random_unitary)
+                     frobenius_distance, random_operator, random_state, random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -65,7 +65,8 @@ __all__ = [
 # dense mode is refused above 12 sites, a bound on time (4**12 entries per
 # side): it holds three column blocks of 2**_BLOCK_BITS entries, 1 MiB, the
 # fastest of 2**12 to 2**20 for the 10-site su2-4simplex residual.  The
-# matrix-free limit, 24 sites, bounds memory: three 2**24 vectors, ~805 MB
+# matrix-free limit, 24 sites, bounds memory: a residual peaks at 4.5 state
+# vectors, 144 MiB traced at 21 sites, so about 1.1 GiB at 24
 DENSE_SITE_LIMIT = 12
 _BLOCK_BITS = 16
 DEFAULT_VECTORS = 20
@@ -78,13 +79,14 @@ EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 class DenseDimensionError(ValueError):
     """Residual requested beyond the register-size ceiling: more than
     DENSE_SITE_LIMIT = 12 sites in dense mode (a bound on time) or 24 in
-    matrix-free mode (a bound on the memory of a 2**N vector)."""
+    matrix-free mode (a bound on memory: 4.5 vectors of 2**N entries)."""
 
 
 class CampaignArgumentError(ValueError):
     """Campaign asked for fewer than one trial or vector, a negative seed, a
     simplex order below 2, or an unknown residual mode; a residual asked
-    directly for an unknown mode or a register of no sites raises it too."""
+    directly for an unknown mode, a register of no sites or an equation of
+    fewer than two factors raises it too."""
 
 
 class UnknownCheckError(KeyError):
@@ -153,7 +155,7 @@ def _check_block(register_size: int, mode: str) -> None:
 
 
 def _side_norms(lhs, rhs, n, work, block=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) for ``reversal_residual`` on one vector or column
+    # (||L - R||, ||L||) on one vector or one ``_dense_distance`` column
     # block: the kernel runs in two buffers of ``work``, L is copied into the
     # third in site order, and L - R is written over the gather buffer from
     # R's contraction order; both norms sum in site order, like ``product``
@@ -162,6 +164,19 @@ def _side_norms(lhs, rhs, n, work, block=None, pins=None) -> tuple[float, float]
     right = _product_view(rhs, n, (acc, gat), block, pins)
     diff = np.subtract(left, right, out=gat[:left.size].reshape(left.shape))
     return float(np.linalg.norm(diff)), float(np.linalg.norm(left))
+
+
+def _dense_distance(lhs, rhs, n) -> tuple[float, float]:
+    """(||L - R||_F, that over ||L||_F) for the products of two lists placed
+    on an n-site register, built one block at a time with the column bits of
+    sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern; each
+    norm is the root of its summed squares, whole-matrix bits when m = 0."""
+    m = max(0, 2 * n - _BLOCK_BITS)
+    work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
+    blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
+              for bits in itertools.product((0, 1), repeat=m)]
+    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
+    return raw, raw / scale if scale > 0 else raw
 
 
 class Equation(NamedTuple):
@@ -182,26 +197,20 @@ def reversal_residual(
     """(raw, normalized) residual between the forward product L of the
     factors, composed left to right, and the same product reversed, R.
 
-    The block is checked, then each factor is placed and checked once; R
-    reuses the placed list.  Dense mode pins the column bits of sites
-    1..m, m = max(0, 2n - _BLOCK_BITS), to each bit pattern in turn,
-    builds both products one block of 2**(2n - m) entries at a time, and
-    takes the root of each norm's summed squares, so with m = 0 they are
-    the whole-matrix norms bit for bit.  Matrix-free mode applies both
-    products to each of ``vectors`` random unit vectors drawn from
-    ``seed``, keeping the worst.
+    The block is checked and fewer than two factors, which are their own
+    reversal, are refused; then each factor is placed and checked once,
+    and R reuses the placed list.  Dense mode is ``_dense_distance``.
+    Matrix-free mode applies both products to each of ``vectors`` random
+    unit vectors drawn from ``seed``, keeping the worst.
     """
     _check_block(register_size, mode)
+    if len(factors) < 2:
+        raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
     n = register_size
     lhs = _placed(factors, n)
     rhs = lhs[::-1]
     if mode == "dense":
-        m = max(0, 2 * n - _BLOCK_BITS)
-        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
-        blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
-                  for bits in itertools.product((0, 1), repeat=m)]
-        raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
-        return raw, raw / scale if scale > 0 else raw
+        return _dense_distance(lhs, rhs, n)
     work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
     rng = np.random.default_rng(seed)
     pairs = [_side_norms(lhs, rhs, n, work, random_state(n, rng)) for _ in range(vectors)]
@@ -308,20 +317,15 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 # ---------------------------------------------------------------------------
 # permutation relations
 
 
 def _relation_distance(lhs, rhs, n) -> tuple[float, float]:
-    """(||L - R||_F, that over ||L||_F) for the matrices L = product(lhs, n)
-    and R = product(rhs, n) of an operator identity L = R."""
-    left = product(lhs, n)
-    raw = frobenius_distance(left, product(rhs, n))
-    return raw, raw / float(np.linalg.norm(left))
+    """(||L - R||_F, that over ||L||_F) for the products L of ``lhs`` and R
+    of ``rhs`` on an n-site register, an operator identity L = R."""
+    return _dense_distance(_placed(lhs, n), _placed(rhs, n), n)
 
 
 def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float]]:

@@ -25,7 +25,6 @@ from simplexgates.tensor import (
     random_operator,
     random_state,
     random_unitary,
-    register_size_of,
     save_operator,
 )
 
@@ -105,13 +104,6 @@ class TestShapes:
     def test_arity_rejects(self, bad):
         with pytest.raises(ValueError):
             arity_of(bad)
-
-    def test_register_size_of(self):
-        assert register_size_of(np.zeros(8)) == 3
-        with pytest.raises(ValueError):
-            register_size_of(np.zeros(6))
-        with pytest.raises(ValueError):
-            register_size_of(np.zeros((2, 2)))
 
 
 class TestEmbed:

@@ -215,6 +215,15 @@ def test_residual_refuses_an_empty_register(mode, register_size):
         reversal_residual([], register_size, mode)
 
 
+@pytest.mark.parametrize("mode", verify.MODES)
+@pytest.mark.parametrize("factors", [[], [(identity(2), (1, 2))]], ids=["empty", "one-factor"])
+def test_residual_refuses_fewer_than_two_factors(mode, factors):
+    # fewer than two factors are their own reversal and would pass as (0, 0)
+    with pytest.raises(CampaignArgumentError,
+                       match=f"at least two factors, got {len(factors)}"):
+        reversal_residual(factors, 3, mode)
+
+
 @pytest.mark.parametrize("order", [3, 4], ids=["6-sites", "10-sites"])
 def test_matrixfree_residual_matches_per_factor_apply(order):
     # the product kernel against one apply per factor on the same vectors
@@ -313,6 +322,11 @@ class TestProductResidual:
     def test_relation_distance_matches_product(self, lhs, rhs, n):
         assert verify._relation_distance(lhs, rhs, n) == _reference_residual(
             lhs, rhs, n, "dense", vectors=3, seed=11)
+
+    @pytest.mark.parametrize("factors, n", _reversal_cases())
+    def test_relations_and_equations_share_the_dense_distance(self, factors, n):
+        assert verify._relation_distance(factors, factors[::-1], n) == reversal_residual(
+            factors, n, "dense")
 
     def test_blocked_dense_residual_matches_the_whole_matrix_norm(self):
         # Haar-random 4-site unitaries do not solve the 10-site equation, so
@@ -499,7 +513,7 @@ class TestCampaign:
 
     def test_check_report_json_schema(self):
         report = campaign(["apply-vs-embed"], trials=2, seed=1)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict(), sort_keys=True, indent=2))
         check = doc["checks"][0]
         for key in ("check", "n", "mode", "trials", "seed", "residuals",
                     "max_residual", "tolerance", "verdict", "ms"):
