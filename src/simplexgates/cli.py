@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -401,6 +402,9 @@ def _default_seed() -> int:
         raise ValueError(f"SIMPLEX_SEED must be an integer, got {text!r}") from None
 
 
+# built once per process: each parse_args fills a fresh Namespace, and no
+# default is mutable, so no call sees another's arguments
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexgates",

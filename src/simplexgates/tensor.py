@@ -54,10 +54,12 @@ def identity(k: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor takes the more significant slots."""
-    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    for m in rest:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+    """Kronecker product; the left factor takes the more significant slots.
+    One broadcast multiply per factor, the one ``np.kron`` makes on 2-D
+    arrays, so the result equals chained ``np.kron`` bit for bit."""
+    out = np.ascontiguousarray(a, dtype=complex)
+    for m in (np.ascontiguousarray(x, dtype=complex) for x in (b, *rest)):
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(len(out) * len(m), -1)
     return out
 
 
@@ -279,10 +281,13 @@ def is_unitary(a: np.ndarray) -> bool:
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm n-site state with iid complex Gaussian amplitudes."""
-    v = np.empty(2**n, dtype=complex)
-    v.real = rng.standard_normal(2**n)
-    v.imag = rng.standard_normal(2**n)
+    """Unit-norm n-site state with iid complex Gaussian amplitudes, all real
+    parts drawn before the imaginary ones, through one work array of at
+    most 2**14 entries: the stream of one whole draw, with no 2**n temporary."""
+    v, work = np.empty(2**n, dtype=complex), np.empty(min(2**n, 2**14))
+    for half in (v.real, v.imag):
+        for start in range(0, 2**n, work.size):
+            half[start:start + work.size] = rng.standard_normal(out=work)
     v /= np.linalg.norm(v)
     return v
 

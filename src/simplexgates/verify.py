@@ -65,8 +65,8 @@ __all__ = [
 # dense mode is refused above 12 sites, a bound on time (4**12 entries per
 # side): it holds three column blocks of 2**_BLOCK_BITS entries, 1 MiB, the
 # fastest of 2**12 to 2**20 for the 10-site su2-4simplex residual.  The
-# matrix-free limit, 24 sites, bounds memory: a residual peaks at 4.5 state
-# vectors, 144 MiB traced at 21 sites, so about 1.1 GiB at 24
+# matrix-free limit, 24 sites, bounds memory: a residual peaks at 4 state
+# vectors, 129 MiB traced at 21 sites, so about 1 GiB at 24
 DENSE_SITE_LIMIT = 12
 _BLOCK_BITS = 16
 DEFAULT_VECTORS = 20
@@ -79,7 +79,7 @@ EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 class DenseDimensionError(ValueError):
     """Residual requested beyond the register-size ceiling: more than
     DENSE_SITE_LIMIT = 12 sites in dense mode (a bound on time) or 24 in
-    matrix-free mode (a bound on memory: 4.5 vectors of 2**N entries)."""
+    matrix-free mode (a bound on memory: 4 vectors of 2**N entries)."""
 
 
 class CampaignArgumentError(ValueError):

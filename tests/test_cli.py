@@ -318,6 +318,22 @@ class TestVerify:
 
         assert strip(first) == strip(second)
 
+    @pytest.mark.parametrize("first", [
+        ["verify", "constant-vertex", "--trials", "1", "--seed", "3", "--mode", "matrixfree",
+         "--vectors", "2", "--tol", "0.5"],
+        ["build", "toffoli-family", "--alpha", "pi"],
+    ], ids=["verify", "build"])
+    def test_one_parser_keeps_no_arguments_between_calls(self, first, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        assert main(first) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SIMPLEX_SEED", "5")
+        assert main(["verify", "constant-vertex", "--trials", "1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"command": "verify", "checks": ["constant-vertex"], "n": None,
+                          "trials": 1, "seed": 5, "tol": None, "mode": None,
+                          "vectors": verify.DEFAULT_VECTORS, "out": None}
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMPLEX_SEED", "77")
         code = main(["verify", "apply-vs-embed", "--trials", "1"])

@@ -87,6 +87,23 @@ class TestKron:
         a, b, c = (dyadic_matrix(rng) for _ in range(3))
         assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_bit_identical_to_chained_np_kron(self, count):
+        # mixed 2x2 and 4x4 factors, one of them a real (and strided) view
+        rng = np.random.default_rng(60 + count)
+        for _ in range(10):
+            factors = [random_operator(int(rng.integers(1, 3)), rng) for _ in range(count)]
+            real = int(rng.integers(count))
+            factors[real] = factors[real].real
+            copies = [f.copy() for f in factors]
+            expected = np.kron(np.asarray(factors[0], dtype=complex), factors[1])
+            for m in factors[2:]:
+                expected = np.kron(expected, m)
+            out = kron(*factors)
+            assert out.dtype == complex
+            assert np.array_equal(out, expected)
+            assert all(np.array_equal(f, c) for f, c in zip(factors, copies))
+
     def test_associativity_generic_entries_close(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -519,3 +536,15 @@ def test_random_state_matches_the_sum_of_two_draws(n):
     v = ref_rng.standard_normal(2**n) + 1j * ref_rng.standard_normal(2**n)
     assert np.array_equal(random_state(n, rng), v / np.linalg.norm(v))
     assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
+
+
+def test_random_state_draws_through_a_small_work_array():
+    # the 16 MiB state and a 128 KiB work array; one whole real-part draw
+    # added an 8 MiB temporary, a 24 MiB peak
+    tracemalloc.start()
+    try:
+        random_state(20, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
