@@ -37,10 +37,7 @@ from .tensor import (
     embed,
     frobenius_distance,
     identity,
-    is_unitary,
     kron,
-    load_operator,
-    product,
     random_operator,
     random_state,
     random_unitary,

@@ -22,17 +22,13 @@ __all__ = [
     "kron",
     "embed",
     "apply_product",
-    "product",
     "apply",
     "frobenius_distance",
-    "is_unitary",
     "random_state",
     "random_operator",
     "random_unitary",
     "operator_to_dict",
-    "operator_from_dict",
     "save_operator",
-    "load_operator",
 ]
 
 
@@ -100,13 +96,15 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
     # every factor as (complex operator, validated sites, diagonal): the one
     # check of a factor, made where it enters, before the kernel that trusts
-    # it; the diagonal is a (2,) * k tensor if no off-diagonal entry is nonzero
+    # it; if no off-diagonal entry is nonzero, the diagonal is the list of
+    # (slot bits, entry) of its entries that are not exactly 1
     placed = []
     for op, sites in factors:
         op = np.asarray(op, dtype=complex)
         k = arity_of(op)
-        diag = np.diagonal(op)
-        diag = diag.reshape((2,) * k) if np.count_nonzero(op) == np.count_nonzero(diag) else None
+        diag = np.diagonal(op).reshape((2,) * k)
+        diag = ([(tuple(bits), diag[tuple(bits)]) for bits in np.argwhere(diag != 1).tolist()]
+                if np.count_nonzero(op) == np.count_nonzero(diag) else None)
         placed.append((op, _validated_sites(sites, k, n), diag))
     return placed
 
@@ -119,33 +117,41 @@ def _contract(placed: list, t: np.ndarray, axes: list[int], work: tuple[np.ndarr
 
     ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
     column wire, 0 for the batch axis.  A diagonal factor whose sites all
-    have row axes multiplies ``t`` elementwise by its diagonal, transposed
-    and broadcast onto those axes: O(size of t), no gather, no GEMM, and
-    ``axes`` stays as it is.  Every other factor gathers the row axes of
-    its sites that ``t`` already holds into a (2**held, rest) block,
-    keeping the other axes in their current order.  Its sites with no row
-    axis yet act on the identity, so their input slots move to the output
-    side of the operator: one (2**(k + new), 2**held) GEMM leaves the
-    factor's row axes in front, then the new sites' column axes.  A new
-    site pinned to bit b in ``pins`` has its input slot indexed at b
-    instead, so it gets no column axis; with no pins, none of this runs.
+    have row axes multiplies, in place, only the slices of ``t`` where its
+    sites read a diagonal entry that is not exactly 1 (x * (1 + 0j) = x up
+    to the sign of zero; a NaN entry is multiplied): no gather, no GEMM,
+    and ``axes`` stays as it is.  Every other factor gathers the row axes
+    of its sites that ``t`` already holds, in its slot order, so the GEMM
+    sums in one order whatever the layout, into a (2**held, rest) block.
+    The rest axes keep the runs they form between held axes in ``t``, the
+    run of fewest axes first, so the copy's inner loop runs over the
+    longest contiguous stretch.  Its sites with no row axis yet act on the
+    identity, so their input slots move to the output side of the
+    operator: one (2**(k + new), 2**held) GEMM leaves the factor's row
+    axes in front, then the new sites' column axes.  A new site pinned to
+    bit b in ``pins`` has its input slot indexed at b instead, so it gets
+    no column axis; with no pins, none of this runs.
 
     ``work = (acc, gat)`` are two flat complex buffers, each at least as
     large as the largest working tensor, and nothing else is allocated at
     that size: the gather copies ``t`` into ``gat`` and the GEMM writes
     into ``acc``, over the previous working tensor, which the gather has
-    already read.  A diagonal factor writes into ``acc`` too, in place
-    when ``t`` is already there, so ``t`` itself is never written.  The
-    result is a view of ``acc``, or ``t`` itself when there is no factor.
+    already read.  A diagonal factor multiplies in ``acc``, first copying
+    the caller's ``t`` there if it is still that very array, so ``t``
+    itself is never written.  The result is a view of ``acc``, or ``t``
+    itself when there is no factor.
     """
     acc, gat = work
+    caller = t
     for op, sites, diag in reversed(placed):
         new = [s for s in sites if s not in axes]
         if diag is not None and not new:
+            if t is caller:
+                t = _copied(t, acc)
             front = [axes.index(s) for s in sites]
-            shape = [2 if a in front else 1 for a in range(t.ndim)]
-            d = diag.transpose(sorted(range(len(sites)), key=front.__getitem__)).reshape(shape)
-            t = np.multiply(t, d, acc[:t.size].reshape(t.shape))
+            moved = t.transpose(front + [a for a in range(t.ndim) if a not in front])
+            for bits, entry in diag:
+                moved[bits] *= entry
             continue
         held = [s for s in sites if s in axes] if new else sites
         if new:
@@ -158,7 +164,9 @@ def _contract(placed: list, t: np.ndarray, axes: list[int], work: tuple[np.ndarr
                 op = op[(..., *[pins[s] for s in pinned])]
             op = op.reshape(-1, 2 ** len(held))
         front = [axes.index(s) for s in held]
-        rest = [a for a in range(len(axes)) if a not in front]
+        bounds = [-1, *sorted(front), t.ndim]
+        rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
+                for a in run]
         moved = t.transpose(front + rest)
         gathered = gat[:t.size].reshape(moved.shape)
         gathered[...] = moved
@@ -174,8 +182,8 @@ def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
                   state: np.ndarray | None = None, pins: dict | None = None) -> np.ndarray:
     """The product of factors already placed by ``_placed`` on an n-site
     register, contracted in ``work`` (see ``_contract``) and returned as a
-    view with its axes in site order, not copied: the (2,) * 2n matrix
-    tensor of ``product``, or, applied to ``state``, the (2,) * n +
+    view with its axes in site order, not copied: the (2,) * 2n tensor of
+    the 2**n x 2**n matrix, or, applied to ``state``, the (2,) * n +
     (batch,) tensor of ``apply_product``.  The matrix starts from the
     scalar 1, so ``work`` needs 4**n entries; a state needs
     ``state.size``.  ``pins``, a {site: bit} map, keeps only the matrix
@@ -227,26 +235,6 @@ def apply_product(
     return _copied(_product_view(placed, n, work, state), work[1]).reshape(state.shape)
 
 
-def product(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> np.ndarray:
-    """The 2**n x 2**n matrix of a product of placed operators on an n-site
-    register, in site order.
-
-    ``factors`` composes as in ``apply_product``, and the result equals
-    ``apply_product(factors, identity(n))``, but the kernel starts from the
-    scalar 1 instead of the 2**n identity block: a site gets its row and
-    column axes from the first factor that reaches it, so the working
-    tensor only reaches full size once every site is reached.  Every site
-    that no factor touches sees the identity.  The kernel runs in two
-    buffers of 4**n entries, and the second one becomes the result.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"register must have at least one site, got {n}")
-    placed = _placed(factors, n)
-    work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
-    return _copied(_product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
-
-
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
     """Apply an arity-k operator to the listed sites of a statevector, or
     of every column of a block of shape ``(2**n, *batch)``: the one-factor
@@ -264,20 +252,16 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _unitarity(a: np.ndarray) -> tuple[float, bool]:
-    """(||a a+ - 1||_F, ``is_unitary(a)``) from one product a a+, with 1
-    subtracted from its diagonal in place: the same bits as minus identity."""
+    """(||a a+ - 1||_F, whether a is unitary) from one product a a+, with 1
+    subtracted from its diagonal in place: the same bits as minus identity.
+    Unitary means a deviation within 1e-10 absolute plus 1e-12 times
+    ||1||_F = sqrt(dim)."""
     a = np.asarray(a, dtype=complex)
     k = arity_of(a)
     gram = a @ a.conj().T
     gram.flat[::2**k + 1] -= 1
     deviation = float(np.linalg.norm(gram))
     return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
-
-
-def is_unitary(a: np.ndarray) -> bool:
-    """True when ||a a+ - 1||_F is within 1e-10 absolute plus 1e-12 times
-    ||1||_F = sqrt(dim)."""
-    return _unitarity(a)[1]
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -316,26 +300,6 @@ def operator_to_dict(op: np.ndarray) -> dict:
     return {"arity": k, "dim": 2**k, "entries": entries}
 
 
-def operator_from_dict(data: dict) -> np.ndarray:
-    """Inverse of ``operator_to_dict``: an integer arity, checked by ``arity_of``."""
-    k = data["arity"]
-    if not isinstance(k, int):
-        raise ValueError(f"arity must be an integer, got {k!r}")
-    dim = int(data["dim"])
-    if dim != 2**k:
-        raise ValueError(f"dim {dim} does not match arity {k}")
-    entries = data["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    op = flat.reshape(dim, dim)
-    arity_of(op)
-    return op
-
-
 def save_operator(op: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(json.dumps(operator_to_dict(op)) + "\n")
 
-
-def load_operator(path: str | Path) -> np.ndarray:
-    return operator_from_dict(json.loads(Path(path).read_text()))

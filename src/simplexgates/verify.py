@@ -1,18 +1,18 @@
 """Simplex-equation instances, residual computation, and the named-check
 verification campaign, the one place that picks the residual mode.
 
-Residual conventions: ``reversal_residual`` is the one evaluator of an
-equation.  It places and checks each factor once (the reversed side
-reverses the placed list), then both modes run the two sides through one
-product kernel in three small reused buffers.  Dense mode, which the
-twisted-permutation relations share, builds both sides one column block
-of at most 2**16 entries at a time, never a whole 2**N x 2**N side, and
-reports ||L - R||_F plus that value divided by ||L||_F; tolerances apply
-to the normalized value.
-Matrix-free mode applies them to seeded random unit vectors, one at a
-time, and reports the worst ||(L - R) v||_2, normalized per vector by
-||L v||_2.  Either mode reports the raw value where the norm it would
-divide by is zero.
+Residual conventions: ``reversal_residual`` evaluates one equation.  It
+places and checks each factor once (the reversed side reverses the placed
+list), then both modes run the two sides through one product kernel in
+three small reused buffers.  Dense mode, which the twisted-permutation
+relations share, builds both sides one column block of at most 2**16
+entries at a time, never a whole 2**N x 2**N side, and reports
+||L - R||_F plus that value divided by ||L||_F; tolerances apply to the
+normalized value.  Matrix-free mode applies them to seeded random unit
+vectors and reports the worst ||(L - R) v||_2, normalized per vector by
+||L v||_2; a campaign draws each vector once per trial and register size
+for all its matrix-free equations of that size.  Either mode reports the
+raw value where the norm it would divide by is zero.
 Campaign trial i draws everything from seed + i, so reports are
 reproducible bit for bit (wall time aside) and trials could run in any
 order or in parallel.
@@ -187,6 +187,40 @@ class Equation(NamedTuple):
     register_size: int
 
 
+def _sides(factors, register_size, mode) -> tuple[list, list]:
+    # the placed forward and reversed sides, after the checks every residual
+    # makes first: the block, and two factors or more (fewer are their own reversal)
+    _check_block(register_size, mode)
+    if len(factors) < 2:
+        raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
+    lhs = _placed(factors, register_size)
+    return lhs, lhs[::-1]
+
+
+def _shared_vector_residuals(sides, n, vectors, seed) -> tuple[list, list[float]]:
+    """Each placed (L, R) pair's (raw, normalized) residual on an n-site
+    register, against the same ``vectors`` random unit vectors drawn once
+    from ``seed``: the worst ||(L - R) v|| over ||L v|| per pair, as
+    ``reversal_residual`` gives it for that pair alone.  Also each pair's
+    seconds, with the draws charged to the first pair."""
+    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
+    rng = np.random.default_rng(seed)
+    norms, spent = [[] for _ in sides], [0.0] * len(sides)
+    for _ in range(vectors):
+        start = time.perf_counter()
+        v = random_state(n, rng)
+        for j, (lhs, rhs) in enumerate(sides):
+            norms[j].append(_side_norms(lhs, rhs, n, work, v))
+            now = time.perf_counter()
+            spent[j] += now - start
+            start = now
+        del v  # before the next draw, so that two vectors are never alive at once
+    # np.max, unlike max(), lets a NaN through to the verdict
+    worst = [np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
+             for pairs in norms]
+    return [(float(raw), float(norm)) for raw, norm in worst], spent
+
+
 def reversal_residual(
     factors: Sequence[tuple[np.ndarray, Sequence[int]]],
     register_size: int,
@@ -200,23 +234,14 @@ def reversal_residual(
     The block is checked and fewer than two factors, which are their own
     reversal, are refused; then each factor is placed and checked once,
     and R reuses the placed list.  Dense mode is ``_dense_distance``.
-    Matrix-free mode applies both products to each of ``vectors`` random
-    unit vectors drawn from ``seed``, keeping the worst.
+    Matrix-free mode is ``_shared_vector_residuals`` of this one equation:
+    both products on each of ``vectors`` random unit vectors drawn from
+    ``seed``, keeping the worst.
     """
-    _check_block(register_size, mode)
-    if len(factors) < 2:
-        raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
-    n = register_size
-    lhs = _placed(factors, n)
-    rhs = lhs[::-1]
+    lhs, rhs = _sides(factors, register_size, mode)
     if mode == "dense":
-        return _dense_distance(lhs, rhs, n)
-    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
-    rng = np.random.default_rng(seed)
-    pairs = [_side_norms(lhs, rhs, n, work, random_state(n, rng)) for _ in range(vectors)]
-    # np.max, unlike max(), lets a NaN through to the verdict
-    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
-    return float(raw), float(norm)
+        return _dense_distance(lhs, rhs, register_size)
+    return _shared_vector_residuals([(lhs, rhs)], register_size, vectors, seed)[0][0]
 
 
 def simplex_equation(
@@ -568,8 +593,12 @@ def campaign(
     """Run the named checks, ``trials`` times each with derived seeds
     seed + i, and aggregate deterministically.
 
-    A trial's residual is its worst member; Equation members are evaluated
-    in the check's mode with ``vectors`` vectors and the trial seed.
+    Trials run outermost.  A trial's residual is its worst member;
+    Equation members are evaluated in the check's mode with ``vectors``
+    vectors and the trial seed, those in matrix-free mode together, per
+    register size, on vectors drawn once (each gets the bits it would get
+    alone).  A check's ``ms`` is the time spent on its members, a shared
+    draw charged to the first check that reads it.
     ``tol`` overrides each check's default absolute tolerance on the
     normalized residual; ``n`` is honored only by checks that take a
     simplex order.  A check passes only if every normalized residual is
@@ -599,21 +628,37 @@ def campaign(
             _check_block(use_n * (use_n + 1) // 2, use_mode)
         runs.append((name, spec, use_n, use_mode))
     t0 = time.perf_counter()
+    # per-check state is kept by position, so a check named twice gets two reports
+    spent, pairs = [0.0] * len(runs), [[] for _ in runs]
+    for i in range(trials):
+        members, shared = [], {}
+        for k, (_, spec, use_n, use_mode) in enumerate(runs):
+            c0 = time.perf_counter()
+            row = list(spec.fn(seed + i, n=use_n))
+            for j, m in enumerate(row):
+                if isinstance(m, Equation) and use_mode == "matrixfree":
+                    # evaluated below, on vectors drawn once for every equation of its size
+                    shared.setdefault(m.register_size, []).append((k, j, _sides(*m, use_mode)))
+                elif isinstance(m, Equation):
+                    row[j] = reversal_residual(*m, use_mode, vectors, seed + i)
+            members.append(row)
+            spent[k] += time.perf_counter() - c0
+        for size, group in shared.items():
+            sides = [s for *_, s in group]
+            results, seconds = _shared_vector_residuals(sides, size, vectors, seed + i)
+            for (k, j, _), result, sec in zip(group, results, seconds):
+                members[k][j] = result
+                spent[k] += sec
+        for k, row in enumerate(members):
+            # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
+            pairs[k].append(np.max(row, axis=0))
     reports = []
-    for name, spec, use_n, use_mode in runs:
+    for (name, spec, use_n, use_mode), trial_pairs, sec in zip(runs, pairs, spent):
         c0 = time.perf_counter()
         bound = float(tol) if tol is not None and not spec.invert else spec.tolerance
-        pairs = []
-        for i in range(trials):
-            members = [reversal_residual(*m, use_mode, vectors, seed + i)
-                       if isinstance(m, Equation) else m
-                       for m in spec.fn(seed + i, n=use_n)]
-            # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
-            pairs.append(np.max(members, axis=0))
-        norms = [float(norm) for _, norm in pairs]
-        ok = bool(norms) and all(
-            math.isfinite(r) and (r > bound if spec.invert else r <= bound) for r in norms
-        )
+        norms = [float(norm) for _, norm in trial_pairs]
+        ok = bool(norms) and all(math.isfinite(r) and (r > bound if spec.invert else r <= bound)
+                                 for r in norms)
         reports.append(CheckReport(
             check=name,
             n=use_n,
@@ -621,11 +666,11 @@ def campaign(
             trials=trials,
             seed=seed,
             residuals=norms,
-            raw_residuals=[float(raw) for raw, _ in pairs],
+            raw_residuals=[float(raw) for raw, _ in trial_pairs],
             max_residual=float(np.max(norms)),
             tolerance={"absolute": bound, "relative": 0.0},
             verdict="pass" if ok else "fail",
-            ms=(time.perf_counter() - c0) * 1000.0,
+            ms=(sec + time.perf_counter() - c0) * 1000.0,
             predicate="residual_exceeds" if spec.invert else "residual_within",
         ))
     return VerificationReport(

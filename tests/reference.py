@@ -1,0 +1,32 @@
+"""Test references the package no longer exports: the dense matrix of a
+product of placed factors, the unitarity verdict, and a reader for the
+operator files that ``simplexgates build --out`` writes."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from simplexgates import tensor
+
+
+def product(factors, n):
+    """The 2**n x 2**n matrix of a product of (operator, sites) factors,
+    composed left to right, on an n-site register, in site order: the
+    kernel contracted from the scalar 1 in two buffers of 4**n entries.
+    Every site that no factor touches sees the identity."""
+    placed = tensor._placed(factors, n)
+    work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
+    return tensor._copied(tensor._product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
+
+
+def is_unitary(a):
+    """The verdict half of ``tensor._unitarity``."""
+    return tensor._unitarity(a)[1]
+
+
+def read_operator(path):
+    """The matrix of an operator file: row-major [re, im] entries."""
+    data = json.loads(Path(path).read_text())
+    entries = [complex(re, im) for re, im in data["entries"]]
+    return np.array(entries, dtype=complex).reshape(data["dim"], data["dim"])

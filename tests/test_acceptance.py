@@ -25,7 +25,7 @@ from simplexgates.operators import (
     twisted_permutation,
 )
 from simplexgates.su2 import H, I2, X, AxisAngle, random_axis_angle
-from simplexgates.tensor import apply, embed, is_unitary, random_operator, random_state, random_unitary
+from simplexgates.tensor import apply, embed, random_operator, random_state, random_unitary
 from simplexgates.verify import (
     EDGE_TUPLES_3,
     constant_provider,
@@ -39,6 +39,8 @@ from simplexgates.verify import (
     simplex_equation,
     su2_tetrahedron_provider,
 )
+
+from reference import is_unitary
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)

@@ -10,8 +10,9 @@ import pytest
 from simplexgates import cli, operators, tensor, verify
 from simplexgates.cli import FAMILIES, main, parse_angle, parse_axis, parse_complex
 from simplexgates.gates import n_toffoli
-from simplexgates.tensor import load_operator
 from simplexgates.verify import CHECKS
+
+from reference import read_operator
 
 
 class TestParsers:
@@ -72,7 +73,7 @@ class TestBuild:
         captured = capsys.readouterr().out
         assert code == 0
         assert "distance to CCNOT: 0.0" in captured
-        assert np.array_equal(load_operator(out), n_toffoli(3))
+        assert np.array_equal(read_operator(out), n_toffoli(3))
 
     def test_two_control_4simplex_misses_the_gate(self, capsys):
         code = main(["build", "su2-4simplex", "--variant", "two-control", "--special-point"])
@@ -128,7 +129,7 @@ class TestBuild:
         code = main(["build", "generic-tetrahedron", "--couplings", "0,0,0,0,0,0,0",
                      "--out", str(out)])
         assert code == 0
-        assert np.array_equal(load_operator(out), np.eye(8))
+        assert np.array_equal(read_operator(out), np.eye(8))
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     @pytest.mark.parametrize("family", ["nsimplex-constant", "nsimplex-su2toffoli"])
@@ -159,7 +160,7 @@ class TestBuild:
         out = tmp_path / f"{family}.json"
         code = main(["build", family, "--out", str(out)])
         assert code == 0, capsys.readouterr().err
-        assert load_operator(out).ndim == 2
+        assert read_operator(out).ndim == 2
 
 
 @pytest.mark.parametrize("argv", [["nsimplex-constant", "--n", "4"],
@@ -233,6 +234,14 @@ class TestVerify:
         assert code == 0
         assert doc["checks"][0]["n"] == 4
         assert doc["checks"][0]["mode"] == "matrixfree"
+
+    def test_a_check_named_twice_gets_two_reports_of_its_trials(self, capsys):
+        code = main(["verify", "nsimplex-constant", "nsimplex-constant", "--n", "3",
+                     "--trials", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [c["check"] for c in doc["checks"]] == ["nsimplex-constant"] * 2
+        assert [len(c["residuals"]) for c in doc["checks"]] == [2, 2]
 
     def test_unknown_check_exits_two(self, capsys):
         code = main(["verify", "no-such-check"])

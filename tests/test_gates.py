@@ -12,7 +12,9 @@ from simplexgates.gates import (
 )
 from simplexgates.operators import n_simplex_su2_toffoli
 from simplexgates.su2 import H, I2, AxisAngle
-from simplexgates.tensor import identity, is_unitary, random_unitary
+from simplexgates.tensor import identity, random_unitary
+
+from reference import is_unitary
 
 
 def test_ccnot_swaps_last_two_basis_states():

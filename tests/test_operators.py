@@ -30,7 +30,7 @@ from simplexgates.su2 import (
     DegenerateEigenvaluesError,
     random_axis_angle,
 )
-from simplexgates.tensor import embed, identity, is_unitary, kron, random_unitary
+from simplexgates.tensor import embed, identity, kron, random_unitary
 from simplexgates.verify import (
     EDGE_TUPLES_3,
     constant_provider,
@@ -42,6 +42,8 @@ from simplexgates.verify import (
     simplex_equation,
     su2_tetrahedron_provider,
 )
+
+from reference import is_unitary
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)

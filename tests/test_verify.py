@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from simplexgates.gates import CCNOT
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
-from simplexgates.tensor import (apply, apply_product, embed, identity, product, random_operator,
+from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
                                 random_state, random_unitary)
 from simplexgates import operators, tensor, verify
 from simplexgates.verify import (
@@ -29,6 +30,8 @@ from simplexgates.verify import (
     generic_tetrahedron_provider,
 )
 from simplexgates.operators import CouplingConstants, SiteOperatorFamily
+
+from reference import product
 
 Z_AXIS = (0.0, 0.0, 1.0)
 
@@ -440,6 +443,15 @@ class TestCampaign:
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
 
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+    def test_one_nan_among_unit_diagonal_entries_fails(self, monkeypatch, mode):
+        # the kernel skips diagonal entries of exactly 1; NaN is not 1
+        monkeypatch.setattr(operators, "constant_alpha",
+                            lambda alpha: np.diag([1.0] * 7 + [np.nan]).astype(complex))
+        check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
+        assert check.verdict == "fail"
+        assert not np.isfinite(check.max_residual)
+
     @pytest.mark.parametrize("name, family, dim", [
         ("hadamard-bridge", "cz_yangbaxter", 4),
         ("toffoli-reduction", "su2_tetrahedron", 8),
@@ -519,3 +531,89 @@ class TestCampaign:
                     "max_residual", "tolerance", "verdict", "ms"):
             assert key in check
         assert check["verdict"] == "pass"
+
+
+class TestSharedDraws:
+    """A campaign runs trials outermost and evaluates every matrix-free
+    equation of a trial that shares a register size on one draw of the
+    vectors; each equation still gets the bits it gets alone."""
+
+    @staticmethod
+    def _counted_draws(monkeypatch):
+        sizes = []
+
+        def counting(n, rng):
+            sizes.append(n)
+            return random_state(n, rng)
+
+        monkeypatch.setattr(verify, "random_state", counting)
+        return sizes
+
+    @staticmethod
+    def _alone(names, **kwargs):
+        return {name: campaign([name], **kwargs).checks[0] for name in names}
+
+    def test_matrixfree_checks_of_one_size_draw_each_vector_once(self, monkeypatch):
+        # n = 3: all three checks are 6-site, constant-vertex with four equations
+        names = ["constant-vertex", "nsimplex-constant", "nsimplex-su2toffoli"]
+        trials, vectors = 2, 3
+        alone = self._alone(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
+        sizes = self._counted_draws(monkeypatch)
+        report = campaign(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
+        assert sizes == [6] * (trials * vectors)
+        for check in report.checks:
+            assert check.residuals == alone[check.check].residuals
+            assert check.raw_residuals == alone[check.check].raw_residuals
+
+    def test_each_equation_gets_the_bits_of_its_own_residual(self):
+        names, seed, trials = ["constant-vertex", "nsimplex-constant", "nsimplex-su2toffoli"], 8, 2
+        report = campaign(names, trials=trials, seed=seed, n=3, mode="matrixfree", vectors=3)
+        for check in report.checks:
+            spec = CHECKS[check.check]
+            for i in range(trials):
+                pairs = [reversal_residual(*eq, "matrixfree", 3, seed + i)
+                         for eq in spec.fn(seed + i, n=3)]
+                assert check.raw_residuals[i] == max(raw for raw, _ in pairs)
+                assert check.residuals[i] == max(norm for _, norm in pairs)
+
+    @pytest.mark.parametrize("names, kwargs, sizes", [
+        (["nsimplex-constant", "constant-vertex"], {"n": 4, "mode": "matrixfree"}, [10, 6]),
+        (["su2-tetra-vertex", "nsimplex-constant"], {"n": 3}, [6]),
+    ], ids=["two-sizes", "dense-and-matrixfree"])
+    def test_mixed_sizes_or_modes_share_nothing(self, monkeypatch, names, kwargs, sizes):
+        trials, vectors = 2, 2
+        alone = self._alone(names, trials=trials, seed=3, vectors=vectors, **kwargs)
+        drawn = self._counted_draws(monkeypatch)
+        report = campaign(names, trials=trials, seed=3, vectors=vectors, **kwargs)
+        assert sorted(drawn) == sorted(sizes * trials * vectors)
+        for check in report.checks:
+            assert check.residuals == alone[check.check].residuals
+
+    def test_a_check_named_twice_gets_two_reports(self):
+        report = campaign(["nsimplex-constant", "nsimplex-constant"], trials=2, seed=1, n=3)
+        assert [c.check for c in report.checks] == ["nsimplex-constant"] * 2
+        for check in report.checks:
+            assert len(check.residuals) == len(check.raw_residuals) == check.trials == 2
+        assert report.checks[0].residuals == report.checks[1].residuals
+
+    def test_check_times_add_up_within_the_campaign(self):
+        report = campaign(["nsimplex-constant", "hadamard-bridge", "nsimplex-su2toffoli"],
+                          trials=2, n=3)
+        assert all(c.ms > 0 for c in report.checks)
+        assert sum(c.ms for c in report.checks) <= report.ms
+
+    def test_two_15_site_checks_peak_like_one(self):
+        # the draw and the three kernel buffers are shared, so a second check
+        # adds only its factor matrices (16 KiB each), held while the vectors
+        # run; its own buffers or a second live vector would add 512 KiB
+        def peak(names):
+            tracemalloc.start()
+            try:
+                campaign(names, trials=1, seed=2, vectors=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        campaign(["nsimplex-constant", "nsimplex-su2toffoli"], trials=1, vectors=1)  # warm up
+        one = max(peak(["nsimplex-constant"]), peak(["nsimplex-su2toffoli"]))
+        assert peak(["nsimplex-constant", "nsimplex-su2toffoli"]) <= one + 2**15 * 16 // 8
