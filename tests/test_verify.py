@@ -602,6 +602,21 @@ class TestSharedDraws:
         assert all(c.ms > 0 for c in report.checks)
         assert sum(c.ms for c in report.checks) <= report.ms
 
+    @pytest.mark.parametrize("name", ["nsimplex-constant", "nsimplex-su2toffoli"])
+    def test_a_15_site_matrixfree_residual_peaks_at_four_state_vectors(self, name):
+        # three kernel buffers and the drawn vector, plus the draw's 128 KiB
+        # work array: 4.25 vectors of 512 KiB; keeping the previous vector
+        # alive while the next one is drawn makes it 5.25
+        equation = CHECKS[name].fn(3, n=5)[0]
+        reversal_residual(*equation, "matrixfree", 2, 0)
+        tracemalloc.start()
+        try:
+            reversal_residual(*equation, "matrixfree", 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**15 * 16
+
     def test_two_15_site_checks_peak_like_one(self):
         # the draw and the three kernel buffers are shared, so a second check
         # adds only its factor matrices (16 KiB each), held while the vectors
