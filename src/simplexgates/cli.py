@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -323,6 +323,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     fam = FAMILIES[args.family]
     try:
         op = fam.build(args)
+        if not np.isfinite(op).all():
+            raise ValueError("operator has non-finite entries")
     except DegenerateEigenvaluesError as exc:
         print(f"error: DegenerateEigenvalues: {exc}", file=sys.stderr)
         return 1
@@ -345,25 +347,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         report = verify.campaign(
             args.checks, trials=args.trials, seed=args.seed, tol=args.tol,
             n=args.n, mode=args.mode, vectors=args.vectors,
         )
-    except verify.UnknownCheckError as exc:
-        print(f"error: unknown check {exc.args[0]!r}; see 'simplexgates list --checks'",
-              file=sys.stderr)
-        return 2
-    except (verify.DenseDimensionError, verify.CampaignArgumentError) as exc:
+    except verify.CampaignArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["config"] = {k: v for k, v in vars(args).items() if k != "func"}
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
@@ -394,12 +388,13 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _default_seed() -> int:
     """Base seed from SIMPLEX_SEED, else 0; a value that is not an integer
-    raises ValueError naming the variable."""
+    raises CampaignArgumentError naming the variable."""
     text = os.environ.get("SIMPLEX_SEED", "0")
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"SIMPLEX_SEED must be an integer, got {text!r}") from None
+        raise verify.CampaignArgumentError(
+            f"SIMPLEX_SEED must be an integer, got {text!r}") from None
 
 
 # built once per process: each parse_args fills a fresh Namespace, and no

@@ -301,5 +301,5 @@ def operator_to_dict(op: np.ndarray) -> dict:
 
 
 def save_operator(op: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(operator_to_dict(op)) + "\n")
+    Path(path).write_text(json.dumps(operator_to_dict(op), allow_nan=False) + "\n")
 

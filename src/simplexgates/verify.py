@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,9 +38,7 @@ __all__ = [
     "DENSE_SITE_LIMIT",
     "DEFAULT_VECTORS",
     "MODES",
-    "DenseDimensionError",
     "CampaignArgumentError",
-    "UnknownCheckError",
     "SimplexIndexScheme",
     "index_scheme",
     "role_conflicted_sites",
@@ -76,21 +74,13 @@ MODES = ("dense", "matrixfree")
 EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-class DenseDimensionError(ValueError):
-    """Residual requested beyond the register-size ceiling: more than
-    DENSE_SITE_LIMIT = 12 sites in dense mode (a bound on time) or 24 in
-    matrix-free mode (a bound on memory: 4 vectors of 2**N entries)."""
-
-
 class CampaignArgumentError(ValueError):
-    """Campaign asked for fewer than one trial or vector, a negative seed, a
-    simplex order below 2, or an unknown residual mode; a residual asked
-    directly for an unknown mode, a register of no sites or an equation of
-    fewer than two factors raises it too."""
-
-
-class UnknownCheckError(KeyError):
-    """Campaign asked for a check name that is not registered."""
+    """A refused request, its message whole: a campaign asked for an
+    unregistered check name, fewer than one trial or vector, a negative
+    seed, a simplex order below 2, or an unknown residual mode; a campaign
+    or residual asked for a register of no sites, one beyond the ceiling
+    (DENSE_SITE_LIMIT sites dense, twice that matrix-free), an unknown
+    mode, or an equation of fewer than two factors."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def _check_block(register_size: int, mode: str) -> None:
     most = DENSE_SITE_LIMIT if mode == "dense" else 2 * DENSE_SITE_LIMIT
     if register_size > most:
         hint = "; use matrixfree" if mode == "dense" else ""
-        raise DenseDimensionError(
+        raise CampaignArgumentError(
             f"{mode} mode supports at most {most} sites, got {register_size}{hint}"
         )
 
@@ -338,9 +328,6 @@ class VerificationReport:
     trials: int
     verdict: str
     ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +591,10 @@ def campaign(
     simplex order.  A check passes only if every normalized residual is
     finite and within its bound, or above it for an inverted check.
     The verdict is the conjunction over checks (an empty campaign passes).
-    Fewer than one trial or vector, a negative seed, an ``n`` below 2, or
-    an unknown mode raises CampaignArgumentError, an unregistered name UnknownCheckError,
-    and an n-aware check's register beyond the residual-block ceiling
-    DenseDimensionError, all before any trial runs.
+    Fewer than one trial or vector, a negative seed, an ``n`` below 2, an
+    unknown mode, an unregistered name, or an n-aware check's register
+    beyond the residual-block ceiling raises CampaignArgumentError, all
+    before any trial runs.
     """
     for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("seed", seed, 0),
                                 ("n", n, 2)):
@@ -617,10 +604,9 @@ def campaign(
         _check_mode(mode)
     runs = []
     for name in check_names:
-        try:
-            spec = CHECKS[name]
-        except KeyError:
-            raise UnknownCheckError(name) from None
+        if name not in CHECKS:
+            raise CampaignArgumentError(f"unknown check {name!r}; see 'simplexgates list --checks'")
+        spec = CHECKS[name]
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
         use_mode = mode if mode is not None else spec.default_mode
         if spec.supports_n:

@@ -102,6 +102,21 @@ class TestBuild:
         assert code == 1
         assert "DegenerateEigenvalues" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["constant-linear", "--a", "1e308", "--b", "1e308"],
+        ["generic-tetrahedron", "--family-kind", "pauli-exp", "--mu-i", "1e308"],
+    ], ids=["linear-overflow", "generic-overflow"])
+    def test_non_finite_operator_is_a_construction_failure(self, argv, tmp_path, capsys):
+        # NaN and Infinity are not JSON: refused before any property is printed
+        out = tmp_path / "op.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["build", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: operator has non-finite entries\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("family", ["nsimplex-constant", "nsimplex-su2toffoli"])
     def test_beyond_site_limit_is_usage_error(self, family, capsys):
         # 13 sites would be a 1 GiB matrix: refused while parsing, before
@@ -374,6 +389,32 @@ class TestVerify:
         monkeypatch.setitem(CHECKS, spec.name, dataclasses.replace(spec, fn=record))
         assert main(["verify", *args]) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("args, env, line", [
+        (["no-such-check"], None,
+         "unknown check 'no-such-check'; see 'simplexgates list --checks'"),
+        (["nsimplex-constant", "--n", "5", "--mode", "dense"], None,
+         "dense mode supports at most 12 sites, got 15; use matrixfree"),
+        (["nsimplex-constant", "--n", "7"], None,
+         "matrixfree mode supports at most 24 sites, got 28"),
+        (["nsimplex-constant", "--n", "1"], None, "n must be at least 2, got 1"),
+        (["su2-tetra-vertex", "--trials", "0"], None, "trials must be at least 1, got 0"),
+        (["su2-tetra-vertex", "--vectors", "0"], None, "vectors must be at least 1, got 0"),
+        (["su2-tetra-vertex", "--seed", "-3"], None, "seed must be at least 0, got -3"),
+        (["su2-tetra-vertex"], "abc", "SIMPLEX_SEED must be an integer, got 'abc'"),
+        (["su2-tetra-vertex"], "-1", "seed must be at least 0, got -1"),
+    ], ids=["unknown-name", "dense-ceiling", "matrixfree-ceiling", "order-one", "zero-trials",
+            "zero-vectors", "negative-seed", "non-integer-env-seed", "negative-env-seed"])
+    def test_every_refusal_is_one_stderr_line_and_exit_two(self, capsys, monkeypatch,
+                                                           args, env, line):
+        if env is None:
+            monkeypatch.delenv("SIMPLEX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SIMPLEX_SEED", env)
+        assert main(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("args, env, seed", [
         (["--seed", "-3"], None, -3),

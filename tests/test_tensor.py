@@ -541,6 +541,16 @@ class TestOperatorFile:
         assert d["arity"] == 1 and d["dim"] == 2
         assert d["entries"] == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_is_refused_before_writing(self, bad, tmp_path):
+        # NaN and Infinity are not JSON: the file would not load elsewhere
+        op = identity(1).astype(complex)
+        op[1, 0] = bad
+        path = tmp_path / "op.json"
+        with pytest.raises(ValueError):
+            save_operator(op, path)
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])
 def test_random_state_matches_the_sum_of_two_draws(n):

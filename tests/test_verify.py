@@ -17,8 +17,6 @@ from simplexgates.verify import (
     EDGE_TUPLES_3,
     CampaignArgumentError,
     CheckSpec,
-    DenseDimensionError,
-    UnknownCheckError,
     campaign,
     constant_provider,
     index_scheme,
@@ -104,7 +102,8 @@ class TestVertexResidual:
             from simplexgates.operators import n_simplex_constant
             return n_simplex_constant(5)
 
-        with pytest.raises(DenseDimensionError):
+        with pytest.raises(CampaignArgumentError,
+                           match="dense mode supports at most 12 sites, got 15; use matrixfree"):
             reversal_residual(*simplex_equation(
                 index_scheme(5).tuples, 15, provider, [None] * 15), mode="dense")[1]
 
@@ -225,6 +224,36 @@ def test_residual_refuses_fewer_than_two_factors(mode, factors):
     with pytest.raises(CampaignArgumentError,
                        match=f"at least two factors, got {len(factors)}"):
         reversal_residual(factors, 3, mode)
+
+
+_TWO_FACTORS = [(identity(1), (1,)), (identity(1), (2,))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: campaign(["no-such-check"], trials=1),
+     "^unknown check 'no-such-check'; see 'simplexgates list --checks'$"),
+    (lambda: campaign(["nsimplex-constant"], trials=1, n=5, mode="dense"),
+     "^dense mode supports at most 12 sites, got 15; use matrixfree$"),
+    (lambda: reversal_residual(_TWO_FACTORS, 13, "dense"),
+     "^dense mode supports at most 12 sites, got 13; use matrixfree$"),
+    (lambda: campaign(["nsimplex-constant"], trials=1, n=7),
+     "^matrixfree mode supports at most 24 sites, got 28$"),
+    (lambda: reversal_residual(_TWO_FACTORS, 25, "matrixfree"),
+     "^matrixfree mode supports at most 24 sites, got 25$"),
+    (lambda: campaign(["hadamard-bridge"], trials=1, mode="sparse"),
+     "^mode must be 'dense' or 'matrixfree', got 'sparse'$"),
+    (lambda: reversal_residual(_TWO_FACTORS, 2, "sparse"),
+     "^mode must be 'dense' or 'matrixfree', got 'sparse'$"),
+    (lambda: reversal_residual(_TWO_FACTORS[:1], 2),
+     "^an equation needs at least two factors, got 1$"),
+    (lambda: reversal_residual([], 0), "^register must have at least one site, got 0$"),
+], ids=["unknown-name", "campaign-dense-ceiling", "residual-dense-ceiling",
+        "campaign-matrixfree-ceiling", "residual-matrixfree-ceiling", "campaign-unknown-mode",
+        "residual-unknown-mode", "one-factor", "no-sites"])
+def test_every_refusal_is_one_value_error_with_its_whole_message(call, message):
+    with pytest.raises(CampaignArgumentError, match=message) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 @pytest.mark.parametrize("order", [3, 4], ids=["6-sites", "10-sites"])
@@ -382,7 +411,7 @@ class TestCampaign:
         assert report.verdict == "pass" and report.checks == []
 
     def test_unknown_check_raises(self):
-        with pytest.raises(UnknownCheckError):
+        with pytest.raises(CampaignArgumentError, match="unknown check 'no-such-check'"):
             campaign(["no-such-check"], trials=1, seed=0)
 
     def test_trials_use_derived_seeds(self):
@@ -393,8 +422,8 @@ class TestCampaign:
         assert double.checks[0].residuals[1] == shifted.checks[0].residuals[0]
 
     def test_reports_are_deterministic_up_to_wall_time(self):
-        a = campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7).to_dict()
-        b = campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7).to_dict()
+        a = dataclasses.asdict(campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7))
+        b = dataclasses.asdict(campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7))
 
         def strip_ms(doc):
             doc = dict(doc)
@@ -525,7 +554,7 @@ class TestCampaign:
 
     def test_check_report_json_schema(self):
         report = campaign(["apply-vs-embed"], trials=2, seed=1)
-        doc = json.loads(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        doc = json.loads(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))
         check = doc["checks"][0]
         for key in ("check", "n", "mode", "trials", "seed", "residuals",
                     "max_residual", "tolerance", "verdict", "ms"):
