@@ -27,7 +27,6 @@ from .su2 import (
     fixed_gate,
     projector_pm,
     random_axis_angle,
-    rotated_x,
     rotation,
 )
 from .tensor import (

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gates import SWAP
-from .su2 import I2, X, Z, AxisAngle, projector_pm, rotated_x, rotation
+from .gates import SWAP, local_conjugate
+from .su2 import I2, X, Z, AxisAngle, projector_pm, rotation
 from .tensor import identity, kron
 
 __all__ = [
@@ -194,7 +194,7 @@ def toffoli_family(alpha: float) -> np.ndarray:
 def general_toffoli(p_i: AxisAngle, p_j: AxisAngle, p_k: AxisAngle) -> np.ndarray:
     """Toffoli with arbitrary control eigenbases and a rotated target flip:
 
-        1 - P-(p_i) x P-(p_j) x (1 - rotated_x(p_k)).
+        1 - P-(p_i) x P-(p_j) x (1 - R(p_k) X R(p_k)+).
 
     Unitary for every valid parameter triple; the control angles must stay
     away from multiples of pi (projector degeneracy).  At
@@ -206,7 +206,7 @@ def general_toffoli(p_i: AxisAngle, p_j: AxisAngle, p_k: AxisAngle) -> np.ndarra
     equation at generic parameters.
     """
     return identity(3) - kron(
-        projector_pm(p_i, -1), projector_pm(p_j, -1), I2 - rotated_x(p_k)
+        projector_pm(p_i, -1), projector_pm(p_j, -1), I2 - conjugated_site_operator(p_k, X)
     )
 
 
@@ -314,8 +314,7 @@ def twisted_permutation(p_1: AxisAngle, p_2: AxisAngle) -> np.ndarray:
     rotation(p_1) d rotation(p_1)+ on site 1 by this operator yields
     rotation(p_2) d rotation(p_2)+ on site 2, for any 2x2 core d.
     """
-    w = kron(rotation(p_1), rotation(p_2))
-    return w @ SWAP @ w.conj().T
+    return local_conjugate(SWAP, [rotation(p_1), rotation(p_2)])
 
 
 def conjugated_site_operator(p: AxisAngle, d: np.ndarray) -> np.ndarray:
@@ -324,5 +323,4 @@ def conjugated_site_operator(p: AxisAngle, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     if d.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {d.shape}")
-    r = rotation(p)
-    return r @ d @ r.conj().T
+    return local_conjugate(d, [rotation(p)])

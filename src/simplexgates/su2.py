@@ -1,5 +1,5 @@
-"""SU(2) building blocks: rotations, eigenprojectors, conjugated flips, and
-the fixed single-qubit gates."""
+"""SU(2) building blocks: rotations, eigenprojectors, and the fixed
+single-qubit gates."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "DegenerateEigenvaluesError",
     "rotation",
     "projector_pm",
-    "rotated_x",
     "fixed_gate",
     "random_axis_angle",
 ]
@@ -87,13 +86,6 @@ def projector_pm(p: AxisAngle, sign: int) -> np.ndarray:
     if sign > 0:
         return (r - e_plus * I2) / (e_minus - e_plus)
     return (r - e_minus * I2) / (e_plus - e_minus)
-
-
-def rotated_x(p: AxisAngle) -> np.ndarray:
-    """X conjugated into the rotated frame: R X R+.  Hermitian, unitary,
-    and involutory for every axis and angle."""
-    r = rotation(p)
-    return r @ X @ r.conj().T
 
 
 _FIXED = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H}

@@ -255,12 +255,15 @@ def _unitarity(a: np.ndarray) -> tuple[float, bool]:
     """(||a a+ - 1||_F, whether a is unitary) from one product a a+, with 1
     subtracted from its diagonal in place: the same bits as minus identity.
     Unitary means a deviation within 1e-10 absolute plus 1e-12 times
-    ||1||_F = sqrt(dim)."""
+    ||1||_F = sqrt(dim).  A finite a whose product overflows deviates by inf."""
     a = np.asarray(a, dtype=complex)
     k = arity_of(a)
-    gram = a @ a.conj().T
-    gram.flat[::2**k + 1] -= 1
-    deviation = float(np.linalg.norm(gram))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.conj().T
+        gram.flat[::2**k + 1] -= 1
+        deviation = float(np.linalg.norm(gram))
+    if np.isnan(deviation) and np.isfinite(a).all():
+        deviation = np.inf
     return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
 
 

@@ -384,7 +384,6 @@ class CheckSpec:
     fn: Callable[..., list[Equation | tuple[float, float]]]
     tolerance: float
     default_n: int | None = None
-    default_mode: str = "dense"
     supports_n: bool = False
     invert: bool = False
 
@@ -523,7 +522,7 @@ def _check_su2_4simplex_vertex(trial_seed, *, n):
 
 @_register("nsimplex-constant",
            "diagonal constant n-simplex solution; defaults to n = 5 on 15 sites, matrix-free",
-           1e-10, default_n=5, default_mode="matrixfree", supports_n=True)
+           1e-10, default_n=5, supports_n=True)
 def _check_nsimplex_constant(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     alpha = float(rng.uniform(0, 2 * np.pi))
@@ -536,7 +535,7 @@ def _check_nsimplex_constant(trial_seed, *, n):
 @_register("nsimplex-su2toffoli",
            "rotated-control n-site Toffoli family (eigenprojector controls, i R flip) "
            "at generic SU(2) assignments; defaults to n = 5 on 15 sites, matrix-free",
-           1e-10, default_n=5, default_mode="matrixfree", supports_n=True)
+           1e-10, default_n=5, supports_n=True)
 def _check_nsimplex_su2toffoli(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     scheme = index_scheme(n)
@@ -581,11 +580,11 @@ def campaign(
     seed + i, and aggregate deterministically.
 
     Trials run outermost.  A trial's residual is its worst member;
-    Equation members are evaluated in the check's mode with ``vectors``
-    vectors and the trial seed, those in matrix-free mode together, per
-    register size, on vectors drawn once (each gets the bits it would get
-    alone).  A check's ``ms`` is the time spent on its members, a shared
-    draw charged to the first check that reads it.
+    Equation members are evaluated in ``mode`` (else matrix-free for n-aware
+    checks, dense for the rest) with ``vectors`` vectors and the trial seed,
+    those in matrix-free mode together, per register size, on vectors drawn
+    once (each gets the bits it would get alone).  A check's ``ms`` is the
+    time spent on its members, a shared draw charged to the first reader.
     ``tol`` overrides each check's default absolute tolerance on the
     normalized residual; ``n`` is honored only by checks that take a
     simplex order.  A check passes only if every normalized residual is
@@ -608,7 +607,7 @@ def campaign(
             raise CampaignArgumentError(f"unknown check {name!r}; see 'simplexgates list --checks'")
         spec = CHECKS[name]
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
-        use_mode = mode if mode is not None else spec.default_mode
+        use_mode = mode if mode is not None else ("matrixfree" if spec.supports_n else "dense")
         if spec.supports_n:
             # refuse on the n(n+1)/2 sites before index_scheme (n**3) or the operator (4**n)
             _check_block(use_n * (use_n + 1) // 2, use_mode)

@@ -117,6 +117,17 @@ class TestBuild:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_operator_whose_gram_product_overflows(self, tmp_path, capsys):
+        # a a+ overflows to inf + nan j on its diagonal: the deviation reads inf, not nan
+        out = tmp_path / "op.json"
+        code = main(["build", "constant-linear", "--a", "1e200", "--b", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "unitary: no (deviation inf)" in captured.out
+        assert captured.err == ""
+        assert np.array_equal(read_operator(out), 1e200 * np.eye(8))
+
     @pytest.mark.parametrize("family", ["nsimplex-constant", "nsimplex-su2toffoli"])
     def test_beyond_site_limit_is_usage_error(self, family, capsys):
         # 13 sites would be a 1 GiB matrix: refused while parsing, before
@@ -249,6 +260,16 @@ class TestVerify:
         assert code == 0
         assert doc["checks"][0]["n"] == 4
         assert doc["checks"][0]["mode"] == "matrixfree"
+
+    def test_only_the_n_aware_checks_default_to_matrixfree(self, capsys):
+        n_aware = ["nsimplex-constant", "nsimplex-su2toffoli"]
+        assert main(["verify", *n_aware, "--n", "3", "--trials", "1"]) == 0
+        modes = [c["mode"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert modes == ["matrixfree"] * 2
+        others = [name for name in CHECKS if name not in n_aware]
+        assert main(["verify", *others, "--trials", "1"]) == 0
+        modes = [c["mode"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert modes == ["dense"] * len(others)
 
     def test_a_check_named_twice_gets_two_reports_of_its_trials(self, capsys):
         code = main(["verify", "nsimplex-constant", "nsimplex-constant", "--n", "3",

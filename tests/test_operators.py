@@ -324,7 +324,8 @@ class TestTwistedPermutation:
 
 class TestConjugatedSiteOperator:
     def test_identity_rotation(self):
-        assert np.array_equal(conjugated_site_operator(AxisAngle(Z_AXIS, 0.0), Z), Z)
+        for core in (Z, X):
+            assert np.array_equal(conjugated_site_operator(AxisAngle(Z_AXIS, 0.0), core), core)
 
     def test_z_quarter_turn_negates_x(self):
         got = conjugated_site_operator(CTRL, X)
@@ -342,6 +343,14 @@ class TestConjugatedSiteOperator:
             assert abs(np.trace(got) - np.trace(H)) < 1e-13
             assert abs(np.linalg.det(got) - np.linalg.det(H)) < 1e-13
             assert is_unitary(got)
+
+    def test_flip_is_hermitian_involution(self):
+        # R X R+, the flip slot of general_toffoli, for every axis and angle
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            m = conjugated_site_operator(random_axis_angle(rng), X)
+            assert np.linalg.norm(m @ m - I2) < 1e-14
+            assert np.linalg.norm(m - m.conj().T) < 1e-14
 
 
 def test_site_relabeling_by_plain_permutations():
@@ -382,14 +391,16 @@ class TestProjectorToffoliRoleMix:
     parameters -- exactly the CCNOT mechanism."""
 
     def test_role_operators_do_not_commute_generically(self):
-        from simplexgates.su2 import projector_pm, rotated_x
+        from simplexgates.su2 import projector_pm
 
         rng = np.random.default_rng(16)
         p = random_axis_angle(rng)
-        comm = projector_pm(p, -1) @ rotated_x(p) - rotated_x(p) @ projector_pm(p, -1)
+        flip = conjugated_site_operator(p, X)
+        comm = projector_pm(p, -1) @ flip - flip @ projector_pm(p, -1)
         assert np.linalg.norm(comm) > 0.01
         px = AxisAngle(X_AXIS, 0.7)
-        comm_x = projector_pm(px, -1) @ rotated_x(px) - rotated_x(px) @ projector_pm(px, -1)
+        flip_x = conjugated_site_operator(px, X)
+        comm_x = projector_pm(px, -1) @ flip_x - flip_x @ projector_pm(px, -1)
         assert np.linalg.norm(comm_x) < 1e-14
 
     def test_generic_parameters_violate_the_vertex_equation(self):

@@ -12,7 +12,6 @@ from simplexgates.su2 import (
     fixed_gate,
     projector_pm,
     random_axis_angle,
-    rotated_x,
     rotation,
 )
 
@@ -81,21 +80,6 @@ class TestProjectors:
             assert np.linalg.norm(plus + minus - I2) < 1e-13  # complete
             spectral = np.exp(-1j * p.angle) * plus + np.exp(1j * p.angle) * minus
             assert np.linalg.norm(spectral - r) < 1e-13
-
-
-class TestRotatedX:
-    def test_zero_angle_is_x(self):
-        assert np.allclose(rotated_x(AxisAngle(Z_AXIS, 0.0)), X, atol=0)
-
-    def test_z_quarter_turn_negates_x(self):
-        assert np.allclose(rotated_x(AxisAngle(Z_AXIS, np.pi / 2)), -X, atol=1e-15)
-
-    def test_involution(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            m = rotated_x(random_axis_angle(rng))
-            assert np.linalg.norm(m @ m - I2) < 1e-14
-            assert np.linalg.norm(m - m.conj().T) < 1e-14
 
 
 def test_fixed_gates():

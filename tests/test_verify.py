@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexgates.gates import CCNOT
+from simplexgates.gates import CCNOT, local_conjugate
 from simplexgates.operators import constant_ccz, twisted_permutation
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
@@ -280,18 +280,50 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     assert abs(norm - max(norms)) < 1e-14
 
 
-def test_residual_invariant_under_global_site_relabeling():
-    rng = np.random.default_rng(36)
-    provider = su2_tetrahedron_provider(alpha=0.4)
-    assignment = random_su2_assignment(6, rng)
-    scheme = index_scheme(3)
-    factors = [(provider(tuple(assignment[s - 1] for s in t)), t) for t in scheme.tuples]
-    _, base = reversal_residual(factors, 6)
+def _haar_vertex_equation(order, rng):
+    # Haar-random factors on the vertex scheme solve nothing, so their dense
+    # residual is of order 1 and a misplaced axis changes it
+    scheme = index_scheme(order)
+    factors = [(random_unitary(order, rng), t) for t in scheme.tuples]
+    _, base = reversal_residual(factors, scheme.register_size)
+    assert base > 0.1
+    return factors, scheme.register_size, base
 
-    relabel = {old: new for old, new in zip(range(1, 7), rng.permutation(6) + 1)}
-    moved = [(op, tuple(relabel[s] for s in sites)) for op, sites in factors]
-    _, relabeled = reversal_residual(moved, 6)
-    assert abs(base - relabeled) < 1e-12
+
+# Each invariance below holds in exact arithmetic for the dense residual, so
+# these three tests check the kernel's axis bookkeeping with no reference matrix.
+def test_residual_invariant_under_global_site_relabeling():
+    for order in (3, 4):
+        rng = np.random.default_rng(36 + order)
+        factors, size, base = _haar_vertex_equation(order, rng)
+        relabel = dict(zip(range(1, size + 1), rng.permutation(size) + 1))
+        moved = [(op, tuple(relabel[s] for s in sites)) for op, sites in factors]
+        _, relabeled = reversal_residual(moved, size)
+        assert abs(base - relabeled) <= 1e-12 * base
+
+
+def test_residual_invariant_under_per_site_conjugation():
+    # with W the product of one unitary per site, each factor F on sites t
+    # becomes W_t F W_t+, so both sides of the equation become W side W+
+    for order in (3, 4):
+        rng = np.random.default_rng(46 + order)
+        factors, size, base = _haar_vertex_equation(order, rng)
+        frames = [random_unitary(1, rng) for _ in range(size)]
+        rotated = [(local_conjugate(op, [frames[s - 1] for s in sites]), sites)
+                   for op, sites in factors]
+        _, conjugated = reversal_residual(rotated, size)
+        assert abs(base - conjugated) <= 1e-12 * base
+
+
+def test_residual_of_the_adjoint_equation():
+    # daggered factors in reverse order make each side of the equation the
+    # adjoint of the same side before, so the difference is the old one's adjoint
+    for order in (3, 4):
+        rng = np.random.default_rng(56 + order)
+        factors, size, base = _haar_vertex_equation(order, rng)
+        adjoint = [(op.conj().T, sites) for op, sites in reversed(factors)]
+        _, daggered = reversal_residual(adjoint, size)
+        assert abs(base - daggered) <= 1e-12 * base
 
 
 def _reference_residual(lhs, rhs, n, mode, vectors, seed):
