@@ -213,13 +213,13 @@ def general_toffoli(p_i: AxisAngle, p_j: AxisAngle, p_k: AxisAngle) -> np.ndarra
 def constant_ccz() -> np.ndarray:
     """diag(1, ..., 1, -1): sign flip on |111> only, i.e.
     1 - (1/4)(1 - Z) x (1 - Z) x (1 - Z)."""
-    return identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - Z)
+    return n_simplex_constant(3)
 
 
 def constant_alpha(alpha: float) -> np.ndarray:
     """Diagonal family 1 - (1/4)(1 - Z) x (1 - Z) x (1 - e^{i alpha} Z);
     its site-3 Hadamard conjugate is toffoli_family(alpha)."""
-    return identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - np.exp(1j * alpha) * Z)
+    return n_simplex_constant(3, alpha)
 
 
 def constant_alpha_beta(alpha: float, beta: float) -> np.ndarray:
@@ -240,7 +240,7 @@ def constant_linear(a: complex, b: complex) -> np.ndarray:
 def cz_yangbaxter() -> np.ndarray:
     """diag(1, 1, 1, -1) = 1 - (1/2)(1 - Z) x (1 - Z).  Satisfies the
     two-site (Yang-Baxter) equation; its site-2 Hadamard conjugate is CNOT."""
-    return identity(2) - 0.5 * kron(I2 - Z, I2 - Z)
+    return n_simplex_constant(2)
 
 
 def su2_4simplex(

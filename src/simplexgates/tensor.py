@@ -27,7 +27,6 @@ __all__ = [
     "random_state",
     "random_operator",
     "random_unitary",
-    "operator_to_dict",
     "save_operator",
 ]
 
@@ -292,17 +291,13 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def operator_to_dict(op: np.ndarray) -> dict:
-    """Portable form: {"arity": k, "dim": 2**k, "entries": [[re, im], ...]}.
-
-    Entries are row-major; floats round-trip exactly through JSON.
-    """
+def save_operator(op: np.ndarray, path: str | Path) -> None:
+    """Write the operator as JSON: {"arity": k, "dim": 2**k, "entries":
+    [[re, im], ...]}, entries row-major.  Floats round-trip exactly through
+    JSON; a non-finite entry raises ValueError and writes nothing."""
     op = np.asarray(op, dtype=complex)
     k = arity_of(op)
     entries = [[float(z.real), float(z.imag)] for z in op.reshape(-1)]
-    return {"arity": k, "dim": 2**k, "entries": entries}
-
-
-def save_operator(op: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(operator_to_dict(op), allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps({"arity": k, "dim": 2**k, "entries": entries},
+                                     allow_nan=False) + "\n")
 

@@ -46,11 +46,6 @@ __all__ = [
     "reversal_residual",
     "simplex_equation",
     "EDGE_TUPLES_3",
-    "constant_provider",
-    "su2_tetrahedron_provider",
-    "generic_tetrahedron_provider",
-    "su2_4simplex_provider",
-    "n_simplex_su2_provider",
     "random_su2_assignment",
     "random_mu_assignment",
     "CheckReport",
@@ -245,11 +240,13 @@ def simplex_equation(
     ``tuples`` lists each operator's sites (``index_scheme(n).tuples`` for
     the n-simplex vertex form, ``EDGE_TUPLES_3`` for the edge form of the
     tetrahedron equation); ``provider`` maps the tuple of per-site
-    parameters of one placement to its dense matrix; ``assignment`` lists
-    one parameter per register site (entries may be anything the provider
-    understands, and are ignored by constant providers).  An assignment
-    that does not cover all ``register_size`` sites, or a tuple site that
-    ``_placed`` would refuse, raises ValueError before any provider call.
+    parameters of one placement to its dense matrix, and is called for
+    every tuple before this returns, so it may close over a loop variable;
+    ``assignment`` lists one parameter per register site (entries may be
+    anything the provider understands, and a constant provider ignores
+    them).  An assignment that does not cover all ``register_size`` sites,
+    or a tuple site that ``_placed`` would refuse, raises ValueError
+    before any provider call.
     """
     if len(assignment) != register_size:
         raise ValueError(
@@ -261,30 +258,7 @@ def simplex_equation(
 
 
 # ---------------------------------------------------------------------------
-# providers and assignment samplers
-
-
-def constant_provider(op: np.ndarray) -> Callable[[tuple], np.ndarray]:
-    """Provider that ignores its parameters (constant operator families)."""
-    op = np.asarray(op, dtype=complex)
-    return lambda params: op
-
-
-def su2_tetrahedron_provider(alpha: float = 0.0) -> Callable[[tuple], np.ndarray]:
-    return lambda params: op_families.su2_tetrahedron(*params, alpha=alpha)
-
-
-def generic_tetrahedron_provider(family, couplings) -> Callable[[tuple], np.ndarray]:
-    return lambda params: op_families.generic_tetrahedron(family, params, couplings)
-
-
-def su2_4simplex_provider(alpha: float = 0.0,
-                          variant: str = "three_control") -> Callable[[tuple], np.ndarray]:
-    return lambda params: op_families.su2_4simplex(*params, alpha=alpha, variant=variant)
-
-
-def n_simplex_su2_provider() -> Callable[[tuple], np.ndarray]:
-    return lambda params: op_families.n_simplex_su2_toffoli(params)
+# assignment samplers
 
 
 def random_su2_assignment(register_size: int, rng: np.random.Generator) -> list[AxisAngle]:
@@ -406,8 +380,9 @@ def _register(name: str, description: str, tolerance: float, **kwargs):
 def _check_su2_tetra_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(6, rng)
-    provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
-    return [simplex_equation(index_scheme(3).tuples, 6, provider, assignment)]
+    alpha = float(rng.uniform(0, 2 * np.pi))
+    return [simplex_equation(index_scheme(3).tuples, 6,
+                             lambda ps: op_families.su2_tetrahedron(*ps, alpha=alpha), assignment)]
 
 
 @_register("generic-vertex",
@@ -416,9 +391,10 @@ def _check_su2_tetra_vertex(trial_seed, *, n):
 def _check_generic_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
-    provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
-    assignment = random_mu_assignment(6, rng)
-    return [simplex_equation(index_scheme(3).tuples, 6, provider, assignment)]
+    couplings = op_families.CouplingConstants.random(rng)
+    return [simplex_equation(index_scheme(3).tuples, 6,
+                             lambda mus: op_families.generic_tetrahedron(family, mus, couplings),
+                             random_mu_assignment(6, rng))]
 
 
 @_register("edge-form-3",
@@ -427,9 +403,10 @@ def _check_generic_vertex(trial_seed, *, n):
 def _check_edge_form(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     family = op_families.SiteOperatorFamily.seeded_random(seed=trial_seed)
-    provider = generic_tetrahedron_provider(family, op_families.CouplingConstants.random(rng))
-    assignment = random_mu_assignment(4, rng)
-    return [simplex_equation(EDGE_TUPLES_3, 4, provider, assignment)]
+    couplings = op_families.CouplingConstants.random(rng)
+    return [simplex_equation(EDGE_TUPLES_3, 4,
+                             lambda mus: op_families.generic_tetrahedron(family, mus, couplings),
+                             random_mu_assignment(4, rng))]
 
 
 @_register("constant-vertex",
@@ -445,7 +422,7 @@ def _check_constant_vertex(trial_seed, *, n):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    return [simplex_equation(index_scheme(3).tuples, 6, constant_provider(m), [None] * 6)
+    return [simplex_equation(index_scheme(3).tuples, 6, lambda _: m, [None] * 6)
             for m in members]
 
 
@@ -515,7 +492,8 @@ def _check_su2_4simplex_vertex(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     assignment = random_su2_assignment(10, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    return [simplex_equation(index_scheme(4).tuples, 10, su2_4simplex_provider(alpha, variant),
+    return [simplex_equation(index_scheme(4).tuples, 10,
+                             lambda ps: op_families.su2_4simplex(*ps, alpha=alpha, variant=variant),
                              assignment)
             for variant in op_families.FOUR_SIMPLEX_VARIANTS]
 
@@ -528,7 +506,7 @@ def _check_nsimplex_constant(trial_seed, *, n):
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
     scheme = index_scheme(n)
-    return [simplex_equation(scheme.tuples, scheme.register_size, constant_provider(member),
+    return [simplex_equation(scheme.tuples, scheme.register_size, lambda _: member,
                              [None] * scheme.register_size)]
 
 
@@ -540,7 +518,7 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     scheme = index_scheme(n)
     assignment = random_su2_assignment(scheme.register_size, rng)
-    return [simplex_equation(scheme.tuples, scheme.register_size, n_simplex_su2_provider(),
+    return [simplex_equation(scheme.tuples, scheme.register_size, op_families.n_simplex_su2_toffoli,
                              assignment)]
 
 
@@ -548,7 +526,7 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n):
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n):
-    return [simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6)]
+    return [simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6)]
 
 
 @_register("apply-vs-embed",

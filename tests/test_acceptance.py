@@ -17,6 +17,7 @@ from simplexgates.operators import (
     constant_linear,
     cz_yangbaxter,
     general_toffoli,
+    generic_tetrahedron,
     n_simplex_constant,
     n_simplex_su2_toffoli,
     su2_4simplex,
@@ -28,16 +29,11 @@ from simplexgates.su2 import H, I2, X, AxisAngle, random_axis_angle
 from simplexgates.tensor import apply, embed, random_operator, random_state, random_unitary
 from simplexgates.verify import (
     EDGE_TUPLES_3,
-    constant_provider,
-    generic_tetrahedron_provider,
     index_scheme,
-    n_simplex_su2_provider,
     random_mu_assignment,
     random_su2_assignment,
-    su2_4simplex_provider,
     reversal_residual,
     simplex_equation,
-    su2_tetrahedron_provider,
 )
 
 from reference import is_unitary
@@ -66,9 +62,10 @@ def test_criterion_2_su2_tetrahedron_vertex():
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(200 + trial)
-        provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
+        alpha = float(rng.uniform(0, 2 * np.pi))
         worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1])
+            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=alpha),
+            random_su2_assignment(6, rng)))[1])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-11 and elapsed < 5.0
     _report("criterion 2 (SU(2) vertex equation, 100 trials)", ok,
@@ -81,7 +78,8 @@ def test_criterion_3_generic_trivial_solution():
     for trial in range(100):
         rng = np.random.default_rng(300 + trial)
         family = SiteOperatorFamily.seeded_random(seed=300 + trial)
-        provider = generic_tetrahedron_provider(family, CouplingConstants.random(rng))
+        couplings = CouplingConstants.random(rng)
+        provider = lambda mus: generic_tetrahedron(family, mus, couplings)
         worst_vertex = max(worst_vertex,
                            reversal_residual(*simplex_equation(
                                index_scheme(3).tuples, 6, provider,
@@ -103,14 +101,14 @@ def test_criterion_4_constant_solutions():
     members = [constant_ccz(), constant_alpha(1.3), constant_alpha_beta(0.7, -2.1)]
     for member in members:
         worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1])
+            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1])
         assert is_unitary(member)
     detected_nonunitary = 0
     for _ in range(20):
         a, b = (complex(x, y) for x, y in rng.standard_normal((2, 2)))
         member = constant_linear(a, b)
         worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1])
+            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1])
         if not is_unitary(member):
             detected_nonunitary += 1
     elapsed = time.perf_counter() - t0
@@ -140,9 +138,9 @@ def test_criterion_6_four_simplex():
         assignment = random_su2_assignment(10, rng)
         alpha = float(rng.uniform(0, 2 * np.pi))
         for variant in FOUR_SIMPLEX_VARIANTS:
-            provider = su2_4simplex_provider(alpha=alpha, variant=variant)
             worst = max(worst, reversal_residual(*simplex_equation(
-                index_scheme(4).tuples, 10, provider, assignment))[1])
+                index_scheme(4).tuples, 10,
+                lambda ps: su2_4simplex(*ps, alpha=alpha, variant=variant), assignment))[1])
     elapsed = time.perf_counter() - t0
 
     reducing = su2_4simplex(CTRL, CTRL, CTRL, FLIP, alpha=0.0, variant="three_control")
@@ -167,11 +165,11 @@ def test_criterion_7_five_simplex_matrix_free():
     assert register == 15
     r_constant = reversal_residual(
         *simplex_equation(scheme.tuples, register,
-                          constant_provider(n_simplex_constant(5, alpha=1.1)), [None] * register),
+                          lambda _: n_simplex_constant(5, alpha=1.1), [None] * register),
         mode="matrixfree", vectors=20, seed=700)[1]
     assignment = random_su2_assignment(register, rng)
     r_su2 = reversal_residual(
-        *simplex_equation(scheme.tuples, register, n_simplex_su2_provider(), assignment),
+        *simplex_equation(scheme.tuples, register, n_simplex_su2_toffoli, assignment),
         mode="matrixfree", vectors=20, seed=701)[1]
     elapsed = time.perf_counter() - t0
 
@@ -181,7 +179,7 @@ def test_criterion_7_five_simplex_matrix_free():
     for s in role_conflicted_sites(scheme):
         compatible[s - 1] = AxisAngle(X_AXIS, float(rng.uniform(0.1, np.pi - 0.1)))
     r_su2_compatible = reversal_residual(
-        *simplex_equation(scheme.tuples, register, n_simplex_su2_provider(), compatible),
+        *simplex_equation(scheme.tuples, register, n_simplex_su2_toffoli, compatible),
         mode="matrixfree", vectors=20, seed=701)[1]
 
     worst = max(r_constant, r_su2)
@@ -218,7 +216,7 @@ def test_criterion_8_twisted_permutations():
 
 def test_criterion_9_ccnot_negative_control():
     residual = reversal_residual(*simplex_equation(
-        index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6))[1]
+        index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6))[1]
 
     scheme = index_scheme(3)
     v = np.zeros(64, dtype=complex)
@@ -248,10 +246,10 @@ def test_criterion_10_oracle_equivalence():
 
     # column reconstruction of L - R for one tetrahedron instance
     rng = np.random.default_rng(1099)
-    provider = su2_tetrahedron_provider(alpha=0.6)
     assignment = random_su2_assignment(6, rng)
     scheme = index_scheme(3)
-    factors = [(provider(tuple(assignment[s - 1] for s in t)), t) for t in scheme.tuples]
+    factors = [(su2_tetrahedron(*(assignment[s - 1] for s in t), alpha=0.6), t)
+               for t in scheme.tuples]
     mats = [embed(op, sites, 6) for op, sites in factors]
     dense_raw = np.linalg.norm(
         mats[0] @ mats[1] @ mats[2] @ mats[3] - mats[3] @ mats[2] @ mats[1] @ mats[0])

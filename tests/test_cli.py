@@ -2,7 +2,11 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +482,27 @@ class TestList:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["families"]) == set(FAMILIES)
         assert set(doc["checks"]) == set(CHECKS)
+
+
+class TestEntryPoints:
+    def test_module_runs_as_a_script(self):
+        # the package directory's parent goes first on the path, so the
+        # child imports this checkout whether or not it is installed
+        root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "simplexgates.cli", "verify", "ccnot-negative-control",
+             "--trials", "1"], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "ccnot-negative-control", "--trials", "1"], 0),
+        (["verify", "ccnot-negative-control", "--trials", "0"], 2),
+    ])
+    def test_entry_exits_with_the_code_main_returns(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["simplexgates", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == main(argv) == code

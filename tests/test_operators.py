@@ -33,14 +33,11 @@ from simplexgates.su2 import (
 from simplexgates.tensor import embed, identity, kron, random_unitary
 from simplexgates.verify import (
     EDGE_TUPLES_3,
-    constant_provider,
-    generic_tetrahedron_provider,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
     simplex_equation,
-    su2_tetrahedron_provider,
 )
 
 from reference import is_unitary
@@ -94,17 +91,18 @@ class TestGenericTetrahedron:
         rng = np.random.default_rng(42)
         fam = SiteOperatorFamily.seeded_random(42)
         couplings = CouplingConstants(1, 1, 1, 1, 1, 1, 1)
-        provider = generic_tetrahedron_provider(fam, couplings)
         residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, provider, random_mu_assignment(6, rng)))[1]
+            index_scheme(3).tuples, 6, lambda mus: generic_tetrahedron(fam, mus, couplings),
+            random_mu_assignment(6, rng)))[1]
         assert residual < 1e-11
 
     def test_edge_equation(self):
         rng = np.random.default_rng(43)
         fam = SiteOperatorFamily.seeded_random(43)
-        provider = generic_tetrahedron_provider(fam, CouplingConstants.random(rng))
+        couplings = CouplingConstants.random(rng)
         assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1] < 1e-12
+            EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
+            random_mu_assignment(4, rng)))[1] < 1e-12
 
 
 class TestSu2Tetrahedron:
@@ -123,9 +121,10 @@ class TestSu2Tetrahedron:
 
     def test_vertex_equation_random_parameters(self):
         rng = np.random.default_rng(7)
-        provider = su2_tetrahedron_provider(alpha=float(rng.uniform(0, 2 * np.pi)))
+        alpha = float(rng.uniform(0, 2 * np.pi))
         assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1] < 1e-11
+            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=alpha),
+            random_su2_assignment(6, rng)))[1] < 1e-11
 
 
 class TestToffoliFamily:
@@ -184,7 +183,7 @@ class TestConstantSolutions:
 
     def test_ccz_vertex_residual_vanishes(self):
         residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(constant_ccz()), [None] * 6))[1]
+            index_scheme(3).tuples, 6, lambda _: constant_ccz(), [None] * 6))[1]
         assert residual < 1e-12
 
     def test_alpha_zero_matches_ccz(self):
@@ -202,7 +201,7 @@ class TestConstantSolutions:
     def test_linear_generic_solves_but_is_not_unitary(self):
         member = constant_linear(1.0, 0.5)
         assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(member), [None] * 6))[1] < 1e-12
+            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1] < 1e-12
         assert not is_unitary(member)
 
 
@@ -215,7 +214,7 @@ class TestCzYangBaxter:
 
     def test_two_simplex_equation(self):
         residual = reversal_residual(*simplex_equation(
-            index_scheme(2).tuples, 3, constant_provider(cz_yangbaxter()), [None] * 3))[1]
+            index_scheme(2).tuples, 3, lambda _: cz_yangbaxter(), [None] * 3))[1]
         assert residual < 1e-13
 
     def test_hadamard_conjugate_is_cnot(self):
@@ -242,18 +241,30 @@ class TestSu24Simplex:
 
     @pytest.mark.parametrize("variant", FOUR_SIMPLEX_VARIANTS)
     def test_vertex_equation_one_random_trial(self, variant):
-        from simplexgates.verify import su2_4simplex_provider
-
         rng = np.random.default_rng(10)
-        provider = su2_4simplex_provider(alpha=0.9, variant=variant)
         assert reversal_residual(*simplex_equation(
-            index_scheme(4).tuples, 10, provider, random_su2_assignment(10, rng)))[1] < 1e-10
+            index_scheme(4).tuples, 10, lambda ps: su2_4simplex(*ps, alpha=0.9, variant=variant),
+            random_su2_assignment(10, rng)))[1] < 1e-10
 
 
 class TestNSimplexFamilies:
     def test_constant_specializes_at_three_sites(self):
         for alpha in (0.0, 1.1, np.pi):
             assert np.array_equal(n_simplex_constant(3, alpha), constant_alpha(alpha))
+
+    @pytest.mark.parametrize("member, formula", [
+        (lambda alpha: constant_ccz(),
+         lambda alpha: identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - Z)),
+        (constant_alpha,
+         lambda alpha: identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - np.exp(1j * alpha) * Z)),
+        (lambda alpha: cz_yangbaxter(),
+         lambda alpha: identity(2) - 0.5 * kron(I2 - Z, I2 - Z)),
+    ], ids=["constant_ccz", "constant_alpha", "cz_yangbaxter"])
+    def test_diagonal_constants_are_bit_identical_to_their_formulas(self, member, formula):
+        # each is n_simplex_constant at a fixed n; its docstring formula, to the bit
+        alphas = [0.0, np.pi, *np.random.default_rng(12).uniform(0, 2 * np.pi, 500)]
+        for alpha in alphas:
+            assert np.array_equal(member(alpha), formula(alpha))
 
     def test_constant_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -282,14 +293,12 @@ class TestNSimplexFamilies:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_su2_toffoli_vertex_equation_at_generic_assignments(self, n):
-        from simplexgates.verify import n_simplex_su2_provider
-
         rng = np.random.default_rng(30 + n)
         scheme = index_scheme(n)
         for _ in range(3):
             assignment = random_su2_assignment(scheme.register_size, rng)
             equation = simplex_equation(scheme.tuples, scheme.register_size,
-                                        n_simplex_su2_provider(), assignment)
+                                        n_simplex_su2_toffoli, assignment)
             assert reversal_residual(*equation)[1] < 1e-10
 
     def test_su2_toffoli_needs_two_sites(self):
@@ -371,12 +380,14 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
     fam = SiteOperatorFamily.pauli_exp()
     for seed in range(5):
         trial = np.random.default_rng(seed)
-        generic = generic_tetrahedron_provider(fam, CouplingConstants.random(trial))
+        couplings = CouplingConstants.random(trial)
+        generic = lambda mus: generic_tetrahedron(fam, mus, couplings)
         assert reversal_residual(*simplex_equation(
             index_scheme(3).tuples, 6, generic, random_mu_assignment(6, trial)))[1] < 1e-11
         assert reversal_residual(*simplex_equation(
             EDGE_TUPLES_3, 4, generic, random_mu_assignment(4, trial)))[1] < 1e-11
-        su2 = su2_tetrahedron_provider(alpha=float(trial.uniform(0, 2 * np.pi)))
+        alpha = float(trial.uniform(0, 2 * np.pi))
+        su2 = lambda ps: su2_tetrahedron(*ps, alpha=alpha)
         assert reversal_residual(*simplex_equation(
             index_scheme(3).tuples, 6, su2, random_su2_assignment(6, trial)))[1] < 1e-11
         assert reversal_residual(*simplex_equation(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -17,7 +18,6 @@ from simplexgates.tensor import (
     frobenius_distance,
     identity,
     kron,
-    operator_to_dict,
     random_operator,
     random_state,
     random_unitary,
@@ -298,8 +298,8 @@ class TestProduct:
         assignment = verify.random_su2_assignment(10, rng)
         alpha = float(rng.uniform(0, 2 * np.pi))
         for variant in operators.FOUR_SIMPLEX_VARIANTS:
-            provider = verify.su2_4simplex_provider(alpha, variant)
-            factors = [(provider(tuple(assignment[s - 1] for s in tup)), tup)
+            factors = [(operators.su2_4simplex(*(assignment[s - 1] for s in tup), alpha=alpha,
+                                               variant=variant), tup)
                        for tup in verify.index_scheme(4).tuples]
             for side in (factors, factors[::-1]):
                 assert np.array_equal(product(side, 10), apply_product(side, np.eye(1024)))
@@ -360,8 +360,10 @@ class TestPinnedBlocks:
     def test_su2_4simplex_blocks(self, variant):
         rng = np.random.default_rng(51)
         assignment = verify.random_su2_assignment(10, rng)
-        provider = verify.su2_4simplex_provider(float(rng.uniform(0, 2 * np.pi)), variant)
-        eq = verify.simplex_equation(verify.index_scheme(4).tuples, 10, provider, assignment)
+        alpha = float(rng.uniform(0, 2 * np.pi))
+        eq = verify.simplex_equation(
+            verify.index_scheme(4).tuples, 10,
+            lambda ps: operators.su2_4simplex(*ps, alpha=alpha, variant=variant), assignment)
         for side in (eq.factors, eq.factors[::-1]):
             self._assert_blocks_match_product(side, 10)
 
@@ -536,8 +538,10 @@ class TestOperatorFile:
         save_operator(op, path)
         assert np.array_equal(read_operator(path), op)
 
-    def test_dict_shape(self):
-        d = operator_to_dict(X)
+    def test_dict_shape(self, tmp_path):
+        path = tmp_path / "x.json"
+        save_operator(X, path)
+        d = json.loads(path.read_text())
         assert d["arity"] == 1 and d["dim"] == 2
         assert d["entries"] == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 

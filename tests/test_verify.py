@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from simplexgates.gates import CCNOT, local_conjugate
-from simplexgates.operators import constant_ccz, twisted_permutation
+from simplexgates.operators import (CouplingConstants, SiteOperatorFamily, constant_ccz,
+                                    generic_tetrahedron, su2_tetrahedron, twisted_permutation)
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
                                 random_state, random_unitary)
@@ -18,16 +19,12 @@ from simplexgates.verify import (
     CampaignArgumentError,
     CheckSpec,
     campaign,
-    constant_provider,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
     simplex_equation,
-    su2_tetrahedron_provider,
-    generic_tetrahedron_provider,
 )
-from simplexgates.operators import CouplingConstants, SiteOperatorFamily
 
 from reference import product
 
@@ -70,22 +67,22 @@ class TestIndexScheme:
 class TestVertexResidual:
     def test_constant_ccz_vanishes(self):
         assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(constant_ccz()), [None] * 6))[1] < 1e-12
+            index_scheme(3).tuples, 6, lambda _: constant_ccz(), [None] * 6))[1] < 1e-12
 
     def test_su2_family_vanishes(self):
         rng = np.random.default_rng(31)
-        provider = su2_tetrahedron_provider(alpha=1.0)
         assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1] < 1e-11
+            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=1.0),
+            random_su2_assignment(6, rng)))[1] < 1e-11
 
     def test_ccnot_violates_the_equation(self):
         residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6))[1]
+            index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6))[1]
         assert residual >= 0.5
 
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="assignment"):
-            simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 5)
+            simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 5)
 
     @pytest.mark.parametrize("site", [0, 7])
     def test_site_outside_the_register_is_refused_before_the_provider(self, site):
@@ -110,20 +107,20 @@ class TestVertexResidual:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             reversal_residual(*simplex_equation(
-                index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6), mode="sparse")[1]
+                index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6), mode="sparse")[1]
 
     def test_matrixfree_agrees_with_dense_on_solution(self):
         rng = np.random.default_rng(33)
-        provider = su2_tetrahedron_provider(alpha=0.5)
         assignment = random_su2_assignment(6, rng)
-        equation = simplex_equation(index_scheme(3).tuples, 6, provider, assignment)
+        equation = simplex_equation(index_scheme(3).tuples, 6,
+                                    lambda ps: su2_tetrahedron(*ps, alpha=0.5), assignment)
         dense = reversal_residual(*equation, mode="dense")[1]
         free = reversal_residual(*equation, mode="matrixfree", vectors=8, seed=5)[1]
         assert dense < 1e-11 and free < 1e-11
 
     def test_matrixfree_detects_violation(self):
         free = reversal_residual(
-            *simplex_equation(index_scheme(3).tuples, 6, constant_provider(CCNOT), [None] * 6),
+            *simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6),
             mode="matrixfree", vectors=8, seed=5)[1]
         assert free > 0.1
 
@@ -131,10 +128,10 @@ class TestVertexResidual:
 def test_column_reconstruction_matches_dense_residual():
     # applying both sides to every basis vector rebuilds L - R column by column
     rng = np.random.default_rng(34)
-    provider = su2_tetrahedron_provider(alpha=0.8)
     assignment = random_su2_assignment(6, rng)
     scheme = index_scheme(3)
-    factors = [(provider(tuple(assignment[s - 1] for s in t)), t) for t in scheme.tuples]
+    factors = [(su2_tetrahedron(*(assignment[s - 1] for s in t), alpha=0.8), t)
+               for t in scheme.tuples]
     mats = [embed(op, sites, 6) for op, sites in factors]
     left = mats[0] @ mats[1] @ mats[2] @ mats[3]
     right = mats[3] @ mats[2] @ mats[1] @ mats[0]
@@ -160,13 +157,14 @@ class TestEdgeResidual:
     def test_generic_family(self):
         rng = np.random.default_rng(35)
         fam = SiteOperatorFamily.seeded_random(35)
-        provider = generic_tetrahedron_provider(fam, CouplingConstants.random(rng))
+        couplings = CouplingConstants.random(rng)
         assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1] < 1e-12
+            EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
+            random_mu_assignment(4, rng)))[1] < 1e-12
 
     def test_constant_ccz(self):
         assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, constant_provider(constant_ccz()), [None] * 4))[1] < 1e-13
+            EDGE_TUPLES_3, 4, lambda _: constant_ccz(), [None] * 4))[1] < 1e-13
 
     def test_identity_provider_is_exactly_zero(self):
         raw, norm = reversal_residual(
@@ -175,7 +173,7 @@ class TestEdgeResidual:
 
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="4 sites"):
-            simplex_equation(EDGE_TUPLES_3, 4, constant_provider(constant_ccz()), [None] * 6)
+            simplex_equation(EDGE_TUPLES_3, 4, lambda _: constant_ccz(), [None] * 6)
 
 
 @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
@@ -280,26 +278,57 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     assert abs(norm - max(norms)) < 1e-14
 
 
-def _haar_vertex_equation(order, rng):
-    # Haar-random factors on the vertex scheme solve nothing, so their dense
-    # residual is of order 1 and a misplaced axis changes it
-    scheme = index_scheme(order)
-    factors = [(random_unitary(order, rng), t) for t in scheme.tuples]
-    _, base = reversal_residual(factors, scheme.register_size)
+def _haar_equation(tuples, rng):
+    # Haar-random factors on the placement tuples (a vertex scheme's, say)
+    # solve nothing, so their dense residual is of order 1 and a misplaced axis changes it
+    size = max(s for t in tuples for s in t)
+    factors = [(random_unitary(len(t), rng), t) for t in tuples]
+    _, base = reversal_residual(factors, size)
     assert base > 0.1
-    return factors, scheme.register_size, base
+    return factors, size, base
+
+
+# six 4-site placements on 12 sites, each site in two of them: a dense
+# residual there pins the 2 * 12 - _BLOCK_BITS = 8 column bits of sites 1..8
+TWELVE_SITE_TUPLES = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
+                      (1, 5, 9, 2), (3, 6, 10, 7), (4, 8, 11, 12))
 
 
 # Each invariance below holds in exact arithmetic for the dense residual, so
 # these three tests check the kernel's axis bookkeeping with no reference matrix.
 def test_residual_invariant_under_global_site_relabeling():
-    for order in (3, 4):
-        rng = np.random.default_rng(36 + order)
-        factors, size, base = _haar_vertex_equation(order, rng)
+    cases = [(36 + order, index_scheme(order).tuples) for order in (3, 4)]
+    for seed, tuples in cases + [(48, TWELVE_SITE_TUPLES)]:
+        rng = np.random.default_rng(seed)
+        factors, size, base = _haar_equation(tuples, rng)
         relabel = dict(zip(range(1, size + 1), rng.permutation(size) + 1))
         moved = [(op, tuple(relabel[s] for s in sites)) for op, sites in factors]
         _, relabeled = reversal_residual(moved, size)
         assert abs(base - relabeled) <= 1e-12 * base
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_state_path_invariant_under_global_site_relabeling(seed):
+    # relabeling site s as perm[s - 1] + 1 moves axis s - 1 of the state to
+    # axis perm[s - 1]; dense and diagonal factors, arity 1-4 on 8 sites,
+    # applied to a 3-column block with permuted axes give the permuted result
+    n, rng = 8, np.random.default_rng(60 + seed)
+    factors = []
+    for _ in range(8):
+        k = int(rng.integers(1, 5))
+        op = random_operator(k, rng)
+        sites = tuple(int(s) + 1 for s in rng.permutation(n)[:k])
+        factors.append((np.diag(np.diagonal(op)) if rng.integers(2) else op, sites))
+    perm = rng.permutation(n)
+    moved = [(op, tuple(int(perm[s - 1]) + 1 for s in sites)) for op, sites in factors]
+
+    def permuted(block):
+        return np.moveaxis(block.reshape((2,) * n + (-1,)), range(n), perm).reshape(block.shape)
+
+    block = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+    want = permuted(apply_product(factors, block))
+    got = apply_product(moved, permuted(block))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_residual_invariant_under_per_site_conjugation():
@@ -307,7 +336,7 @@ def test_residual_invariant_under_per_site_conjugation():
     # becomes W_t F W_t+, so both sides of the equation become W side W+
     for order in (3, 4):
         rng = np.random.default_rng(46 + order)
-        factors, size, base = _haar_vertex_equation(order, rng)
+        factors, size, base = _haar_equation(index_scheme(order).tuples, rng)
         frames = [random_unitary(1, rng) for _ in range(size)]
         rotated = [(local_conjugate(op, [frames[s - 1] for s in sites]), sites)
                    for op, sites in factors]
@@ -320,7 +349,7 @@ def test_residual_of_the_adjoint_equation():
     # adjoint of the same side before, so the difference is the old one's adjoint
     for order in (3, 4):
         rng = np.random.default_rng(56 + order)
-        factors, size, base = _haar_vertex_equation(order, rng)
+        factors, size, base = _haar_equation(index_scheme(order).tuples, rng)
         adjoint = [(op.conj().T, sites) for op, sites in reversed(factors)]
         _, daggered = reversal_residual(adjoint, size)
         assert abs(base - daggered) <= 1e-12 * base
