@@ -2,11 +2,11 @@
 campaigns, list the registries.
 
 Exit codes: 0 success/pass, 1 verification or construction failure, 2
-usage error (argparse, unknown check name, a non-finite or negative
-tolerance, a negative seed from --seed or SIMPLEX_SEED, a --couplings
-value that is not seven complex numbers, a build site count below 2, an
---out path in a missing directory or naming a directory, or a build or
-residual beyond the register ceiling)."""
+usage error: anything argparse refuses (such as a non-finite or negative
+tolerance, a --couplings value that is not seven complex numbers, a build
+site count below 2 or beyond the register ceiling, or an --out path in a
+missing directory or naming a directory), and any verify request, its
+SIMPLEX_SEED included, that verify.CampaignArgumentError refuses."""
 
 from __future__ import annotations
 

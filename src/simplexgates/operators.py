@@ -9,9 +9,9 @@ matrix, so all the factors commute and the forward and reversed products
 coincide.  general_toffoli is the exception: a site acts through an
 eigenprojector when it is a control but through a conjugated flip when it
 is the target, the two do not commute for generic rotations, and the
-equation genuinely fails whenever a placement shares a site between the
+vertex-form equation fails whenever a placement shares a site between the
 two roles (CCNOT, the family at its special point, is the standard
-counterexample).
+counterexample).  The 4-site edge form holds though its site 3 takes both.
 """
 
 from __future__ import annotations

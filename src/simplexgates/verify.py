@@ -13,9 +13,9 @@ vectors and reports the worst ||(L - R) v||_2, normalized per vector by
 ||L v||_2; a campaign draws each vector once per trial and register size
 for all its matrix-free equations of that size.  Either mode reports the
 raw value where the norm it would divide by is zero.
-Campaign trial i draws everything from seed + i, so reports are
-reproducible bit for bit (wall time aside) and trials could run in any
-order or in parallel.
+Campaign trial i is one ``_trial`` call that draws everything from
+seed + i, so reports are reproducible bit for bit (wall time aside) and
+trials could run in any order or in parallel.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class SimplexIndexScheme:
     operators share exactly one site.
     """
 
-    n: int
     register_size: int
     tuples: tuple[tuple[int, ...], ...]
 
@@ -103,15 +102,15 @@ def index_scheme(n: int) -> SimplexIndexScheme:
     tuples = tuple(
         tuple(site_of[p] for p in pairs if a in p) for a in range(1, n + 2)
     )
-    return SimplexIndexScheme(n=n, register_size=len(pairs), tuples=tuples)
+    return SimplexIndexScheme(register_size=len(pairs), tuples=tuples)
 
 
 def role_conflicted_sites(scheme: SimplexIndexScheme) -> list[int]:
     """Sites that sit in the last slot of one placement and a non-last slot
-    of another.  A family that treats the last slot through a different
-    function of the site parameter (general_toffoli) only satisfies the
-    equation when these sites carry parameters making the two roles
-    commute."""
+    of another.  In the vertex form, a family that treats the last slot
+    through a different function of the site parameter (general_toffoli)
+    only satisfies the equation when these sites carry parameters making
+    the two roles commute; the edge form (EDGE_TUPLES_3) holds regardless."""
     targets = {t[-1] for t in scheme.tuples}
     controls = {s for t in scheme.tuples for s in t[:-1]}
     return sorted(targets & controls)
@@ -190,20 +189,20 @@ def _shared_vector_residuals(sides, n, vectors, seed) -> tuple[list, list[float]
     seconds, with the draws charged to the first pair."""
     work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
     rng = np.random.default_rng(seed)
-    norms, spent = [[] for _ in sides], [0.0] * len(sides)
+    norms, seconds = [[] for _ in sides], [[] for _ in sides]
     for _ in range(vectors):
         start = time.perf_counter()
         v = random_state(n, rng)
-        for j, (lhs, rhs) in enumerate(sides):
-            norms[j].append(_side_norms(lhs, rhs, n, work, v))
+        for (lhs, rhs), pair_norms, pair_seconds in zip(sides, norms, seconds):
+            pair_norms.append(_side_norms(lhs, rhs, n, work, v))
             now = time.perf_counter()
-            spent[j] += now - start
+            pair_seconds.append(now - start)
             start = now
         del v  # before the next draw, so that two vectors are never alive at once
     # np.max, unlike max(), lets a NaN through to the verdict
     worst = [np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
              for pairs in norms]
-    return [(float(raw), float(norm)) for raw, norm in worst], spent
+    return [(float(raw), float(norm)) for raw, norm in worst], [sum(s) for s in seconds]
 
 
 def reversal_residual(
@@ -545,6 +544,32 @@ def _check_apply_vs_embed(trial_seed, *, n):
 # campaign
 
 
+def _trial(runs, seed, vectors) -> list[tuple[np.ndarray, float]]:
+    """One trial at ``seed``: each run's worst (raw, normalized) member and
+    the seconds spent on its members, in run order.  Matrix-free Equation
+    members share ``vectors`` vectors per register size, drawn once (each
+    gets the bits it would get alone) and charged to the first reader.
+    Nothing carries over between trials, so they may run in any order."""
+    rows, spent, shared = [[] for _ in runs], [0.0] * len(runs), {}
+    for k, (_, spec, use_n, use_mode) in enumerate(runs):
+        c0 = time.perf_counter()
+        for m in spec.fn(seed, n=use_n):
+            if isinstance(m, Equation) and use_mode == "matrixfree":
+                # evaluated below, on vectors drawn once for every equation of its size
+                shared.setdefault(m.register_size, []).append((k, _sides(*m, use_mode)))
+            else:
+                rows[k].append(reversal_residual(*m, use_mode, vectors, seed)
+                               if isinstance(m, Equation) else m)
+        spent[k] += time.perf_counter() - c0
+    for size, group in shared.items():
+        results, seconds = _shared_vector_residuals([s for _, s in group], size, vectors, seed)
+        for (k, _), result, sec in zip(group, results, seconds):
+            rows[k].append(result)
+            spent[k] += sec
+    # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
+    return [(np.max(row, axis=0), sec) for row, sec in zip(rows, spent)]
+
+
 def campaign(
     check_names: Sequence[str],
     trials: int = 20,
@@ -557,21 +582,18 @@ def campaign(
     """Run the named checks, ``trials`` times each with derived seeds
     seed + i, and aggregate deterministically.
 
-    Trials run outermost.  A trial's residual is its worst member;
+    Trials run outermost, one ``_trial`` each.  A check's residual in a
+    trial is its worst member, and its ``ms`` sums its trials' seconds.
     Equation members are evaluated in ``mode`` (else matrix-free for n-aware
-    checks, dense for the rest) with ``vectors`` vectors and the trial seed,
-    those in matrix-free mode together, per register size, on vectors drawn
-    once (each gets the bits it would get alone).  A check's ``ms`` is the
-    time spent on its members, a shared draw charged to the first reader.
-    ``tol`` overrides each check's default absolute tolerance on the
-    normalized residual; ``n`` is honored only by checks that take a
-    simplex order.  A check passes only if every normalized residual is
-    finite and within its bound, or above it for an inverted check.
-    The verdict is the conjunction over checks (an empty campaign passes).
-    Fewer than one trial or vector, a negative seed, an ``n`` below 2, an
-    unknown mode, an unregistered name, or an n-aware check's register
-    beyond the residual-block ceiling raises CampaignArgumentError, all
-    before any trial runs.
+    checks, dense for the rest).  ``tol`` overrides each check's default
+    absolute tolerance on the normalized residual; ``n`` is honored only by
+    checks that take a simplex order.  A check passes only if every
+    normalized residual is finite and within its bound, or above it for an
+    inverted check.  The verdict is the conjunction over checks (an empty
+    campaign passes).  Fewer than one trial or vector, a negative seed, an
+    ``n`` below 2, an unknown mode, an unregistered name, or an n-aware
+    check's register beyond the residual-block ceiling raises
+    CampaignArgumentError, all before any trial runs.
     """
     for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("seed", seed, 0),
                                 ("n", n, 2)):
@@ -591,35 +613,12 @@ def campaign(
             _check_block(use_n * (use_n + 1) // 2, use_mode)
         runs.append((name, spec, use_n, use_mode))
     t0 = time.perf_counter()
-    # per-check state is kept by position, so a check named twice gets two reports
-    spent, pairs = [0.0] * len(runs), [[] for _ in runs]
-    for i in range(trials):
-        members, shared = [], {}
-        for k, (_, spec, use_n, use_mode) in enumerate(runs):
-            c0 = time.perf_counter()
-            row = list(spec.fn(seed + i, n=use_n))
-            for j, m in enumerate(row):
-                if isinstance(m, Equation) and use_mode == "matrixfree":
-                    # evaluated below, on vectors drawn once for every equation of its size
-                    shared.setdefault(m.register_size, []).append((k, j, _sides(*m, use_mode)))
-                elif isinstance(m, Equation):
-                    row[j] = reversal_residual(*m, use_mode, vectors, seed + i)
-            members.append(row)
-            spent[k] += time.perf_counter() - c0
-        for size, group in shared.items():
-            sides = [s for *_, s in group]
-            results, seconds = _shared_vector_residuals(sides, size, vectors, seed + i)
-            for (k, j, _), result, sec in zip(group, results, seconds):
-                members[k][j] = result
-                spent[k] += sec
-        for k, row in enumerate(members):
-            # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
-            pairs[k].append(np.max(row, axis=0))
+    results = [_trial(runs, seed + i, vectors) for i in range(trials)]
     reports = []
-    for (name, spec, use_n, use_mode), trial_pairs, sec in zip(runs, pairs, spent):
-        c0 = time.perf_counter()
+    # per-run results are kept by position, so a check named twice gets two reports
+    for (name, spec, use_n, use_mode), per_trial in zip(runs, zip(*results)):
         bound = float(tol) if tol is not None and not spec.invert else spec.tolerance
-        norms = [float(norm) for _, norm in trial_pairs]
+        norms = [float(norm) for (_, norm), _ in per_trial]
         ok = bool(norms) and all(math.isfinite(r) and (r > bound if spec.invert else r <= bound)
                                  for r in norms)
         reports.append(CheckReport(
@@ -629,11 +628,11 @@ def campaign(
             trials=trials,
             seed=seed,
             residuals=norms,
-            raw_residuals=[float(raw) for raw, _ in trial_pairs],
+            raw_residuals=[float(raw) for (raw, _), _ in per_trial],
             max_residual=float(np.max(norms)),
             tolerance={"absolute": bound, "relative": 0.0},
             verdict="pass" if ok else "fail",
-            ms=(sec + time.perf_counter() - c0) * 1000.0,
+            ms=sum(sec for _, sec in per_trial) * 1000.0,
             predicate="residual_exceeds" if spec.invert else "residual_within",
         ))
     return VerificationReport(

@@ -397,8 +397,8 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
 class TestProjectorToffoliRoleMix:
     """general_toffoli acts on a site through an eigenprojector (control
     slot) or a conjugated X (flip slot); the two commute only for x-like
-    axes, so the family is not site-local and the equation fails at generic
-    parameters -- exactly the CCNOT mechanism."""
+    axes, so the family is not site-local and the vertex equation fails at
+    generic parameters -- exactly the CCNOT mechanism."""
 
     def test_role_operators_do_not_commute_generically(self):
         from simplexgates.su2 import projector_pm
@@ -419,6 +419,18 @@ class TestProjectorToffoliRoleMix:
         residual = reversal_residual(*simplex_equation(
             index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1]
         assert residual > 0.01
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generic_parameters_satisfy_the_edge_form(self, seed):
+        # site 3 is the target of (1, 2, 3) and a control of (1, 3, 4) and
+        # (2, 3, 4), yet the edge form holds where the vertex form fails
+        from simplexgates.verify import SimplexIndexScheme, role_conflicted_sites
+
+        assert role_conflicted_sites(SimplexIndexScheme(4, EDGE_TUPLES_3)) == [3]
+        provider = lambda params: general_toffoli(*params)
+        equation = simplex_equation(EDGE_TUPLES_3, 4, provider,
+                                    random_su2_assignment(4, np.random.default_rng(seed)))
+        assert reversal_residual(*equation)[1] < 1e-13
 
     def test_role_compatible_assignment_satisfies_the_equation(self):
         from simplexgates.verify import role_conflicted_sites

@@ -482,6 +482,16 @@ class TestCampaign:
         shifted = campaign(["generic-vertex"], trials=1, seed=10)
         assert double.checks[0].residuals[1] == shifted.checks[0].residuals[0]
 
+    def test_trials_carry_no_state_from_one_to_the_next(self):
+        # each trial run alone, last seed first, gives the campaign's bits
+        report = campaign(sorted(CHECKS), trials=3, seed=5, n=3)
+        runs = [(c.check, CHECKS[c.check], c.n, c.mode) for c in report.checks]
+        backwards = {i: verify._trial(runs, 5 + i, verify.DEFAULT_VECTORS) for i in (2, 1, 0)}
+        for k, check in enumerate(report.checks):
+            worst = [backwards[i][k][0] for i in range(3)]
+            assert check.raw_residuals == [float(raw) for raw, _ in worst], check.check
+            assert check.residuals == [float(norm) for _, norm in worst], check.check
+
     def test_reports_are_deterministic_up_to_wall_time(self):
         a = dataclasses.asdict(campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7))
         b = dataclasses.asdict(campaign(["su2-tetra-vertex", "hadamard-bridge"], trials=3, seed=7))
