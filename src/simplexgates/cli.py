@@ -363,7 +363,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed early: point stdout at devnull, so that the
+            # flush at exit cannot fail again, and keep the verdict's code
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 0 if report.verdict == "pass" else 1
 
 

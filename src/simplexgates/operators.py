@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,14 +69,25 @@ class CouplingConstants:
         return cls(*(complex(v) for v in vals))
 
 
+@cache
+def _screen_pairs() -> tuple[tuple[complex, complex], ...]:
+    # the parameter pairs every screen samples, drawn on the first screen, not at import
+    rng = np.random.default_rng(0x5EED)
+    pairs = [tuple(complex(re, im) for re, im in rng.standard_normal((2, 2))) for _ in range(16)]
+    return tuple((mu, nu) for mu, nu in pairs if mu != nu)
+
+
 class SiteOperatorFamily:
     """Deterministic map from a complex spectral parameter to a 2x2 operator.
 
     One member operator attaches to each register site.  Members should
     genuinely fail to commute across parameters, otherwise simplex-equation
-    checks hold for a weaker reason than intended; every family is
-    screened for this at construction by sampling random parameter pairs
-    and requiring a median commutator norm above 0.01.
+    checks hold for a weaker reason than intended.  So every family is
+    screened at construction on 16 fixed parameter pairs, drawn once per
+    process from seed 0x5EED: it must have a median commutator norm above
+    0.01.  The screen accepts as soon as more than half the norms exceed
+    0.01, which settles the median; otherwise it computes every pair, and
+    a median at or below 0.01, or NaN, raises ValueError.
     """
 
     def __init__(self, fn: Callable[[complex], np.ndarray], name: str):
@@ -90,19 +102,18 @@ class SiteOperatorFamily:
         return f"SiteOperatorFamily({self.name})"
 
     def _screen(self) -> None:
-        rng = np.random.default_rng(0x5EED)
-        norms = []
-        for _ in range(16):
-            (ar, ai), (br, bi) = rng.standard_normal((2, 2))
-            mu, nu = complex(ar, ai), complex(br, bi)
-            if mu == nu:
-                continue
+        pairs, norms, above = _screen_pairs(), [], 0
+        for mu, nu in pairs:
             qm, qn = self(mu), self(nu)
             norms.append(float(np.linalg.norm(qm @ qn - qn @ qm)))
-        if float(np.median(norms)) <= 0.01:
+            above += norms[-1] > 0.01
+            if above > len(pairs) // 2:
+                return
+        median = float(np.median(norms))
+        if not median > 0.01:
             raise ValueError(
                 f"family {self.name!r} looks abelian: median commutator norm "
-                f"{float(np.median(norms)):.2e} over 16 sampled pairs"
+                f"{median:.2e} over 16 sampled pairs"
             )
 
     @classmethod
@@ -125,11 +136,16 @@ class SiteOperatorFamily:
         """Fixed pseudo-random complex 2x2 per parameter, keyed by the
         family seed and the bit pattern of mu; bit-for-bit reproducible."""
         seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        # SeedSequence([seed, *words]) splits the seed into little-endian
+        # uint32 words ([0] for 0); one array of all the words is the same
+        # entropy, built faster, and one draw of 8 normals the same two (2, 2) draws
+        head = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+        layout = f"<{len(head)}Idd"
 
         def fn(mu: complex) -> np.ndarray:
-            words = np.frombuffer(struct.pack("<dd", mu.real, mu.imag), dtype=np.uint32)
-            sub = np.random.default_rng(np.random.SeedSequence([seed, *map(int, words)]))
-            return sub.standard_normal((2, 2)) + 1j * sub.standard_normal((2, 2))
+            words = np.frombuffer(struct.pack(layout, *head, mu.real, mu.imag), dtype=np.uint32)
+            z = np.random.default_rng(np.random.SeedSequence(words)).standard_normal((2, 2, 2))
+            return z[0] + 1j * z[1]
 
         return cls(fn, f"seeded_random({seed})")
 

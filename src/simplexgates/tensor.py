@@ -11,6 +11,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -75,21 +76,27 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
     The operator's first tensor slot attaches to ``sites[0]``, the second
     to ``sites[1]``, and so on; every unlisted site sees the identity.
+    Entry (i, j) of the operator is written at its 2**(n - k) positions,
+    one per bit pattern of the unlisted sites, into a zero matrix: no
+    Kronecker product with the identity and no transposed copy, and no
+    call into the contraction kernel, which it serves as an oracle for.
     """
     op = np.asarray(op, dtype=complex)
     n = int(n)
     k = arity_of(op)
     sites = _validated_sites(sites, k, n)
-    if sites == tuple(range(1, n + 1)):
-        return op.copy()
-    big = np.kron(op, np.eye(2 ** (n - k), dtype=complex)) if k < n else op
-    # wire j of `big` is sites[j] - 1 for j < k, then the unlisted wires ascending
-    listed = set(sites)
-    order = [s - 1 for s in sites] + [w for w in range(n) if w + 1 not in listed]
-    perm = np.argsort(order)
-    t = big.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(perm + n))
-    return np.ascontiguousarray(t).reshape(2**n, 2**n)
+
+    def offsets(wires):
+        # the index offset of every bit pattern on ``wires``, the first wire most significant
+        out = np.zeros(1, dtype=np.intp)
+        for w in wires:
+            out = (out[:, None] + np.array([0, 2 ** (n - w)])).reshape(-1)
+        return out
+
+    index = offsets(sites)[:, None] + offsets([s for s in range(1, n + 1) if s not in sites])
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[index[:, None, :], index[None, :, :]] = op[:, :, None]
+    return out
 
 
 def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
@@ -108,28 +115,71 @@ def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list
     return placed
 
 
-def _contract(placed: list, t: np.ndarray, axes: list[int], work: tuple[np.ndarray, np.ndarray],
-              pins: dict[int, int]) -> tuple[np.ndarray, list[int]]:
-    """Multiply the placed factors, last one first, onto the tensor ``t``.
-    They arrive from ``_placed``, so each operator is complex, its sites
-    are checked and its diagonal is marked; nothing here checks them again.
+@lru_cache(maxsize=256)
+def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tuple, tuple]:
+    """The steps ``_contract`` replays to multiply placed factors, last one
+    first, onto a working tensor of ``shape``, and the transpose that then
+    puts its axes in site order.  It reads only structure (each factor's
+    sites and whether it is diagonal, the pinned sites, the start shape),
+    so one plan serves every block, vector and trial of that structure.
 
-    ``axes[a]`` labels axis a of ``t``: site s for its row wire, -s for its
+    Shape () is the matrix, started from the scalar 1, whose untouched
+    sites get identity factors (i None) that act last, as outer products;
+    any other shape is a (2,) * n + (batch,) state.  ``axes[a]`` labels
+    axis a of the working tensor: site s for its row wire, -s for its
     column wire, 0 for the batch axis.  A diagonal factor whose sites all
-    have row axes multiplies, in place, only the slices of ``t`` where its
+    have row axes is a step (i, transpose, None) and leaves ``axes`` as it
+    is.  Every other factor gathers the row axes of its sites that the
+    tensor holds, in its slot order, so the GEMM sums in one order whatever
+    the layout, into a (2**held, rest) block; the rest axes keep the runs
+    they form between held axes, the run of fewest axes first, so the
+    copy's inner loop runs over the longest contiguous stretch.  Its sites
+    with no row axis yet act on the identity, so their input slots move to
+    the output side of the operator: one (2**(k + new), 2**held) GEMM
+    leaves the factor's row axes in front, then the new sites' column axes.
+    A new pinned site's input slot is indexed at its bit instead, so it gets
+    no column axis.  Such a step is (i, transpose, (slots, pinned, rows,
+    cols, shape)), with slots None when no site is new.
+    """
+    if shape == ():
+        touched = {s for sites, _ in factors for s in sites}
+        untouched = [(None, (s,), False) for s in range(1, n + 1) if s not in touched]
+        axes, shape, tail = [], [], [-s for s in range(1, n + 1) if s not in pinned]
+    else:
+        untouched, axes, shape, tail = [], [*range(1, n + 1), 0], list(shape), [0]
+    steps = []
+    for i, sites, diagonal in reversed(untouched + [(i, *f) for i, f in enumerate(factors)]):
+        new = [s for s in sites if s not in axes]
+        if diagonal and not new:
+            front = [axes.index(s) for s in sites]
+            steps.append((i, tuple(front + [a for a in range(len(axes)) if a not in front]), None))
+            continue
+        held, slots, held_pins = [s for s in sites if s in axes] if new else sites, None, []
+        if new:
+            held_pins = [s for s in new if s in pinned]
+            new = [s for s in new if s not in pinned]
+            slots = (*range(len(sites)), *[len(sites) + sites.index(s) for s in new + held + held_pins])
+        front = [axes.index(s) for s in held]
+        bounds = [-1, *sorted(front), len(axes)]
+        rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
+                for a in run]
+        shape = [2] * (len(sites) + len(new)) + [shape[a] for a in rest]
+        steps.append((i, tuple(front + rest), (slots, tuple(held_pins), 2 ** (len(sites) + len(new)),
+                                               2 ** len(held), tuple(shape))))
+        axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
+    return tuple(steps), tuple(axes.index(s) for s in [*range(1, n + 1), *tail])
+
+
+def _contract(placed: list, t: np.ndarray, steps: tuple, work: tuple[np.ndarray, np.ndarray],
+              pins: dict[int, int]) -> np.ndarray:
+    """Replay the ``_plan`` steps of the placed factors on the tensor ``t``:
+    only the gathers, GEMMs and diagonal multiplies, in the plan's order.
+    The factors arrive from ``_placed``, so each operator is complex, its
+    sites are checked and its diagonal is marked; nothing here checks them
+    again.  A diagonal factor multiplies only the slices of ``t`` where its
     sites read a diagonal entry that is not exactly 1 (x * (1 + 0j) = x up
-    to the sign of zero; a NaN entry is multiplied): no gather, no GEMM,
-    and ``axes`` stays as it is.  Every other factor gathers the row axes
-    of its sites that ``t`` already holds, in its slot order, so the GEMM
-    sums in one order whatever the layout, into a (2**held, rest) block.
-    The rest axes keep the runs they form between held axes in ``t``, the
-    run of fewest axes first, so the copy's inner loop runs over the
-    longest contiguous stretch.  Its sites with no row axis yet act on the
-    identity, so their input slots move to the output side of the
-    operator: one (2**(k + new), 2**held) GEMM leaves the factor's row
-    axes in front, then the new sites' column axes.  A new site pinned to
-    bit b in ``pins`` has its input slot indexed at b instead, so it gets
-    no column axis; with no pins, none of this runs.
+    to the sign of zero; a NaN entry is multiplied): no gather, no GEMM.  A
+    pinned site's input slot is indexed at its bit in ``pins``.
 
     ``work = (acc, gat)`` are two flat complex buffers, each at least as
     large as the largest working tensor, and nothing else is allocated at
@@ -142,62 +192,47 @@ def _contract(placed: list, t: np.ndarray, axes: list[int], work: tuple[np.ndarr
     """
     acc, gat = work
     caller = t
-    for op, sites, diag in reversed(placed):
-        new = [s for s in sites if s not in axes]
-        if diag is not None and not new:
+    for i, order, gemm in steps:
+        if gemm is None:
             if t is caller:
                 t = _copied(t, acc)
-            front = [axes.index(s) for s in sites]
-            moved = t.transpose(front + [a for a in range(t.ndim) if a not in front])
-            for bits, entry in diag:
+            moved = t.transpose(order)
+            for bits, entry in placed[i][2]:
                 moved[bits] *= entry
             continue
-        held = [s for s in sites if s in axes] if new else sites
-        if new:
-            k = len(sites)
-            pinned = [s for s in new if s in pins] if pins else []
-            new = [s for s in new if s not in pins] if pinned else new
-            slots = list(range(k)) + [k + sites.index(s) for s in new + held + pinned]
-            op = op.reshape((2,) * (2 * k)).transpose(slots)
+        slots, pinned, rows, cols, shape = gemm
+        op = identity(1) if i is None else placed[i][0]
+        if slots is not None:
+            op = op.reshape((2,) * len(slots)).transpose(slots)
             if pinned:
                 op = op[(..., *[pins[s] for s in pinned])]
-            op = op.reshape(-1, 2 ** len(held))
-        front = [axes.index(s) for s in held]
-        bounds = [-1, *sorted(front), t.ndim]
-        rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
-                for a in run]
-        moved = t.transpose(front + rest)
+            op = op.reshape(rows, cols)
+        moved = t.transpose(order)
         gathered = gat[:t.size].reshape(moved.shape)
         gathered[...] = moved
-        out = acc[:op.shape[0] * (t.size // op.shape[1])].reshape(op.shape[0], -1)
+        out = acc[:rows * (t.size // cols)].reshape(rows, -1)
         # out by position: the keyword costs about 1 us per small factor
-        np.matmul(op, gathered.reshape(op.shape[1], -1), out)
-        t = out.reshape((2,) * (len(sites) + len(new)) + moved.shape[len(front):])
-        axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
-    return t, axes
+        np.matmul(op, gathered.reshape(cols, -1), out)
+        t = out.reshape(shape)
+    return t
 
 
 def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
                   state: np.ndarray | None = None, pins: dict | None = None) -> np.ndarray:
     """The product of factors already placed by ``_placed`` on an n-site
-    register, contracted in ``work`` (see ``_contract``) and returned as a
-    view with its axes in site order, not copied: the (2,) * 2n tensor of
-    the 2**n x 2**n matrix, or, applied to ``state``, the (2,) * n +
-    (batch,) tensor of ``apply_product``.  The matrix starts from the
-    scalar 1, so ``work`` needs 4**n entries; a state needs
-    ``state.size``.  ``pins``, a {site: bit} map, keeps only the matrix
-    columns where those sites read those bits, in 4**n >> len(pins) entries."""
+    register, contracted in ``work`` by replaying its cached ``_plan`` (see
+    ``_contract``) and returned as a view with its axes in site order, not
+    copied: the (2,) * 2n tensor of the 2**n x 2**n matrix, or, applied to
+    ``state``, the (2,) * n + (batch,) tensor of ``apply_product``.  The
+    matrix starts from the scalar 1, so ``work`` needs 4**n entries; a
+    state needs ``state.size``.  ``pins``, a {site: bit} map, keeps only the
+    matrix columns where those sites read those bits, in 4**n >> len(pins)
+    entries."""
     pins = pins or {}
-    if state is None:
-        touched = {s for _, sites, _ in placed for s in sites}
-        # identities on untouched sites act last, as outer products on the full tensor
-        placed = [(identity(1), (s,), None) for s in range(1, n + 1) if s not in touched] + placed
-        t, axes = np.ones((), dtype=complex), []
-        tail = [-s for s in range(1, n + 1) if s not in pins]
-    else:
-        t, axes, tail = state.reshape((2,) * n + (-1,)), list(range(1, n + 1)) + [0], [0]
-    t, axes = _contract(placed, t, axes, work, pins)
-    return t.transpose([axes.index(s) for s in [*range(1, n + 1), *tail]])
+    t = np.ones((), dtype=complex) if state is None else state.reshape((2,) * n + (-1,))
+    steps, order = _plan(n, tuple((sites, diag is not None) for _, sites, diag in placed),
+                         frozenset(pins), t.shape)
+    return _contract(placed, t, steps, work, pins).transpose(order)
 
 
 def _copied(view: np.ndarray, buffer: np.ndarray) -> np.ndarray:

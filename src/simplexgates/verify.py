@@ -75,7 +75,8 @@ class CampaignArgumentError(ValueError):
     seed, a simplex order below 2, or an unknown residual mode; a campaign
     or residual asked for a register of no sites, one beyond the ceiling
     (DENSE_SITE_LIMIT sites dense, twice that matrix-free), an unknown
-    mode, or an equation of fewer than two factors."""
+    mode, or an equation of fewer than two factors; and the command line
+    found a SIMPLEX_SEED that is not an integer."""
 
 
 @dataclass(frozen=True)

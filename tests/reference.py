@@ -1,6 +1,7 @@
 """Test references the package no longer exports: the dense matrix of a
-product of placed factors, the unitarity verdict, and a reader for the
-operator files that ``simplexgates build --out`` writes."""
+product of placed factors, an operator embedded by a Kronecker product
+with the identity, the unitarity verdict, and a reader for the operator
+files that ``simplexgates build --out`` writes."""
 
 import json
 from pathlib import Path
@@ -18,6 +19,19 @@ def product(factors, n):
     placed = tensor._placed(factors, n)
     work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
     return tensor._copied(tensor._product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
+
+
+def embed_by_kron(op, sites, n):
+    """``op`` on ``sites`` of an n-site register: kron(op, 1) over all 4**n
+    entries, its wires then transposed into site order.  Its zeros are
+    products with the identity's zeros, so they may carry a minus sign."""
+    k = tensor.arity_of(op)
+    big = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    # wire j of `big` is sites[j] - 1 for j < k, then the unlisted wires ascending
+    order = [s - 1 for s in sites] + [w for w in range(n) if w + 1 not in sites]
+    perm = np.argsort(order)
+    t = big.reshape((2,) * (2 * n)).transpose(tuple(perm) + tuple(perm + n))
+    return np.ascontiguousarray(t).reshape(2**n, 2**n)
 
 
 def is_unitary(a):

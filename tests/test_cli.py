@@ -498,6 +498,21 @@ class TestEntryPoints:
         assert json.loads(done.stdout)["verdict"] == "pass"
 
     @pytest.mark.parametrize("argv,code", [
+        (["verify", "perm-relations", "--trials", "1"], 0),
+        (["verify", "perm-relations", "--trials", "1", "--tol", "1e-300"], 1),
+    ])
+    def test_report_to_a_closed_pipe_keeps_the_verdicts_code(self, monkeypatch, argv, code):
+        # a reader that left before the report: every write raises BrokenPipeError
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(BrokenPipeError):
+                print("{}", flush=True)
+            assert main(argv) == code
+            print("{}", flush=True)  # now into devnull, as the flush at exit would be
+
+    @pytest.mark.parametrize("argv,code", [
         (["verify", "ccnot-negative-control", "--trials", "1"], 0),
         (["verify", "ccnot-negative-control", "--trials", "0"], 2),
     ])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,48 @@ class TestSiteOperatorFamily:
     def test_abelian_family_rejected(self):
         with pytest.raises(ValueError, match="abelian"):
             SiteOperatorFamily(lambda mu: mu * Z, "scalar-z")
+
+    def test_nan_family_rejected(self):
+        with pytest.raises(ValueError, match="abelian: median commutator norm nan"):
+            SiteOperatorFamily(lambda mu: np.full((2, 2), np.nan, dtype=complex), "nan")
+
+    @staticmethod
+    def _full_screen_median(fn):
+        # the screen as a loop over all 16 pairs, with no early acceptance
+        rng = np.random.default_rng(0x5EED)
+        norms = []
+        for _ in range(16):
+            (ar, ai), (br, bi) = rng.standard_normal((2, 2))
+            qm, qn = fn(complex(ar, ai)), fn(complex(br, bi))
+            norms.append(float(np.linalg.norm(qm @ qn - qn @ qm)))
+        return float(np.median(norms)), sum(x > 0.01 for x in norms)
+
+    def test_screen_verdict_is_the_full_median_rule(self):
+        # the scale sweeps the median across 0.01, past scales where only 8
+        # of 16 norms exceed it, which the screen settles only after all 16
+        base = SiteOperatorFamily.pauli_exp()
+        seen = set()
+        for scale in np.geomspace(0.01, 1.0, 120):
+            fn = lambda mu, c=scale: c * base(mu)
+            median, above = self._full_screen_median(fn)
+            try:
+                SiteOperatorFamily(fn, "scaled")
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (median > 0.01), scale
+            seen.add((accepted, above > 8))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 - 1])
+    def test_seeded_random_is_the_two_draw_construction(self, seed):
+        fam = SiteOperatorFamily.seeded_random(seed)
+        for mu in (0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 0.25 + 0.5j,
+                   -3.5 - 1e-300j, 1e300 + 7j):
+            words = np.frombuffer(struct.pack("<dd", mu.real, mu.imag), dtype=np.uint32)
+            sub = np.random.default_rng(np.random.SeedSequence([seed, *map(int, words)]))
+            old = sub.standard_normal((2, 2)) + 1j * sub.standard_normal((2, 2))
+            assert fam(mu).tobytes() == old.tobytes()
 
 
 class TestGenericTetrahedron:

@@ -24,7 +24,7 @@ from simplexgates.tensor import (
     save_operator,
 )
 
-from reference import is_unitary, product, read_operator
+from reference import embed_by_kron, is_unitary, product, read_operator
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,6 +151,27 @@ class TestEmbed:
     def test_duplicate_site(self):
         with pytest.raises(ValueError, match="duplicate"):
             embed(CNOT, (2, 2), 3)
+
+    def test_equals_the_kron_and_transpose_reference(self):
+        # array_equal takes 0.0 == -0.0: the two may differ only in the sign of a zero
+        rng = np.random.default_rng(6)
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                sites = tuple(int(s) + 1 for s in rng.permutation(n)[:k])
+                op = random_operator(k, rng)
+                assert np.array_equal(embed(op, sites, n), embed_by_kron(op, sites, n))
+
+    def test_peak_is_about_its_result(self):
+        # a 3-site operator on 8 sites: the 1 MiB result, and no 4**n
+        # Kronecker product or transposed copy beside it
+        op = random_operator(3, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            embed(op, (6, 2, 4), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_disjoint_supports_commute(self):
         rng = np.random.default_rng(5)
@@ -336,6 +357,22 @@ class TestProduct:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("mode", verify.MODES)
+def test_residual_is_unchanged_by_clearing_the_plan_cache(mode):
+    # plans are keyed on structure alone, so a replayed plan, one built
+    # fresh and one reused for other values of the same structure agree
+    rng = np.random.default_rng(8)
+    factors = [(random_unitary(3, rng), t) for t in verify.index_scheme(3).tuples]
+    other = [(random_unitary(3, rng), t) for t in verify.index_scheme(3).tuples]
+    tensor._plan.cache_clear()
+    fresh = verify.reversal_residual(factors, 6, mode)
+    verify.reversal_residual(other, 6, mode)
+    assert tensor._plan.cache_info().hits > 0
+    assert verify.reversal_residual(factors, 6, mode) == fresh
+    tensor._plan.cache_clear()
+    assert verify.reversal_residual(factors, 6, mode) == fresh
 
 
 class TestPinnedBlocks:
