@@ -154,17 +154,17 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
             front = [axes.index(s) for s in sites]
             steps.append((i, tuple(front + [a for a in range(len(axes)) if a not in front]), None))
             continue
-        held, slots, held_pins = [s for s in sites if s in axes] if new else sites, None, []
+        held, slots, new_pins = [s for s in sites if s in axes] if new else sites, None, []
         if new:
-            held_pins = [s for s in new if s in pinned]
+            new_pins = [s for s in new if s in pinned]
             new = [s for s in new if s not in pinned]
-            slots = (*range(len(sites)), *[len(sites) + sites.index(s) for s in new + held + held_pins])
+            slots = (*range(len(sites)), *[len(sites) + sites.index(s) for s in new + held + new_pins])
         front = [axes.index(s) for s in held]
         bounds = [-1, *sorted(front), len(axes)]
         rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
                 for a in run]
         shape = [2] * (len(sites) + len(new)) + [shape[a] for a in rest]
-        steps.append((i, tuple(front + rest), (slots, tuple(held_pins), 2 ** (len(sites) + len(new)),
+        steps.append((i, tuple(front + rest), (slots, tuple(new_pins), 2 ** (len(sites) + len(new)),
                                                2 ** len(held), tuple(shape))))
         axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
     return tuple(steps), tuple(axes.index(s) for s in [*range(1, n + 1), *tail])
