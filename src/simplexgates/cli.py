@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -160,10 +160,6 @@ class Family:
     reference: Callable[[argparse.Namespace], tuple[str, np.ndarray]] | None = None
 
 
-def _no_arguments(parser):  # families with no parameters
-    pass
-
-
 def _generic_args(p):
     p.add_argument("--family-kind", choices=("pauli-exp", "seeded-random"),
                    default="seeded-random")
@@ -253,7 +249,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "constant-ccz": Family(
         "sign flip on |111>: the constant solution equal to CCZ",
-        _no_arguments,
+        lambda p: None,
         lambda args: op_families.constant_ccz(),
         lambda args: ("CCZ", CCZ.copy()),
     ),
@@ -276,7 +272,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "cz-yangbaxter": Family(
         "two-site sign flip on |11> solving the Yang-Baxter equation",
-        _no_arguments,
+        lambda p: None,
         lambda args: op_families.cz_yangbaxter(),
         lambda args: ("CZ", CZ.copy()),
     ),
@@ -357,8 +353,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except verify.CampaignArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = asdict(report)
-    doc["config"] = {k: v for k, v in vars(args).items() if k != "func"}
+    doc = {**vars(report), "checks": [vars(check) for check in report.checks],
+           "config": {k: v for k, v in vars(args).items() if k != "func"}}
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -98,9 +98,6 @@ class SiteOperatorFamily:
     def __call__(self, mu: complex) -> np.ndarray:
         return self._fn(complex(mu))
 
-    def __repr__(self) -> str:
-        return f"SiteOperatorFamily({self.name})"
-
     def _screen(self) -> None:
         pairs, norms, above = _screen_pairs(), [], 0
         for mu, nu in pairs:

@@ -4,15 +4,15 @@ verification campaign, the one place that picks the residual mode.
 Residual conventions: ``reversal_residual`` evaluates one equation.  It
 places and checks each factor once (the reversed side reverses the placed
 list), then both modes run the two sides through one product kernel in
-three small reused buffers.  Dense mode, which the twisted-permutation
-relations share, builds both sides one column block of at most 2**16
-entries at a time, never a whole 2**N x 2**N side, and reports
-||L - R||_F plus that value divided by ||L||_F; tolerances apply to the
-normalized value.  Matrix-free mode applies them to seeded random unit
-vectors and reports the worst ||(L - R) v||_2, normalized per vector by
-||L v||_2; a campaign draws each vector once per trial and register size
-for all its matrix-free equations of that size.  Either mode reports the
-raw value where the norm it would divide by is zero.
+three reused buffers per thread.  Dense mode, which the permutation
+relations share, builds both sides one column block of 2**_BLOCK_BITS
+entries at most at a time (never a whole 2**N x 2**N side), on two threads
+given two CPUs, and reports ||L - R||_F plus that value divided by ||L||_F;
+tolerances apply to the normalized value.  Matrix-free mode applies them
+to seeded random unit vectors and reports the worst ||(L - R) v||_2,
+normalized per vector by ||L v||_2; a campaign draws each vector once per
+trial and register size for all its matrix-free equations of that size.
+Either mode reports the raw value where the norm it would divide by is zero.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
 trials could run in any order or in parallel.
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -41,7 +43,6 @@ __all__ = [
     "CampaignArgumentError",
     "SimplexIndexScheme",
     "index_scheme",
-    "role_conflicted_sites",
     "Equation",
     "reversal_residual",
     "simplex_equation",
@@ -56,12 +57,12 @@ __all__ = [
 ]
 
 # dense mode is refused above 12 sites, a bound on time (4**12 entries per
-# side): it holds three column blocks of 2**_BLOCK_BITS entries, 1 MiB, the
-# fastest of 2**12 to 2**20 for the 10-site su2-4simplex residual.  The
-# matrix-free limit, 24 sites, bounds memory: a residual peaks at 4 state
-# vectors, 129 MiB traced at 21 sites, so about 1 GiB at 24
+# side); each of at most two threads holds three 512 KiB column blocks, and
+# 2**14 to 2**18 entries per block ran a 10-site su2-4simplex trial within
+# noise (2**13 and 2**20 slower).  The matrix-free limit, 24 sites, bounds
+# memory: 4 state vectors, 129 MiB traced at 21 sites, about 1 GiB at 24
 DENSE_SITE_LIMIT = 12
-_BLOCK_BITS = 16
+_BLOCK_BITS = 15
 DEFAULT_VECTORS = 20
 # residual modes: each side's matrix in column blocks, or random vectors
 MODES = ("dense", "matrixfree")
@@ -106,17 +107,6 @@ def index_scheme(n: int) -> SimplexIndexScheme:
     return SimplexIndexScheme(register_size=len(pairs), tuples=tuples)
 
 
-def role_conflicted_sites(scheme: SimplexIndexScheme) -> list[int]:
-    """Sites that sit in the last slot of one placement and a non-last slot
-    of another.  In the vertex form, a family that treats the last slot
-    through a different function of the site parameter (general_toffoli)
-    only satisfies the equation when these sites carry parameters making
-    the two roles commute; the edge form (EDGE_TUPLES_3) holds regardless."""
-    targets = {t[-1] for t in scheme.tuples}
-    controls = {s for t in scheme.tuples for s in t[:-1]}
-    return sorted(targets & controls)
-
-
 def _check_mode(mode: str) -> None:
     """Refuse a residual mode that is not in MODES."""
     if mode not in MODES:
@@ -155,12 +145,33 @@ def _dense_distance(lhs, rhs, n) -> tuple[float, float]:
     """(||L - R||_F, that over ||L||_F) for the products of two lists placed
     on an n-site register, built one block at a time with the column bits of
     sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern; each
-    norm is the root of its summed squares, whole-matrix bits when m = 0."""
+    norm is the root of its summed squares, whole-matrix bits when m = 0.
+    Given two CPUs and m > 0, a thread builds the second half of the blocks
+    in buffers of its own and its exception is raised here; the squares sum
+    in pattern order either way, so the bits do not depend on the CPU count."""
     m = max(0, 2 * n - _BLOCK_BITS)
-    work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
-    blocks = [_side_norms(lhs, rhs, n, work, pins=dict(enumerate(bits, 1)))
-              for bits in itertools.product((0, 1), repeat=m)]
-    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
+    patterns = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cut = len(patterns) // 2 if m and (cpus or 1) > 1 else 0
+    halves = [patterns[:cut], patterns[cut:]] if cut else [patterns]
+    works = [tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3)) for _ in halves]
+    blocks, raised = [[] for _ in halves], []
+
+    def run(k):
+        try:
+            blocks[k].extend(_side_norms(lhs, rhs, n, works[k], pins=pins) for pins in halves[k])
+        except BaseException as exc:  # raised again below, once no thread runs
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(halves))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if raised:
+        raise raised[0]
+    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*sum(blocks, [])))
     return raw, raw / scale if scale > 0 else raw
 
 

@@ -1,7 +1,8 @@
 """Test references the package no longer exports: the dense matrix of a
 product of placed factors, an operator embedded by a Kronecker product
-with the identity, the unitarity verdict, and a reader for the operator
-files that ``simplexgates build --out`` writes."""
+with the identity, the unitarity verdict, a reader for the operator
+files that ``simplexgates build --out`` writes, and the sites of a
+simplex scheme that take two roles."""
 
 import json
 from pathlib import Path
@@ -44,3 +45,14 @@ def read_operator(path):
     data = json.loads(Path(path).read_text())
     entries = [complex(re, im) for re, im in data["entries"]]
     return np.array(entries, dtype=complex).reshape(data["dim"], data["dim"])
+
+
+def role_conflicted_sites(scheme):
+    """Sites that sit in the last slot of one placement and a non-last slot
+    of another.  In the vertex form, a family that treats the last slot
+    through a different function of the site parameter (general_toffoli)
+    only satisfies the equation when these sites carry parameters making
+    the two roles commute; the edge form (EDGE_TUPLES_3) holds regardless."""
+    targets = {t[-1] for t in scheme.tuples}
+    controls = {s for t in scheme.tuples for s in t[:-1]}
+    return sorted(targets & controls)

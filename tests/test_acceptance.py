@@ -36,7 +36,7 @@ from simplexgates.verify import (
     simplex_equation,
 )
 
-from reference import is_unitary
+from reference import is_unitary, role_conflicted_sites
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
@@ -172,8 +172,6 @@ def test_criterion_7_five_simplex_matrix_free():
         *simplex_equation(scheme.tuples, register, n_simplex_su2_toffoli, assignment),
         mode="matrixfree", vectors=20, seed=701)[1]
     elapsed = time.perf_counter() - t0
-
-    from simplexgates.verify import role_conflicted_sites
 
     compatible = list(assignment)
     for s in role_conflicted_sites(scheme):

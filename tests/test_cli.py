@@ -367,6 +367,28 @@ class TestVerify:
 
         assert strip(first) == strip(second)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hadamard-bridge", "perm-relations", "--trials", "2", "--seed", "4"],
+        ["verify", "su2-tetra-vertex", "nsimplex-constant", "--n", "3", "--trials", "1",
+         "--seed", "2", "--mode", "matrixfree", "--vectors", "2", "--tol", "1e-9"],
+    ], ids=["dense", "matrixfree"])
+    def test_report_text_is_the_asdict_dump(self, argv, tmp_path, capsys, monkeypatch):
+        # the report is written from its fields without asdict's deep copy;
+        # the text must be the dump of asdict plus the config, byte for byte
+        reports, run = [], verify.campaign
+
+        def keep(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(verify, "campaign", keep)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        doc = dataclasses.asdict(reports[0])
+        args = vars(cli.build_parser().parse_args([*argv, "--out", str(out)]))
+        doc["config"] = {k: v for k, v in args.items() if k != "func"}
+        assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize("first", [
         ["verify", "constant-vertex", "--trials", "1", "--seed", "3", "--mode", "matrixfree",
          "--vectors", "2", "--tol", "0.5"],

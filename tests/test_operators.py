@@ -42,7 +42,7 @@ from simplexgates.verify import (
     simplex_equation,
 )
 
-from reference import is_unitary
+from reference import is_unitary, role_conflicted_sites
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
@@ -468,7 +468,7 @@ class TestProjectorToffoliRoleMix:
     def test_generic_parameters_satisfy_the_edge_form(self, seed):
         # site 3 is the target of (1, 2, 3) and a control of (1, 3, 4) and
         # (2, 3, 4), yet the edge form holds where the vertex form fails
-        from simplexgates.verify import SimplexIndexScheme, role_conflicted_sites
+        from simplexgates.verify import SimplexIndexScheme
 
         assert role_conflicted_sites(SimplexIndexScheme(4, EDGE_TUPLES_3)) == [3]
         provider = lambda params: general_toffoli(*params)
@@ -477,8 +477,6 @@ class TestProjectorToffoliRoleMix:
         assert reversal_residual(*equation)[1] < 1e-13
 
     def test_role_compatible_assignment_satisfies_the_equation(self):
-        from simplexgates.verify import role_conflicted_sites
-
         rng = np.random.default_rng(18)
         provider = lambda params: general_toffoli(*params)
         assignment = random_su2_assignment(6, rng)

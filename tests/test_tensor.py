@@ -348,8 +348,8 @@ class TestProduct:
         assert peak < 52 * 2**20
 
     def test_dense_4simplex_trial_peak_is_three_column_blocks(self):
-        # three buffers of one 1 MiB column block each, about 3.1 MiB in
-        # all; whole 16 MiB sides peaked at 64 MiB
+        # three buffers of one 512 KiB column block per thread, two threads
+        # given two CPUs, so about 3.1 MiB in all; whole 16 MiB sides peaked at 64 MiB
         tracemalloc.start()
         try:
             verify.campaign(["su2-4simplex-vertex"], trials=1, seed=0, mode="dense")

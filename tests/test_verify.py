@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -289,7 +290,7 @@ def _haar_equation(tuples, rng):
 
 
 # six 4-site placements on 12 sites, each site in two of them: a dense
-# residual there pins the 2 * 12 - _BLOCK_BITS = 8 column bits of sites 1..8
+# residual there pins the 2 * 12 - _BLOCK_BITS = 9 column bits of sites 1..9
 TWELVE_SITE_TUPLES = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
                       (1, 5, 9, 2), (3, 6, 10, 7), (4, 8, 11, 12))
 
@@ -433,6 +434,79 @@ class TestProductResidual:
         got_raw, got_norm = reversal_residual(factors, 10)
         assert abs(got_raw - raw) <= 1e-14 * raw
         assert abs(got_norm - norm) <= 1e-14 * norm
+
+
+def _on_cpus(monkeypatch, count):
+    # the CPU set _dense_distance reads, and the threads its blocks then run on
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    threads, side_norms = set(), verify._side_norms
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return side_norms(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_side_norms", spy)
+    return threads
+
+
+class TestTwoThreadBlocks:
+    """Given two CPUs, a dense residual of 8 sites or more builds the second
+    half of its column blocks on a thread; the bits must not depend on it."""
+
+    @staticmethod
+    def _on_one_and_two_cpus(monkeypatch, run):
+        results = []
+        for count in (1, 2):
+            with monkeypatch.context() as patch:
+                threads = _on_cpus(patch, count)
+                results.append(run())
+            # one thread per residual, on top of the caller's, and only given two CPUs
+            assert threading.get_ident() in threads and (len(threads) > 1) == (count == 2)
+        return results
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_su2_4simplex_reports_match(self, monkeypatch, seed):
+        def report():
+            doc = dataclasses.asdict(campaign(["su2-4simplex-vertex"], trials=1, seed=seed))
+            return [{k: v for k, v in c.items() if k != "ms"} for c in doc["checks"]]
+
+        one, two = self._on_one_and_two_cpus(monkeypatch, report)
+        assert one == two
+
+    def test_twelve_site_residual_matches(self, monkeypatch):
+        factors = [(random_unitary(4, np.random.default_rng(70 + i)), t)
+                   for i, t in enumerate(TWELVE_SITE_TUPLES)]
+        one, two = self._on_one_and_two_cpus(monkeypatch, lambda: reversal_residual(factors, 12))
+        assert one == two
+        assert one[1] > 0.1
+
+    def test_small_registers_stay_on_the_calling_thread(self, monkeypatch):
+        # below 8 sites every column fits one block, so there is nothing to split
+        rng = np.random.default_rng(5)
+        factors = [(random_unitary(3, rng), t) for t in index_scheme(3).tuples]
+        threads = _on_cpus(monkeypatch, 2)
+        reversal_residual(factors, 6)
+        assert threads == {threading.get_ident()}
+
+    def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+        side_norms, failed_on = verify._side_norms, []
+
+        def fail_on_site_1_set(*args, pins=None, **kwargs):
+            # site 1's column bit is 1 in exactly the second half of the patterns
+            if pins[1] == 1:
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("second half")
+            return side_norms(*args, pins=pins, **kwargs)
+
+        monkeypatch.setattr(verify, "_side_norms", fail_on_site_1_set)
+        before = threading.enumerate()
+        equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
+        with pytest.raises(RuntimeError, match="second half"):
+            reversal_residual(*equation)
+        assert failed_on and threading.get_ident() not in failed_on
+        assert threading.enumerate() == before
 
 
 class TestPermutationRelations:
