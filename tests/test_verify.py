@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -488,6 +489,29 @@ class TestTwoThreadBlocks:
         threads = _on_cpus(monkeypatch, 2)
         reversal_residual(factors, 6)
         assert threads == {threading.get_ident()}
+
+    def test_concurrent_residuals_keep_their_bits(self, monkeypatch):
+        # three callers at once, each with its worker: six threads on fewer
+        # cores, switching often, race on the empty plan cache and share the
+        # placed factors; each must still get the serial bits
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        equation = CHECKS["su2-4simplex-vertex"].fn(2, n=4)[1]
+        want = reversal_residual(*equation)
+        tensor._plan.cache_clear()
+        got = []
+        callers = [threading.Thread(target=lambda: got.append(reversal_residual(*equation)))
+                   for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * 3
 
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
         _on_cpus(monkeypatch, 2)
