@@ -250,13 +250,13 @@ FAMILIES: dict[str, Family] = {
     "constant-ccz": Family(
         "sign flip on |111>: the constant solution equal to CCZ",
         lambda p: None,
-        lambda args: op_families.constant_ccz(),
+        lambda args: op_families.n_simplex_constant(3),
         lambda args: ("CCZ", CCZ.copy()),
     ),
     "constant-alpha": Family(
         "constant solution with a phased last factor",
         lambda p: p.add_argument("--alpha", type=parse_angle, default=0.0),
-        lambda args: op_families.constant_alpha(args.alpha),
+        lambda args: op_families.n_simplex_constant(3, args.alpha),
     ),
     "constant-alpha-beta": Family(
         "unitary constant solution with a two-phase last factor",
@@ -273,7 +273,7 @@ FAMILIES: dict[str, Family] = {
     "cz-yangbaxter": Family(
         "two-site sign flip on |11> solving the Yang-Baxter equation",
         lambda p: None,
-        lambda args: op_families.cz_yangbaxter(),
+        lambda args: op_families.n_simplex_constant(2),
         lambda args: ("CZ", CZ.copy()),
     ),
     "su2-4simplex": Family(
@@ -371,10 +371,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     if args.json:
-        payload = {
-            "families": {name: f.description for name, f in FAMILIES.items()},
-            "checks": {name: c.description for name, c in verify.CHECKS.items()},
-        }
+        payload = {"checks": {name: c.description for name, c in verify.CHECKS.items()}}
+        if not args.checks:
+            payload["families"] = {name: f.description for name, f in FAMILIES.items()}
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     if not args.checks:

@@ -35,11 +35,8 @@ __all__ = [
     "su2_tetrahedron",
     "toffoli_family",
     "general_toffoli",
-    "constant_ccz",
-    "constant_alpha",
     "constant_alpha_beta",
     "constant_linear",
-    "cz_yangbaxter",
     "su2_4simplex",
     "n_simplex_constant",
     "n_simplex_su2_toffoli",
@@ -223,21 +220,9 @@ def general_toffoli(p_i: AxisAngle, p_j: AxisAngle, p_k: AxisAngle) -> np.ndarra
     )
 
 
-def constant_ccz() -> np.ndarray:
-    """diag(1, ..., 1, -1): sign flip on |111> only, i.e.
-    1 - (1/4)(1 - Z) x (1 - Z) x (1 - Z)."""
-    return n_simplex_constant(3)
-
-
-def constant_alpha(alpha: float) -> np.ndarray:
-    """Diagonal family 1 - (1/4)(1 - Z) x (1 - Z) x (1 - e^{i alpha} Z);
-    its site-3 Hadamard conjugate is toffoli_family(alpha)."""
-    return n_simplex_constant(3, alpha)
-
-
 def constant_alpha_beta(alpha: float, beta: float) -> np.ndarray:
-    """Same shape with diag(e^{i alpha}, e^{i beta}) Z in the last factor;
-    unitary for all real alpha, beta."""
+    """n_simplex_constant(3)'s shape with diag(e^{i alpha}, e^{i beta}) Z
+    in the last factor; unitary for all real alpha, beta."""
     u = np.diag([np.exp(1j * alpha), np.exp(1j * beta)])
     return identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - u @ Z)
 
@@ -248,12 +233,6 @@ def constant_linear(a: complex, b: complex) -> np.ndarray:
     out = complex(a) * identity(3)
     out[7, 7] += complex(b)
     return out
-
-
-def cz_yangbaxter() -> np.ndarray:
-    """diag(1, 1, 1, -1) = 1 - (1/2)(1 - Z) x (1 - Z).  Satisfies the
-    two-site (Yang-Baxter) equation; its site-2 Hadamard conjugate is CNOT."""
-    return n_simplex_constant(2)
 
 
 def su2_4simplex(
@@ -287,8 +266,13 @@ def su2_4simplex(
 
 def n_simplex_constant(n: int, alpha: float = 0.0) -> np.ndarray:
     """Diagonal n-site solution
-    1 - (1/2^{n-1})(1 - Z)^{x(n-1)} x (1 - e^{i alpha} Z);
-    equals constant_alpha(alpha) at n = 3."""
+    1 - (1/2^{n-1})(1 - Z)^{x(n-1)} x (1 - e^{i alpha} Z).
+
+    At alpha = 0 it is the sign flip on |1...1> alone.  At n = 3 it solves
+    the tetrahedron equation: CCZ at alpha = 0, and its site-3 Hadamard
+    conjugate is toffoli_family(alpha).  At n = 2 and alpha = 0 it is the CZ
+    of the two-site (Yang-Baxter) equation, whose site-2 Hadamard conjugate
+    is CNOT."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     factors = [I2 - Z] * (n - 1) + [I2 - np.exp(1j * alpha) * Z]

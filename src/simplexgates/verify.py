@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -146,32 +146,26 @@ def _dense_distance(lhs, rhs, n) -> tuple[float, float]:
     on an n-site register, built one block at a time with the column bits of
     sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern; each
     norm is the root of its summed squares, whole-matrix bits when m = 0.
-    Given two CPUs and m > 0, a thread builds the second half of the blocks
-    in buffers of its own and its exception is raised here; the squares sum
-    in pattern order either way, so the bits do not depend on the CPU count."""
+    Given two CPUs and m > 0, a pool thread builds the second half of the
+    blocks in buffers of its own and its exception is raised here; the squares
+    sum in pattern order either way, so the bits do not depend on the CPU count."""
     m = max(0, 2 * n - _BLOCK_BITS)
     patterns = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cut = len(patterns) // 2 if m and (cpus or 1) > 1 else 0
-    halves = [patterns[:cut], patterns[cut:]] if cut else [patterns]
-    works = [tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3)) for _ in halves]
-    blocks, raised = [[] for _ in halves], []
 
-    def run(k):
-        try:
-            blocks[k].extend(_side_norms(lhs, rhs, n, works[k], pins=pins) for pins in halves[k])
-        except BaseException as exc:  # raised again below, once no thread runs
-            raised.append(exc)
+    def run(half):
+        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
+        return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(halves))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if raised:
-        raise raised[0]
-    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*sum(blocks, [])))
+    if cut:
+        # leaving the pool joins its thread, also when the caller's own half raises
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(run, patterns[cut:])
+            blocks = run(patterns[:cut]) + second.result()
+    else:
+        blocks = run(patterns)
+    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
     return raw, raw / scale if scale > 0 else raw
 
 
@@ -196,11 +190,13 @@ def _sides(factors, register_size, mode) -> tuple[list, list]:
 def _shared_vector_residuals(sides, n, vectors, seed) -> tuple[list, list[float]]:
     """Each placed (L, R) pair's (raw, normalized) residual on an n-site
     register, against the same ``vectors`` random unit vectors drawn once
-    from ``seed``: the worst ||(L - R) v|| over ||L v|| per pair, as
-    ``reversal_residual`` gives it for that pair alone.  Also each pair's
-    seconds, with the draws charged to the first pair."""
+    from a child of ``seed``'s SeedSequence, a stream apart from the
+    ``default_rng(seed)`` a check draws its parameters from: the worst
+    ||(L - R) v|| over ||L v|| per pair, as ``reversal_residual`` gives it
+    for that pair alone.  Also each pair's seconds, with the draws charged
+    to the first pair."""
     work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     norms, seconds = [[] for _ in sides], [[] for _ in sides]
     for _ in range(vectors):
         start = time.perf_counter()
@@ -231,8 +227,8 @@ def reversal_residual(
     reversal, are refused; then each factor is placed and checked once,
     and R reuses the placed list.  Dense mode is ``_dense_distance``.
     Matrix-free mode is ``_shared_vector_residuals`` of this one equation:
-    both products on each of ``vectors`` random unit vectors drawn from
-    ``seed``, keeping the worst.
+    both products on each of ``vectors`` random unit vectors drawn from a
+    child stream of ``seed``, keeping the worst.
     """
     lhs, rhs = _sides(factors, register_size, mode)
     if mode == "dense":
@@ -428,8 +424,8 @@ def _check_constant_vertex(trial_seed, *, n):
     alpha, beta = rng.uniform(0, 2 * np.pi, 2)
     a, b = (complex(x, y) for x, y in rng.standard_normal((2, 2)))
     members = [
-        op_families.constant_ccz(),
-        op_families.constant_alpha(alpha),
+        op_families.n_simplex_constant(3),
+        op_families.n_simplex_constant(3, alpha),
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
@@ -444,10 +440,10 @@ def _check_hadamard_bridge(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     alpha = float(rng.uniform(0, 2 * np.pi))
     dists = [
-        frobenius_distance(local_conjugate(op_families.constant_ccz(), [I2, I2, H]), CCNOT),
-        frobenius_distance(local_conjugate(op_families.constant_alpha(alpha), [I2, I2, H]),
+        frobenius_distance(local_conjugate(op_families.n_simplex_constant(3), [I2, I2, H]), CCNOT),
+        frobenius_distance(local_conjugate(op_families.n_simplex_constant(3, alpha), [I2, I2, H]),
                            op_families.toffoli_family(alpha)),
-        frobenius_distance(local_conjugate(op_families.cz_yangbaxter(), [I2, H]), CNOT),
+        frobenius_distance(local_conjugate(op_families.n_simplex_constant(2), [I2, H]), CNOT),
     ]
     return [(d, d) for d in dists]
 

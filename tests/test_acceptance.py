@@ -11,11 +11,8 @@ from simplexgates.operators import (
     CouplingConstants,
     SiteOperatorFamily,
     conjugated_site_operator,
-    constant_alpha,
     constant_alpha_beta,
-    constant_ccz,
     constant_linear,
-    cz_yangbaxter,
     general_toffoli,
     generic_tetrahedron,
     n_simplex_constant,
@@ -98,7 +95,7 @@ def test_criterion_4_constant_solutions():
     t0 = time.perf_counter()
     rng = np.random.default_rng(400)
     worst = 0.0
-    members = [constant_ccz(), constant_alpha(1.3), constant_alpha_beta(0.7, -2.1)]
+    members = [n_simplex_constant(3), n_simplex_constant(3, 1.3), constant_alpha_beta(0.7, -2.1)]
     for member in members:
         worst = max(worst, reversal_residual(*simplex_equation(
             index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1])
@@ -120,11 +117,11 @@ def test_criterion_4_constant_solutions():
 
 def test_criterion_5_hadamard_bridges():
     singles3 = [I2, I2, H]
-    dists = [np.linalg.norm(local_conjugate(constant_ccz(), singles3) - CCNOT)]
+    dists = [np.linalg.norm(local_conjugate(n_simplex_constant(3), singles3) - CCNOT)]
     for alpha in np.linspace(0, 2 * np.pi, 20):
         dists.append(np.linalg.norm(
-            local_conjugate(constant_alpha(alpha), singles3) - toffoli_family(alpha)))
-    dists.append(np.linalg.norm(local_conjugate(cz_yangbaxter(), [I2, H]) - CNOT))
+            local_conjugate(n_simplex_constant(3, alpha), singles3) - toffoli_family(alpha)))
+    dists.append(np.linalg.norm(local_conjugate(n_simplex_constant(2), [I2, H]) - CNOT))
     worst = max(dists)
     _report("criterion 5 (Hadamard bridges)", worst < 1e-14,
             f"max distance {worst:.3e} (< 1e-14)")

@@ -232,11 +232,8 @@ def test_every_constructor_is_called_by_a_default_build(monkeypatch, capsys):
         "su2_tetrahedron",
         "toffoli_family",
         "general_toffoli",
-        "constant_ccz",
-        "constant_alpha",
         "constant_alpha_beta",
         "constant_linear",
-        "cz_yangbaxter",
         "su2_4simplex",
         "n_simplex_constant",
         "n_simplex_su2_toffoli",
@@ -503,6 +500,12 @@ class TestList:
         assert main(["list", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["families"]) == set(FAMILIES)
+        assert set(doc["checks"]) == set(CHECKS)
+
+    def test_json_checks_catalog_holds_only_the_checks(self, capsys):
+        assert main(["list", "--json", "--checks"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["checks"]
         assert set(doc["checks"]) == set(CHECKS)
 
 

@@ -3,17 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from simplexgates.gates import CCNOT, CNOT, SWAP, n_toffoli
+from simplexgates.gates import CCNOT, CCZ, CNOT, SWAP, n_toffoli
 from simplexgates.operators import (
     FOUR_SIMPLEX_VARIANTS,
     CouplingConstants,
     SiteOperatorFamily,
     conjugated_site_operator,
-    constant_alpha,
     constant_alpha_beta,
-    constant_ccz,
     constant_linear,
-    cz_yangbaxter,
     general_toffoli,
     generic_tetrahedron,
     n_simplex_constant,
@@ -214,24 +211,24 @@ class TestConstantSolutions:
     def test_ccz_matrix(self):
         expected = identity(3)
         expected[7, 7] = -1
-        assert np.allclose(constant_ccz(), expected, atol=0)
+        assert np.allclose(n_simplex_constant(3), expected, atol=0)
 
     def test_ccz_is_rank_one_deformation(self):
         proj = np.zeros((8, 8), dtype=complex)
         proj[7, 7] = 1
-        assert np.allclose(constant_ccz(), identity(3) - 2 * proj, atol=0)
+        assert np.allclose(n_simplex_constant(3), identity(3) - 2 * proj, atol=0)
 
     def test_ccz_hadamard_conjugate_is_ccnot(self):
         w = kron(I2, I2, H)
-        assert np.linalg.norm(w @ constant_ccz() @ w.conj().T - CCNOT) < 1e-15
+        assert np.linalg.norm(w @ n_simplex_constant(3) @ w.conj().T - CCNOT) < 1e-15
 
     def test_ccz_vertex_residual_vanishes(self):
         residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: constant_ccz(), [None] * 6))[1]
+            index_scheme(3).tuples, 6, lambda _: n_simplex_constant(3), [None] * 6))[1]
         assert residual < 1e-12
 
     def test_alpha_zero_matches_ccz(self):
-        assert np.array_equal(constant_alpha(0.0), constant_ccz())
+        assert np.array_equal(n_simplex_constant(3, 0.0), CCZ)
 
     def test_alpha_beta_unitary(self):
         rng = np.random.default_rng(9)
@@ -240,7 +237,7 @@ class TestConstantSolutions:
             assert is_unitary(constant_alpha_beta(a, b))
 
     def test_linear_special_values(self):
-        assert np.array_equal(constant_linear(1.0, -2.0), constant_ccz())
+        assert np.array_equal(constant_linear(1.0, -2.0), n_simplex_constant(3))
 
     def test_linear_generic_solves_but_is_not_unitary(self):
         member = constant_linear(1.0, 0.5)
@@ -251,19 +248,19 @@ class TestConstantSolutions:
 
 class TestCzYangBaxter:
     def test_matrix(self):
-        assert np.allclose(cz_yangbaxter(), np.diag([1.0, 1.0, 1.0, -1.0]), atol=0)
+        assert np.allclose(n_simplex_constant(2), np.diag([1.0, 1.0, 1.0, -1.0]), atol=0)
         proj = np.zeros((4, 4), dtype=complex)
         proj[3, 3] = 1
-        assert np.allclose(cz_yangbaxter(), identity(2) - 2 * proj, atol=0)
+        assert np.allclose(n_simplex_constant(2), identity(2) - 2 * proj, atol=0)
 
     def test_two_simplex_equation(self):
         residual = reversal_residual(*simplex_equation(
-            index_scheme(2).tuples, 3, lambda _: cz_yangbaxter(), [None] * 3))[1]
+            index_scheme(2).tuples, 3, lambda _: n_simplex_constant(2), [None] * 3))[1]
         assert residual < 1e-13
 
     def test_hadamard_conjugate_is_cnot(self):
         w = kron(I2, H)
-        assert np.linalg.norm(w @ cz_yangbaxter() @ w.conj().T - CNOT) < 1e-15
+        assert np.linalg.norm(w @ n_simplex_constant(2) @ w.conj().T - CNOT) < 1e-15
 
 
 class TestSu24Simplex:
@@ -294,18 +291,18 @@ class TestSu24Simplex:
 class TestNSimplexFamilies:
     def test_constant_specializes_at_three_sites(self):
         for alpha in (0.0, 1.1, np.pi):
-            assert np.array_equal(n_simplex_constant(3, alpha), constant_alpha(alpha))
+            assert np.array_equal(n_simplex_constant(3, alpha), constant_alpha_beta(alpha, alpha))
 
     @pytest.mark.parametrize("member, formula", [
-        (lambda alpha: constant_ccz(),
+        (lambda alpha: n_simplex_constant(3),
          lambda alpha: identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - Z)),
-        (constant_alpha,
+        (lambda alpha: n_simplex_constant(3, alpha),
          lambda alpha: identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - np.exp(1j * alpha) * Z)),
-        (lambda alpha: cz_yangbaxter(),
+        (lambda alpha: n_simplex_constant(2),
          lambda alpha: identity(2) - 0.5 * kron(I2 - Z, I2 - Z)),
     ], ids=["constant_ccz", "constant_alpha", "cz_yangbaxter"])
     def test_diagonal_constants_are_bit_identical_to_their_formulas(self, member, formula):
-        # each is n_simplex_constant at a fixed n; its docstring formula, to the bit
+        # n_simplex_constant at n = 3 and n = 2, against the formula it specializes to, to the bit
         alphas = [0.0, np.pi, *np.random.default_rng(12).uniform(0, 2 * np.pi, 500)]
         for alpha in alphas:
             assert np.array_equal(member(alpha), formula(alpha))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from simplexgates.gates import CCNOT, local_conjugate
-from simplexgates.operators import (CouplingConstants, SiteOperatorFamily, constant_ccz,
-                                    generic_tetrahedron, su2_tetrahedron, twisted_permutation)
+from simplexgates.operators import (CouplingConstants, SiteOperatorFamily, generic_tetrahedron,
+                                    n_simplex_constant, su2_tetrahedron, twisted_permutation)
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
                                 random_state, random_unitary)
@@ -69,7 +69,7 @@ class TestIndexScheme:
 class TestVertexResidual:
     def test_constant_ccz_vanishes(self):
         assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: constant_ccz(), [None] * 6))[1] < 1e-12
+            index_scheme(3).tuples, 6, lambda _: n_simplex_constant(3), [None] * 6))[1] < 1e-12
 
     def test_su2_family_vanishes(self):
         rng = np.random.default_rng(31)
@@ -98,7 +98,6 @@ class TestVertexResidual:
 
     def test_dense_refused_beyond_site_limit(self):
         def provider(params):
-            from simplexgates.operators import n_simplex_constant
             return n_simplex_constant(5)
 
         with pytest.raises(CampaignArgumentError,
@@ -166,7 +165,7 @@ class TestEdgeResidual:
 
     def test_constant_ccz(self):
         assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, lambda _: constant_ccz(), [None] * 4))[1] < 1e-13
+            EDGE_TUPLES_3, 4, lambda _: n_simplex_constant(3), [None] * 4))[1] < 1e-13
 
     def test_identity_provider_is_exactly_zero(self):
         raw, norm = reversal_residual(
@@ -175,7 +174,7 @@ class TestEdgeResidual:
 
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="4 sites"):
-            simplex_equation(EDGE_TUPLES_3, 4, lambda _: constant_ccz(), [None] * 6)
+            simplex_equation(EDGE_TUPLES_3, 4, lambda _: n_simplex_constant(3), [None] * 6)
 
 
 @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
@@ -263,7 +262,7 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     scheme = index_scheme(order)
     factors = [(random_unitary(len(t), rng), t) for t in scheme.tuples]
     size, vectors, seed = scheme.register_size, 4, 38
-    vector_rng = np.random.default_rng(seed)
+    vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     raws, norms = [], []
     for _ in range(vectors):
         v = random_state(size, vector_rng)
@@ -374,7 +373,7 @@ def _reference_residual(lhs, rhs, n, mode, vectors, seed):
         blocks = [None]
         side = lambda factors, block: product(factors, n)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         blocks = [random_state(n, rng) for _ in range(vectors)]
         side = apply_product
     pairs = []
@@ -532,6 +531,28 @@ class TestTwoThreadBlocks:
         assert failed_on and threading.get_ident() not in failed_on
         assert threading.enumerate() == before
 
+    def test_an_error_in_the_first_half_waits_for_the_worker(self, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+        side_norms, worker_blocks = verify._side_norms, []
+
+        def fail_on_site_1_clear(*args, pins=None, **kwargs):
+            # site 1's column bit is 0 in exactly the caller's half of the patterns
+            if threading.get_ident() != caller:
+                worker_blocks.append(pins)
+            elif pins[1] == 0:
+                raise RuntimeError("first half")
+            return side_norms(*args, pins=pins, **kwargs)
+
+        monkeypatch.setattr(verify, "_side_norms", fail_on_site_1_clear)
+        caller, before = threading.get_ident(), threading.enumerate()
+        equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
+        with pytest.raises(RuntimeError, match="first half"):
+            reversal_residual(*equation)
+        # the worker built its whole half before the error left, and no thread runs on
+        assert len(worker_blocks) == 2 ** (2 * 10 - verify._BLOCK_BITS) // 2
+        assert all(pins[1] == 1 for pins in worker_blocks)
+        assert threading.enumerate() == before
+
 
 class TestPermutationRelations:
     def test_plain_permutations(self):
@@ -550,6 +571,14 @@ class TestPermutationRelations:
         p12 = embed(twisted_permutation(p1, p2), (1, 2), 3)
         p23 = embed(twisted_permutation(p2, p3), (2, 3), 3)
         assert np.linalg.norm(p12 @ p23 @ p12 - p23 @ p12 @ p23) < 1e-13
+
+
+def _patch_phased_constant(monkeypatch, member):
+    # constant-vertex's second member, n_simplex_constant(3, alpha), becomes
+    # member; its first, n_simplex_constant(3) at alpha 0, stays the sign flip
+    real = operators.n_simplex_constant
+    monkeypatch.setattr(operators, "n_simplex_constant",
+                        lambda n, alpha=0.0: member if alpha else real(n, alpha))
 
 
 class TestCampaign:
@@ -625,8 +654,7 @@ class TestCampaign:
     def test_nan_member_of_a_multi_equation_check_fails(self, monkeypatch):
         # the phased member is the second of four, where builtin max() over
         # the members would drop its NaN
-        monkeypatch.setattr(operators, "constant_alpha",
-                            lambda alpha: np.full((8, 8), np.nan, dtype=complex))
+        _patch_phased_constant(monkeypatch, np.full((8, 8), np.nan, dtype=complex))
         check = campaign(["constant-vertex"], trials=2).checks[0]
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
@@ -635,8 +663,7 @@ class TestCampaign:
     def test_nan_diagonal_member_fails(self, monkeypatch, mode):
         # a diagonal member takes the kernel's broadcast multiply, which the
         # all-NaN matrix above, not being diagonal, never reaches
-        monkeypatch.setattr(operators, "constant_alpha",
-                            lambda alpha: np.diag([np.nan] * 8).astype(complex))
+        _patch_phased_constant(monkeypatch, np.diag([np.nan] * 8).astype(complex))
         check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
@@ -644,23 +671,30 @@ class TestCampaign:
     @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
     def test_one_nan_among_unit_diagonal_entries_fails(self, monkeypatch, mode):
         # the kernel skips diagonal entries of exactly 1; NaN is not 1
-        monkeypatch.setattr(operators, "constant_alpha",
-                            lambda alpha: np.diag([1.0] * 7 + [np.nan]).astype(complex))
+        _patch_phased_constant(monkeypatch, np.diag([1.0] * 7 + [np.nan]).astype(complex))
         check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
         assert check.verdict == "fail"
         assert not np.isfinite(check.max_residual)
 
-    @pytest.mark.parametrize("name, family, dim", [
-        ("hadamard-bridge", "cz_yangbaxter", 4),
-        ("toffoli-reduction", "su2_tetrahedron", 8),
-        ("unitary-families", "general_toffoli", 8),
-        ("perm-relations", "conjugated_site_operator", 2),
-    ])
-    def test_nan_member_of_a_pair_check_fails(self, monkeypatch, name, family, dim):
+    @pytest.mark.parametrize("name, family, dim, nan_when", [
+        ("hadamard-bridge", "n_simplex_constant", 4, lambda n, *_: n == 2),
+        ("toffoli-reduction", "su2_tetrahedron", 8, None),
+        ("unitary-families", "general_toffoli", 8, None),
+        ("perm-relations", "conjugated_site_operator", 2, None),
+    ], ids=["hadamard-bridge-cz_yangbaxter-4", "toffoli-reduction-su2_tetrahedron-8",
+            "unitary-families-general_toffoli-8", "perm-relations-conjugated_site_operator-2"])
+    def test_nan_member_of_a_pair_check_fails(self, monkeypatch, name, family, dim, nan_when):
         # the patched family feeds a member after the first, where builtin
-        # max() over the members would drop its NaN
-        monkeypatch.setattr(operators, family,
-                            lambda *args, **kwargs: np.full((dim, dim), np.nan, dtype=complex))
+        # max() over the members would drop its NaN; n_simplex_constant also
+        # feeds hadamard-bridge's first two, so only its n = 2 call, the third, is NaN
+        real = getattr(operators, family)
+
+        def patched(*args, **kwargs):
+            if nan_when is None or nan_when(*args, **kwargs):
+                return np.full((dim, dim), np.nan, dtype=complex)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operators, family, patched)
         check = campaign([name], trials=2).checks[0]
         assert check.verdict == "fail"
         assert np.isnan(check.max_residual)
@@ -786,6 +820,21 @@ class TestSharedDraws:
         assert sorted(drawn) == sorted(sizes * trials * vectors)
         for check in report.checks:
             assert check.residuals == alone[check.check].residuals
+
+    def test_vectors_come_from_a_stream_apart_from_the_checks_parameters(self, monkeypatch):
+        # every check draws its parameters from default_rng(trial seed); a
+        # vector from that stream would repeat those normals (at seed 7 the
+        # first three set site 1's axis of nsimplex-su2toffoli)
+        equation = CHECKS["nsimplex-su2toffoli"].fn(7, n=3)[0]
+        drawn = []
+
+        def recording(n, rng):
+            drawn.append(random_state(n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "random_state", recording)
+        reversal_residual(*equation, "matrixfree", 1, 7)
+        assert not np.allclose(drawn[0], random_state(6, np.random.default_rng(7)))
 
     def test_a_check_named_twice_gets_two_reports(self):
         report = campaign(["nsimplex-constant", "nsimplex-constant"], trials=2, seed=1, n=3)
