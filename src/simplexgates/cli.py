@@ -6,7 +6,8 @@ usage error: anything argparse refuses (such as a non-finite or negative
 tolerance, a --couplings value that is not seven complex numbers, a build
 site count below 2 or beyond the register ceiling, or an --out path in a
 missing directory or naming a directory), and any verify request, its
-SIMPLEX_SEED included, that verify.CampaignArgumentError refuses."""
+SIMPLEX_SEED included, that verify.CampaignArgumentError refuses.  A
+reader that closes stdout early changes no exit code (see ``_emit``)."""
 
 from __future__ import annotations
 
@@ -329,16 +330,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         return 1
     k = arity_of(op)
     deviation, unitary = _unitarity(op)
-    print(f"family: {args.family}")
-    print(f"arity: {k}  dim: {2 ** k}")
-    print(f"unitary: {'yes' if unitary else 'no'} "
-          f"(deviation {deviation:.3e})")
+    lines = [f"family: {args.family}", f"arity: {k}  dim: {2 ** k}",
+             f"unitary: {'yes' if unitary else 'no'} (deviation {deviation:.3e})"]
     if fam.reference is not None:
         ref_name, ref = fam.reference(args)
-        print(f"distance to {ref_name}: {frobenius_distance(op, ref):.6e}")
+        lines.append(f"distance to {ref_name}: {frobenius_distance(op, ref):.6e}")
+    _emit("\n".join(lines))
     if args.out:
         save_operator(op, args.out)
-        print(f"wrote: {args.out}")
+        _emit(f"wrote: {args.out}")
     return 0
 
 
@@ -359,32 +359,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # the reader closed early: point stdout at devnull, so that the
-            # flush at exit cannot fail again, and keep the verdict's code
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        _emit(text)
     return 0 if report.verdict == "pass" else 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    if args.json:
-        payload = {"checks": {name: c.description for name, c in verify.CHECKS.items()}}
-        if not args.checks:
-            payload["families"] = {name: f.description for name, f in FAMILIES.items()}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
+    catalog = {"checks": {name: spec.description for name, spec in verify.CHECKS.items()}}
     if not args.checks:
-        print("operator families:")
-        for name, fam in FAMILIES.items():
-            print(f"  {name:24s} {fam.description}")
-        print()
-    print("verification checks:")
-    for name, spec in verify.CHECKS.items():
-        print(f"  {name:24s} {spec.description}")
+        catalog["families"] = {name: fam.description for name, fam in FAMILIES.items()}
+    if args.json:
+        _emit(json.dumps(catalog, sort_keys=True, indent=2))
+        return 0
+    sections = [("operator families", catalog.get("families")),
+                ("verification checks", catalog["checks"])]
+    _emit("\n\n".join(
+        f"{title}:\n" + "\n".join(f"  {name:24s} {text}" for name, text in rows.items())
+        for title, rows in sections if rows))
     return 0
+
+
+def _emit(text: str) -> None:
+    """Print ``text`` to stdout and flush.  If the reader closed the pipe
+    early, point stdout at devnull, so that the flush at exit cannot fail
+    again, and return: each command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _default_seed() -> int:

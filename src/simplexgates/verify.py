@@ -4,7 +4,10 @@ verification campaign, the one place that picks the residual mode.
 Residual conventions: ``reversal_residual`` evaluates one equation.  It
 places and checks each factor once (the reversed side reverses the placed
 list), then both modes run the two sides through one product kernel in
-three reused buffers per thread.  Dense mode, which the permutation
+three reused buffers per thread; a non-diagonal factor of 5 or 6 sites
+that is the identity plus a rank r < d/4 term, to within d * eps of that
+term's norm, is applied as U (Vh g) + g (``tensor._factored``), which
+changes a residual only by rounding.  Dense mode, which the permutation
 relations share, builds both sides one column block of 2**_BLOCK_BITS
 entries at most at a time (never a whole 2**N x 2**N side), on two threads
 given two CPUs, and reports ||L - R||_F plus that value divided by ||L||_F;

@@ -1,8 +1,9 @@
 """Test references the package no longer exports: the dense matrix of a
-product of placed factors, an operator embedded by a Kronecker product
-with the identity, the unitarity verdict, a reader for the operator
-files that ``simplexgates build --out`` writes, and the sites of a
-simplex scheme that take two roles."""
+product of placed factors, a product applied to a vector one whole factor
+matrix at a time, an operator embedded by a Kronecker product with the
+identity, the unitarity verdict, a reader for the operator files that
+``simplexgates build --out`` writes, and the sites of a simplex scheme
+that take two roles."""
 
 import json
 from pathlib import Path
@@ -20,6 +21,20 @@ def product(factors, n):
     placed = tensor._placed(factors, n)
     work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
     return tensor._copied(tensor._product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
+
+
+def apply_dense(factors, v):
+    """A product of (operator, sites) factors, composed left to right,
+    applied to the vector ``v``, last factor first: each factor's whole
+    matrix is contracted with the state's axes of its sites by
+    ``np.tensordot``, with no call into the kernel and no factored form."""
+    n = len(v).bit_length() - 1
+    t = np.asarray(v, dtype=complex).reshape((2,) * n)
+    for op, sites in reversed(factors):
+        k, axes = len(sites), [s - 1 for s in sites]
+        t = np.tensordot(np.reshape(op, (2,) * 2 * k), t, axes=(range(k, 2 * k), axes))
+        t = np.moveaxis(t, range(k), axes)
+    return t.reshape(-1)
 
 
 def embed_by_kron(op, sites, n):

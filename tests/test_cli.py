@@ -509,25 +509,31 @@ class TestList:
         assert set(doc["checks"]) == set(CHECKS)
 
 
+def _checkout_env():
+    # the package directory's parent goes first on the path, so a child
+    # process imports this checkout whether or not it is installed
+    root = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoints:
     def test_module_runs_as_a_script(self):
-        # the package directory's parent goes first on the path, so the
-        # child imports this checkout whether or not it is installed
-        root = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [root, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-m", "simplexgates.cli", "verify", "ccnot-negative-control",
-             "--trials", "1"], env=env, capture_output=True, text=True, timeout=120)
+             "--trials", "1"], env=_checkout_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["verdict"] == "pass"
 
     @pytest.mark.parametrize("argv,code", [
         (["verify", "perm-relations", "--trials", "1"], 0),
         (["verify", "perm-relations", "--trials", "1", "--tol", "1e-300"], 1),
+        (["list"], 0), (["list", "--checks"], 0), (["list", "--json"], 0),
+        (["list", "--json", "--checks"], 0), (["build", "toffoli-family"], 0),
+        (["build", "nsimplex-su2toffoli", "--n", "5"], 0),
     ])
-    def test_report_to_a_closed_pipe_keeps_the_verdicts_code(self, monkeypatch, argv, code):
-        # a reader that left before the report: every write raises BrokenPipeError
+    def test_output_to_a_closed_pipe_keeps_the_exit_code(self, monkeypatch, argv, code):
+        # a reader that left before the output: every write raises BrokenPipeError
         read, write = os.pipe()
         os.close(read)
         with open(write, "w") as stdout:
@@ -536,6 +542,28 @@ class TestEntryPoints:
                 print("{}", flush=True)
             assert main(argv) == code
             print("{}", flush=True)  # now into devnull, as the flush at exit would be
+
+    def test_build_to_a_closed_pipe_still_writes_its_file(self, monkeypatch, tmp_path):
+        out = tmp_path / "op.json"
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["build", "toffoli-family", "--out", str(out)]) == 0
+        assert np.array_equal(read_operator(out), operators.toffoli_family(0.0))
+
+    @pytest.mark.parametrize("argv", [["list", "--json"], ["list", "--checks"]])
+    def test_reader_that_closes_after_one_line(self, argv):
+        # as `simplexgates list --json | head -1`: no traceback, exit 0
+        child = subprocess.Popen([sys.executable, "-m", "simplexgates.cli", *argv],
+                                 env=_checkout_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 0, err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,code", [
         (["verify", "ccnot-negative-control", "--trials", "1"], 0),

@@ -24,7 +24,7 @@ from simplexgates.tensor import (
     save_operator,
 )
 
-from reference import embed_by_kron, is_unitary, product, read_operator
+from reference import apply_dense, embed_by_kron, is_unitary, product, read_operator
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -525,6 +525,158 @@ class TestDiagonalFactors:
                 assert not np.shares_memory(out, state)
                 expected = self._embedded(factors) @ kept
                 assert np.linalg.norm(out - expected) < 1e-13 * max(1.0, np.linalg.norm(expected))
+
+
+def _su2toffoli_factors(n, seed):
+    # one nsimplex-su2toffoli equation's factors on n(n + 1)/2 sites
+    return list(verify.CHECKS["nsimplex-su2toffoli"].fn(seed, n=n)[0].factors)
+
+
+def _identity_plus(rng, d, rank):
+    # the d x d identity plus U Vh / d, U and Vh complex Gaussian of the given rank
+    u = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    vh = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+    return np.eye(d) + u @ vh / d
+
+
+class TestFactoredFactors:
+    """A non-diagonal factor of 5 or 6 sites that is the identity plus a
+    term of rank r < d/4, to within d * eps of that term's norm, multiplies
+    as U (Vh g) + g; every other factor keeps its GEMM or diagonal multiply."""
+
+    @staticmethod
+    def _remainder_over_bound(op, factored):
+        a = op - np.eye(len(op))
+        u, vh = factored
+        return np.linalg.norm(a - u @ vh) / (len(op) * np.finfo(float).eps * np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_su2toffoli_factor_is_rank_two_within_the_bound(self, n):
+        for seed in range(3):
+            for op, sites in _su2toffoli_factors(n, seed):
+                u, vh = factored = tensor._factored(op)
+                assert u.shape == (2**n, 2) and vh.shape == (2, 2**n)
+                assert self._remainder_over_bound(op, factored) <= 1
+                [(_, _, diag, placed)] = tensor._placed([(op, sites)], n * (n + 1) // 2)
+                assert diag is None and all(map(np.array_equal, placed, factored))
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_a_haar_unitary_is_refused(self, k):
+        assert tensor._factored(random_unitary(k, np.random.default_rng(60 + k))) is None
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_rank_below_a_quarter_is_accepted_and_from_a_quarter_refused(self, k):
+        rng, d = np.random.default_rng(62 + k), 2**k
+        op = _identity_plus(rng, d, d // 4 - 1)
+        factored = tensor._factored(op)
+        assert factored[0].shape == (d, d // 4 - 1)
+        assert self._remainder_over_bound(op, factored) <= 1
+        for rank in (d // 4, d // 4 + 1, d):
+            assert tensor._factored(_identity_plus(rng, d, rank)) is None
+
+    def test_factors_outside_five_and_six_sites_are_refused(self):
+        # CCNOT - 1 has rank 1, and so has every factor made here: under 5
+        # sites the GEMM is as fast, so the dense and small-check paths are unchanged
+        rng = np.random.default_rng(64)
+        assert tensor._factored(CCNOT) is None
+        assert tensor._placed([(CCNOT, (1, 2, 3))], 3)[0][3] is None
+        for k in (1, 2, 3, 4, 7):
+            assert tensor._factored(_identity_plus(rng, 2**k, 1)) is None
+        four = operators.n_simplex_su2_toffoli(verify.random_su2_assignment(4, rng))
+        assert tensor._factored(four) is None
+        # a diagonal factor keeps its diagonal multiply and is never tested
+        constant = operators.n_simplex_constant(5, 0.3)
+        assert tensor._placed([(constant, (1, 2, 3, 4, 5))], 5)[0][3] is None
+
+    def test_a_full_rank_perturbation_of_1e_12_is_refused(self):
+        rng = np.random.default_rng(65)
+        ops = [op for op, _ in _su2toffoli_factors(5, 0)[:3]] + [_identity_plus(rng, 64, 2)]
+        for op in ops:
+            assert tensor._factored(op) is not None
+            assert tensor._factored(op + 1e-12 * random_operator(arity_of(op), rng)) is None
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_a_non_finite_factor_is_refused_and_its_residual_is_not_finite(self, entry):
+        # an infinite F - 1 would otherwise meet an infinite bound at rank 0,
+        # and the factor would act as the identity
+        factors = _su2toffoli_factors(5, 3)
+        op, sites = factors[1]
+        op = op.copy()
+        op[3, 5] = entry
+        factors[1] = (op, sites)
+        assert tensor._factored(op) is None
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, norm = verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
+        assert not np.isfinite(norm)
+
+    def test_the_rank_test_calls_no_lapack(self, monkeypatch):
+        haar = random_unitary(5, np.random.default_rng(66))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the rank test called LAPACK")
+
+        for name in ("svd", "qr", "eig", "eigh", "eigvals", "eigvalsh", "lstsq", "solve", "inv",
+                     "pinv", "matrix_rank", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        assert tensor._factored(_su2toffoli_factors(5, 0)[0][0]) is not None
+        assert tensor._factored(haar) is None
+
+    @staticmethod
+    def _mix(rng, n, count):
+        # a low-rank 5- or 6-site factor (U and Vh of rank 1-3) first, then
+        # low-rank, diagonal and dense 1- to 3-site factors at random, each
+        # on sites in a random order
+        factors = []
+        for i in range(count):
+            kind = 0 if i == 0 else int(rng.integers(3))
+            k = int(rng.integers(5, 7)) if kind == 0 else int(rng.integers(1, 4))
+            op = random_operator(k, rng)
+            if kind == 0:
+                op = _identity_plus(rng, 2**k, int(rng.integers(1, 4)))
+            elif kind == 1:
+                op = np.diag(np.diagonal(op))
+            factors.append((op, tuple(int(s) + 1 for s in rng.permutation(n)[:k])))
+        return factors
+
+    def test_low_rank_mixes_match_the_product_of_embeds(self):
+        rng, n = np.random.default_rng(67), 8
+        for trial in range(30):
+            factors = self._mix(rng, n, 2 + trial % 5)
+            assert tensor._placed(factors, n)[0][3] is not None
+            dense = identity(n)
+            for op, sites in factors:
+                dense = dense @ embed(op, sites, n)
+            scale = max(1.0, float(np.linalg.norm(dense)))
+            v = random_state(n, rng)
+            block = np.stack([v, random_state(n, rng), random_state(n, rng)], axis=1)
+            for state in (v, block):
+                kept = state.copy()
+                assert np.linalg.norm(apply_product(factors, state) - dense @ kept) < 1e-13 * scale
+                assert np.array_equal(state, kept)
+            assert np.linalg.norm(product(factors, n) - dense) < 1e-13 * scale
+
+    def test_a_perturbed_su2toffoli_factor_shows_in_the_matrix_free_residual(self):
+        # 1e-9 times a Gaussian matrix on one factor of an n = 5 equation: the
+        # kernel's residual matches one made from whole factor matrices, on
+        # the same vectors, to 1e-12 of ||L v|| = 1, so the factored form of
+        # the other factors hides nothing
+        size, vectors, seed = 15, 3, 72
+        factors = _su2toffoli_factors(5, seed)
+        op, sites = factors[2]
+        factors[2] = (op + 1e-9 * random_operator(5, np.random.default_rng(seed)), sites)
+        assert tensor._factored(factors[2][0]) is None
+        vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        raws, norms = [], []
+        for _ in range(vectors):
+            v = random_state(size, vector_rng)
+            left = apply_dense(factors, v)
+            raws.append(np.linalg.norm(left - apply_dense(factors[::-1], v)))
+            norms.append(raws[-1] / np.linalg.norm(left))
+        raw, norm = verify.reversal_residual(factors, size, "matrixfree", vectors, seed)
+        assert min(norms) > 1e-10
+        assert abs(raw - max(raws)) <= 1e-12 and abs(norm - max(norms)) <= 1e-12
+        factors[2] = (op, sites)
+        assert verify.reversal_residual(factors, size, "matrixfree", vectors, seed)[1] < 1e-14
 
 
 class TestPredicates:
