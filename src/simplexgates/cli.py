@@ -173,9 +173,8 @@ def _generic_args(p):
 
 
 def _generic_build(args):
-    family = (op_families.SiteOperatorFamily.pauli_exp()
-              if args.family_kind == "pauli-exp"
-              else op_families.SiteOperatorFamily.seeded_random(args.family_seed))
+    family = (op_families.pauli_exp() if args.family_kind == "pauli-exp"
+              else op_families.seeded_random(args.family_seed))
     return op_families.generic_tetrahedron(
         family, (args.mu_i, args.mu_j, args.mu_k), args.couplings)
 
@@ -319,7 +318,9 @@ FAMILIES: dict[str, Family] = {
 def cmd_build(args: argparse.Namespace) -> int:
     fam = FAMILIES[args.family]
     try:
-        op = fam.build(args)
+        # an overflow is reported once, by the non-finite check, not as numpy warnings too
+        with np.errstate(over="ignore", invalid="ignore"):
+            op = fam.build(args)
         if not np.isfinite(op).all():
             raise ValueError("operator has non-finite entries")
     except DegenerateEigenvaluesError as exc:

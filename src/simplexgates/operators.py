@@ -12,13 +12,17 @@ is the target, the two do not commute for generic rotations, and the
 vertex-form equation fails whenever a placement shares a site between the
 two roles (CCNOT, the family at its special point, is the standard
 counterexample).  The 4-site edge form holds though its site 3 takes both.
+
+An abelian family passes those equations too.  What shows that a family's
+members fail to commute is not a screen at construction but the per-slot
+twins of the ``verify`` checks, which give every (placement, slot) its own
+parameter: only noncommuting members violate that equation.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +33,8 @@ from .tensor import identity, kron
 
 __all__ = [
     "CouplingConstants",
-    "SiteOperatorFamily",
+    "pauli_exp",
+    "seeded_random",
     "FOUR_SIMPLEX_VARIANTS",
     "generic_tetrahedron",
     "su2_tetrahedron",
@@ -66,86 +71,44 @@ class CouplingConstants:
         return cls(*(complex(v) for v in vals))
 
 
-@cache
-def _screen_pairs() -> tuple[tuple[complex, complex], ...]:
-    # the parameter pairs every screen samples, drawn on the first screen, not at import
-    rng = np.random.default_rng(0x5EED)
-    pairs = [tuple(complex(re, im) for re, im in rng.standard_normal((2, 2))) for _ in range(16)]
-    return tuple((mu, nu) for mu, nu in pairs if mu != nu)
+def pauli_exp() -> Callable[[complex], np.ndarray]:
+    """Site operators exp(mu * A) with A = cos|mu| X + sin|mu| Z.
 
-
-class SiteOperatorFamily:
-    """Deterministic map from a complex spectral parameter to a 2x2 operator.
-
-    One member operator attaches to each register site.  Members should
-    genuinely fail to commute across parameters, otherwise simplex-equation
-    checks hold for a weaker reason than intended.  So every family is
-    screened at construction on 16 fixed parameter pairs, drawn once per
-    process from seed 0x5EED: it must have a median commutator norm above
-    0.01.  The screen accepts as soon as more than half the norms exceed
-    0.01, which settles the median; otherwise it computes every pair, and
-    a median at or below 0.01, or NaN, raises ValueError.
+    A is an involution, so the exponential collapses to
+    cosh(mu) 1 + sinh(mu) A; the axis turns with |mu|, which makes
+    members with distinct parameters noncommuting.
     """
 
-    def __init__(self, fn: Callable[[complex], np.ndarray], name: str):
-        self._fn = fn
-        self.name = name
-        self._screen()
+    def fn(mu: complex) -> np.ndarray:
+        mu = complex(mu)
+        a = np.cos(abs(mu)) * X + np.sin(abs(mu)) * Z
+        return np.cosh(mu) * I2 + np.sinh(mu) * a
 
-    def __call__(self, mu: complex) -> np.ndarray:
-        return self._fn(complex(mu))
+    return fn
 
-    def _screen(self) -> None:
-        pairs, norms, above = _screen_pairs(), [], 0
-        for mu, nu in pairs:
-            qm, qn = self(mu), self(nu)
-            norms.append(float(np.linalg.norm(qm @ qn - qn @ qm)))
-            above += norms[-1] > 0.01
-            if above > len(pairs) // 2:
-                return
-        median = float(np.median(norms))
-        if not median > 0.01:
-            raise ValueError(
-                f"family {self.name!r} looks abelian: median commutator norm "
-                f"{median:.2e} over 16 sampled pairs"
-            )
 
-    @classmethod
-    def pauli_exp(cls) -> "SiteOperatorFamily":
-        """exp(mu * A) with A = cos|mu| X + sin|mu| Z.
+def seeded_random(seed: int = 0) -> Callable[[complex], np.ndarray]:
+    """Site operators: a fixed pseudo-random complex 2x2 per parameter,
+    keyed by the family seed and the bit pattern of mu; bit-for-bit
+    reproducible."""
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    # SeedSequence([seed, *words]) splits the seed into little-endian
+    # uint32 words ([0] for 0); one array of all the words is the same
+    # entropy, built faster, and one draw of 8 normals the same two (2, 2) draws
+    head = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    layout = f"<{len(head)}Idd"
 
-        A is an involution, so the exponential collapses to
-        cosh(mu) 1 + sinh(mu) A; the axis turns with |mu|, which makes
-        members with distinct parameters noncommuting.
-        """
+    def fn(mu: complex) -> np.ndarray:
+        mu = complex(mu)
+        words = np.frombuffer(struct.pack(layout, *head, mu.real, mu.imag), dtype=np.uint32)
+        z = np.random.default_rng(np.random.SeedSequence(words)).standard_normal((2, 2, 2))
+        return z[0] + 1j * z[1]
 
-        def fn(mu: complex) -> np.ndarray:
-            a = np.cos(abs(mu)) * X + np.sin(abs(mu)) * Z
-            return np.cosh(mu) * I2 + np.sinh(mu) * a
-
-        return cls(fn, "pauli_exp")
-
-    @classmethod
-    def seeded_random(cls, seed: int = 0) -> "SiteOperatorFamily":
-        """Fixed pseudo-random complex 2x2 per parameter, keyed by the
-        family seed and the bit pattern of mu; bit-for-bit reproducible."""
-        seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        # SeedSequence([seed, *words]) splits the seed into little-endian
-        # uint32 words ([0] for 0); one array of all the words is the same
-        # entropy, built faster, and one draw of 8 normals the same two (2, 2) draws
-        head = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-        layout = f"<{len(head)}Idd"
-
-        def fn(mu: complex) -> np.ndarray:
-            words = np.frombuffer(struct.pack(layout, *head, mu.real, mu.imag), dtype=np.uint32)
-            z = np.random.default_rng(np.random.SeedSequence(words)).standard_normal((2, 2, 2))
-            return z[0] + 1j * z[1]
-
-        return cls(fn, f"seeded_random({seed})")
+    return fn
 
 
 def generic_tetrahedron(
-    family: SiteOperatorFamily,
+    family: Callable[[complex], np.ndarray],
     mus: Sequence[complex],
     couplings: CouplingConstants,
 ) -> np.ndarray:

@@ -9,7 +9,6 @@ from simplexgates.gates import CCNOT, CNOT, local_conjugate, n_toffoli
 from simplexgates.operators import (
     FOUR_SIMPLEX_VARIANTS,
     CouplingConstants,
-    SiteOperatorFamily,
     conjugated_site_operator,
     constant_alpha_beta,
     constant_linear,
@@ -17,6 +16,7 @@ from simplexgates.operators import (
     generic_tetrahedron,
     n_simplex_constant,
     n_simplex_su2_toffoli,
+    seeded_random,
     su2_4simplex,
     su2_tetrahedron,
     toffoli_family,
@@ -74,7 +74,7 @@ def test_criterion_3_generic_trivial_solution():
     worst_vertex = worst_edge = 0.0
     for trial in range(100):
         rng = np.random.default_rng(300 + trial)
-        family = SiteOperatorFamily.seeded_random(seed=300 + trial)
+        family = seeded_random(seed=300 + trial)
         couplings = CouplingConstants.random(rng)
         provider = lambda mus: generic_tetrahedron(family, mus, couplings)
         worst_vertex = max(worst_vertex,

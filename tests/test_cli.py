@@ -110,11 +110,12 @@ class TestBuild:
         ["constant-linear", "--a", "1e308", "--b", "1e308"],
         ["generic-tetrahedron", "--family-kind", "pauli-exp", "--mu-i", "1e308"],
     ], ids=["linear-overflow", "generic-overflow"])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_operator_is_a_construction_failure(self, argv, tmp_path, capsys):
-        # NaN and Infinity are not JSON: refused before any property is printed
+        # NaN and Infinity are not JSON: refused before any property is
+        # printed, in one error line and no numpy warning
         out = tmp_path / "op.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["build", *argv, "--out", str(out)])
+        code = main(["build", *argv, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "error: operator has non-finite entries\n"
@@ -227,7 +228,10 @@ def test_every_constructor_is_called_by_a_default_build(monkeypatch, capsys):
             monkeypatch.setattr(operators, name, recording(name, value))
     for family in FAMILIES:
         assert main(["build", family]) == 0, capsys.readouterr().err
+    assert main(["build", "generic-tetrahedron", "--family-kind", "pauli-exp"]) == 0
     assert called == {
+        "pauli_exp",
+        "seeded_random",
         "generic_tetrahedron",
         "su2_tetrahedron",
         "toffoli_family",
@@ -263,10 +267,10 @@ class TestVerify:
         assert doc["checks"][0]["mode"] == "matrixfree"
 
     def test_only_the_n_aware_checks_default_to_matrixfree(self, capsys):
-        n_aware = ["nsimplex-constant", "nsimplex-su2toffoli"]
+        n_aware = [name for name, spec in CHECKS.items() if spec.supports_n]
         assert main(["verify", *n_aware, "--n", "3", "--trials", "1"]) == 0
         modes = [c["mode"] for c in json.loads(capsys.readouterr().out)["checks"]]
-        assert modes == ["matrixfree"] * 2
+        assert modes == ["matrixfree"] * len(n_aware)
         others = [name for name in CHECKS if name not in n_aware]
         assert main(["verify", *others, "--trials", "1"]) == 0
         modes = [c["mode"] for c in json.loads(capsys.readouterr().out)["checks"]]

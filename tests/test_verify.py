@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from simplexgates.gates import CCNOT, local_conjugate
-from simplexgates.operators import (CouplingConstants, SiteOperatorFamily, generic_tetrahedron,
-                                    n_simplex_constant, su2_tetrahedron, twisted_permutation)
+from simplexgates.operators import (CouplingConstants, generic_tetrahedron, n_simplex_constant,
+                                    seeded_random, su2_4simplex, su2_tetrahedron,
+                                    twisted_permutation)
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
                                 random_state, random_unitary)
@@ -26,6 +27,7 @@ from simplexgates.verify import (
     random_su2_assignment,
     reversal_residual,
     simplex_equation,
+    slot_equation,
 )
 
 from reference import product
@@ -157,7 +159,7 @@ def test_column_reconstruction_matches_dense_residual():
 class TestEdgeResidual:
     def test_generic_family(self):
         rng = np.random.default_rng(35)
-        fam = SiteOperatorFamily.seeded_random(35)
+        fam = seeded_random(35)
         couplings = CouplingConstants.random(rng)
         assert reversal_residual(*simplex_equation(
             EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
@@ -175,6 +177,59 @@ class TestEdgeResidual:
     def test_wrong_assignment_length(self):
         with pytest.raises(ValueError, match="4 sites"):
             simplex_equation(EDGE_TUPLES_3, 4, lambda _: n_simplex_constant(3), [None] * 6)
+
+
+class TestSlotEquation:
+    @pytest.mark.parametrize("tuples, size, provider", [
+        (index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=0.7)),
+        (EDGE_TUPLES_3, 4, lambda ps: su2_tetrahedron(*ps, alpha=2.1)),
+        (index_scheme(4).tuples, 10, lambda ps: su2_4simplex(*ps, alpha=0.4)),
+    ], ids=["vertex-3", "edge-3", "vertex-4"])
+    def test_each_slot_reading_its_site_gives_the_per_site_factors(self, tuples, size, provider):
+        assignment = random_su2_assignment(size, np.random.default_rng(size))
+        want = simplex_equation(tuples, size, provider, assignment)
+        got = slot_equation(tuples, size, provider, [assignment[s - 1] for t in tuples for s in t])
+        assert got.register_size == want.register_size
+        assert ([(op.tobytes(), sites) for op, sites in got.factors]
+                == [(op.tobytes(), sites) for op, sites in want.factors])
+
+    @pytest.mark.parametrize("count", [0, 6, 11, 13])
+    def test_a_wrong_parameter_count_is_refused_before_the_provider(self, count):
+        def provider(params):
+            raise AssertionError("provider called")
+
+        with pytest.raises(ValueError, match=f"params must cover all 12 slots, got {count}$"):
+            slot_equation(index_scheme(3).tuples, 6, provider, list(range(count)))
+
+
+class TestPerSlotTwins:
+    """A twin evaluates its check's family with one parameter per
+    (placement, slot): noncommuting members violate that equation, and an
+    abelian family satisfies it, so the twin's inverted verdict shows which
+    one the family is."""
+
+    GENERIC = ["generic-vertex", "edge-form-3"]
+
+    @pytest.mark.parametrize("family, check, twin", [
+        (None, "pass", "pass"),
+        (lambda mu: np.diag([1, complex(mu)]), "pass", "fail"),
+        (lambda mu: np.full((2, 2), np.nan, dtype=complex), "fail", "fail"),
+    ], ids=["seeded-random", "abelian", "nan"])
+    def test_the_twins_tell_the_site_operator_family(self, monkeypatch, family, check, twin):
+        if family is not None:
+            monkeypatch.setattr(operators, "seeded_random", lambda seed=0: family)
+        names = self.GENERIC + [f"{name}-per-slot" for name in self.GENERIC]
+        report = campaign(names, trials=3, seed=0)
+        assert [c.verdict for c in report.checks] == [check, check, twin, twin]
+
+    @pytest.mark.parametrize("n, mode", [(2, "matrixfree"), (3, "matrixfree"), (4, "matrixfree"),
+                                         (5, "matrixfree"), (2, "dense"), (3, "dense"),
+                                         (4, "dense")])
+    def test_the_nsimplex_twin_passes_at_each_order_and_mode(self, n, mode):
+        report = campaign(["nsimplex-su2toffoli-per-slot"], trials=2, seed=0, n=n, mode=mode)
+        check = report.checks[0]
+        assert (check.n, check.mode, check.verdict) == (n, mode, "pass")
+        assert min(check.residuals) > 1e-3
 
 
 @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
@@ -468,7 +523,9 @@ class TestTwoThreadBlocks:
     @pytest.mark.parametrize("seed", range(4))
     def test_su2_4simplex_reports_match(self, monkeypatch, seed):
         def report():
-            doc = dataclasses.asdict(campaign(["su2-4simplex-vertex"], trials=1, seed=seed))
+            # the twin's equations fail, so residuals far from zero are compared too
+            names = ["su2-4simplex-vertex", "su2-4simplex-vertex-per-slot"]
+            doc = dataclasses.asdict(campaign(names, trials=1, seed=seed))
             return [{k: v for k, v in c.items() if k != "ms"} for c in doc["checks"]]
 
         one, two = self._on_one_and_two_cpus(monkeypatch, report)
