@@ -5,9 +5,10 @@ Exit codes: 0 success/pass, 1 verification or construction failure, 2
 usage error: anything argparse refuses (such as a non-finite or negative
 tolerance, a --couplings value that is not seven complex numbers, a build
 site count below 2 or beyond the register ceiling, or an --out path in a
-missing directory or naming a directory), and any verify request, its
-SIMPLEX_SEED included, that verify.CampaignArgumentError refuses.  A
-reader that closes stdout early changes no exit code (see ``_emit``)."""
+missing directory or naming a directory), an --out file that cannot be
+written once the work is done, and any verify request, its SIMPLEX_SEED
+included, that verify.CampaignArgumentError refuses.  A reader that
+closes stdout early changes no exit code (see ``_emit``)."""
 
 from __future__ import annotations
 
@@ -338,7 +339,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         lines.append(f"distance to {ref_name}: {frobenius_distance(op, ref):.6e}")
     _emit("\n".join(lines))
     if args.out:
-        save_operator(op, args.out)
+        try:
+            save_operator(op, args.out)
+        except OSError as exc:
+            return _unwritable(args.out, exc)
         _emit(f"wrote: {args.out}")
     return 0
 
@@ -358,7 +362,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
            "config": {k: v for k, v in vars(args).items() if k != "func"}}
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            return _unwritable(args.out, exc)
     else:
         _emit(text)
     return 0 if report.verdict == "pass" else 1
@@ -373,10 +380,16 @@ def cmd_list(args: argparse.Namespace) -> int:
         return 0
     sections = [("operator families", catalog.get("families")),
                 ("verification checks", catalog["checks"])]
-    _emit("\n\n".join(
-        f"{title}:\n" + "\n".join(f"  {name:24s} {text}" for name, text in rows.items())
+    _emit("\n\n".join(f"{title}:\n" + "\n".join(
+        f"  {name:{max(map(len, rows))}s} {text}" for name, text in rows.items())
         for title, rows in sections if rows))
     return 0
+
+
+def _unwritable(path: str, exc: OSError) -> int:
+    """Report an --out file that could not be written; a usage error."""
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _emit(text: str) -> None:

@@ -345,13 +345,13 @@ def _unitarity(a: np.ndarray) -> tuple[float, bool]:
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm n-site state with iid complex Gaussian amplitudes, all real
-    parts drawn before the imaginary ones, through one work array of at
-    most 2**14 entries: the stream of one whole draw, with no 2**n temporary."""
-    v, work = np.empty(2**n, dtype=complex), np.empty(min(2**n, 2**14))
-    for half in (v.real, v.imag):
-        for start in range(0, 2**n, work.size):
-            half[start:start + work.size] = rng.standard_normal(out=work)
+    """Unit-norm n-site state whose amplitudes have iid real and imaginary
+    parts, uniform on [-1/2, 1/2), drawn in one call into its own memory.
+    The law is isotropic, E[v v+] = 2**-n times the identity as for a
+    Gaussian, which is all a residual probe needs; it is not Haar."""
+    v = np.empty(2**n, dtype=complex)
+    rng.random(out=v.view(np.float64))
+    v -= 0.5 + 0.5j
     v /= np.linalg.norm(v)
     return v
 

@@ -13,8 +13,8 @@ entries at most at a time (never a whole 2**N x 2**N side), on two threads
 given two CPUs, and reports ||L - R||_F plus that value divided by ||L||_F;
 tolerances apply to the normalized value.  Matrix-free mode applies them
 to seeded random unit vectors and reports the worst ||(L - R) v||_2,
-normalized per vector by ||L v||_2; a campaign draws each vector once per
-trial and register size for all its matrix-free equations of that size.
+normalized per vector by ||L v||_2; every matrix-free equation of a trial
+and register size draws the same vectors itself.
 Either mode reports the raw value where the norm it would divide by is zero.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
@@ -182,40 +182,21 @@ class Equation(NamedTuple):
     register_size: int
 
 
-def _sides(factors, register_size, mode) -> tuple[list, list]:
-    # the placed forward and reversed sides, after the checks every residual
-    # makes first: the block, and two factors or more (fewer are their own reversal)
-    _check_block(register_size, mode)
-    if len(factors) < 2:
-        raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
-    lhs = _placed(factors, register_size)
-    return lhs, lhs[::-1]
-
-
-def _shared_vector_residuals(sides, n, vectors, seed) -> tuple[list, list[float]]:
-    """Each placed (L, R) pair's (raw, normalized) residual on an n-site
-    register, against the same ``vectors`` random unit vectors drawn once
-    from a child of ``seed``'s SeedSequence, a stream apart from the
-    ``default_rng(seed)`` a check draws its parameters from: the worst
-    ||(L - R) v|| over ||L v|| per pair, as ``reversal_residual`` gives it
-    for that pair alone.  Also each pair's seconds, with the draws charged
-    to the first pair."""
+def _vector_distance(lhs, rhs, n, vectors, seed) -> tuple[float, float]:
+    """(raw, normalized) residual of one placed (L, R) pair on n sites: the
+    worst ||(L - R) v|| over ||L v|| on ``vectors`` random unit vectors from
+    a child of ``seed``'s SeedSequence, apart from the ``default_rng(seed)``
+    a check draws from; each equation of a trial and size reads the same."""
     work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    norms, seconds = [[] for _ in sides], [[] for _ in sides]
+    norms = []
     for _ in range(vectors):
-        start = time.perf_counter()
         v = random_state(n, rng)
-        for (lhs, rhs), pair_norms, pair_seconds in zip(sides, norms, seconds):
-            pair_norms.append(_side_norms(lhs, rhs, n, work, v))
-            now = time.perf_counter()
-            pair_seconds.append(now - start)
-            start = now
+        norms.append(_side_norms(lhs, rhs, n, work, v))
         del v  # before the next draw, so that two vectors are never alive at once
     # np.max, unlike max(), lets a NaN through to the verdict
-    worst = [np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in pairs], axis=0)
-             for pairs in norms]
-    return [(float(raw), float(norm)) for raw, norm in worst], [sum(s) for s in seconds]
+    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in norms], axis=0)
+    return float(raw), float(norm)
 
 
 def reversal_residual(
@@ -231,14 +212,17 @@ def reversal_residual(
     The block is checked and fewer than two factors, which are their own
     reversal, are refused; then each factor is placed and checked once,
     and R reuses the placed list.  Dense mode is ``_dense_distance``.
-    Matrix-free mode is ``_shared_vector_residuals`` of this one equation:
-    both products on each of ``vectors`` random unit vectors drawn from a
-    child stream of ``seed``, keeping the worst.
+    Matrix-free mode is ``_vector_distance``: both products on each of
+    ``vectors`` random unit vectors drawn from a child stream of ``seed``,
+    keeping the worst.
     """
-    lhs, rhs = _sides(factors, register_size, mode)
+    _check_block(register_size, mode)
+    if len(factors) < 2:
+        raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
+    lhs = _placed(factors, register_size)
     if mode == "dense":
-        return _dense_distance(lhs, rhs, register_size)
-    return _shared_vector_residuals([(lhs, rhs)], register_size, vectors, seed)[0][0]
+        return _dense_distance(lhs, lhs[::-1], register_size)
+    return _vector_distance(lhs, lhs[::-1], register_size, vectors, seed)
 
 
 def slot_equation(tuples: Sequence[tuple[int, ...]], register_size: int,
@@ -588,28 +572,17 @@ for _name in ("su2-tetra-vertex", "generic-vertex", "edge-form-3", "su2-4simplex
 
 def _trial(runs, seed, vectors) -> list[tuple[np.ndarray, float]]:
     """One trial at ``seed``: each run's worst (raw, normalized) member and
-    the seconds spent on its members, in run order.  Matrix-free Equation
-    members share ``vectors`` vectors per register size, drawn once (each
-    gets the bits it would get alone) and charged to the first reader.
-    Nothing carries over between trials, so they may run in any order."""
-    rows, spent, shared = [[] for _ in runs], [0.0] * len(runs), {}
-    for k, (_, spec, use_n, use_mode) in enumerate(runs):
+    the seconds spent on its members, in run order.  Each Equation member is
+    one ``reversal_residual`` call in the run's mode.  Nothing carries over
+    between trials, so they may run in any order."""
+    out = []
+    for _, spec, use_n, use_mode in runs:
         c0 = time.perf_counter()
-        for m in spec.fn(seed, n=use_n):
-            if isinstance(m, Equation) and use_mode == "matrixfree":
-                # evaluated below, on vectors drawn once for every equation of its size
-                shared.setdefault(m.register_size, []).append((k, _sides(*m, use_mode)))
-            else:
-                rows[k].append(reversal_residual(*m, use_mode, vectors, seed)
-                               if isinstance(m, Equation) else m)
-        spent[k] += time.perf_counter() - c0
-    for size, group in shared.items():
-        results, seconds = _shared_vector_residuals([s for _, s in group], size, vectors, seed)
-        for (k, _), result, sec in zip(group, results, seconds):
-            rows[k].append(result)
-            spent[k] += sec
-    # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
-    return [(np.max(row, axis=0), sec) for row, sec in zip(rows, spent)]
+        row = [reversal_residual(*m, use_mode, vectors, seed) if isinstance(m, Equation) else m
+               for m in spec.fn(seed, n=use_n)]
+        # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
+        out.append((np.max(row, axis=0), time.perf_counter() - c0))
+    return out
 
 
 def campaign(

@@ -186,6 +186,13 @@ class TestBuild:
         assert "--out" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_is_one_error_line_and_usage_exit(self, capsys):
+        # the device takes the open and refuses the write: no space left
+        assert main(["build", "toffoli-family", "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family_builds_with_defaults(self, family, tmp_path, capsys):
         out = tmp_path / f"{family}.json"
@@ -354,6 +361,16 @@ class TestVerify:
         assert "--out" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_is_one_error_line_and_usage_exit(self, capsys):
+        # the verdict passed, but the report is lost, so the exit is not 0
+        argv = ["verify", "ccnot-negative-control", "--trials", "1", "--out", "/dev/full"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: cannot write /dev/full: ")
+                and captured.err.count("\n") == 1)
+
     def test_reports_reproducible_except_wall_time(self, capsys):
         main(["verify", "generic-vertex", "--trials", "3", "--seed", "11"])
         first = json.loads(capsys.readouterr().out)
@@ -499,6 +516,20 @@ class TestList:
         for name in ("su2-tetra-vertex", "edge-form-3", "perm-relations"):
             assert name in out
         assert "toffoli-family" not in out
+
+    @pytest.mark.parametrize("argv", [["list"], ["list", "--checks"]], ids=["all", "checks"])
+    def test_descriptions_of_a_section_start_in_one_column(self, capsys, argv):
+        assert main(argv) == 0
+        registries = {"operator families:": FAMILIES, "verification checks:": CHECKS}
+        for section in capsys.readouterr().out.strip().split("\n\n"):
+            title, *rows = section.splitlines()
+            columns = set()
+            for row in rows:
+                name = row.split()[0]
+                description = registries[title][name].description
+                assert row.endswith(" " + description), row
+                columns.add(len(row) - len(description))
+            assert len(columns) == 1, title
 
     def test_json_catalog_complete(self, capsys):
         assert main(["list", "--json"]) == 0

@@ -746,17 +746,18 @@ class TestOperatorFile:
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])
-def test_random_state_matches_the_sum_of_two_draws(n):
-    # the reference formula, built from two real draws and two temporaries
+def test_random_state_is_one_uniform_draw(n):
+    # 2**(n+1) uniforms in one call, read pairwise as (real, imaginary) and
+    # centred, and the stream left just after them
     ref_rng, rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
-    v = ref_rng.standard_normal(2**n) + 1j * ref_rng.standard_normal(2**n)
+    v = ref_rng.random(2 ** (n + 1)).view(complex) - (0.5 + 0.5j)
     assert np.array_equal(random_state(n, rng), v / np.linalg.norm(v))
-    assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
+    assert np.array_equal(rng.random(3), ref_rng.random(3))
 
 
 def test_random_state_draws_through_a_small_work_array():
-    # the 16 MiB state and a 128 KiB work array; one whole real-part draw
-    # added an 8 MiB temporary, a 24 MiB peak
+    # the 16 MiB state is drawn into, centred and normalized in place; a
+    # temporary of the real parts or of the whole draw would add 8 or 16 MiB
     tracemalloc.start()
     try:
         random_state(20, np.random.default_rng(0))

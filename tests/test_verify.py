@@ -823,9 +823,9 @@ class TestCampaign:
 
 
 class TestSharedDraws:
-    """A campaign runs trials outermost and evaluates every matrix-free
-    equation of a trial that shares a register size on one draw of the
-    vectors; each equation still gets the bits it gets alone."""
+    """A campaign runs trials outermost and evaluates every Equation member
+    with one ``reversal_residual`` call; the matrix-free equations of a
+    trial and register size all draw the same vectors."""
 
     @staticmethod
     def _counted_draws(monkeypatch):
@@ -842,17 +842,40 @@ class TestSharedDraws:
     def _alone(names, **kwargs):
         return {name: campaign([name], **kwargs).checks[0] for name in names}
 
-    def test_matrixfree_checks_of_one_size_draw_each_vector_once(self, monkeypatch):
+    def test_each_matrixfree_equation_draws_the_trials_vectors_itself(self, monkeypatch):
         # n = 3: all three checks are 6-site, constant-vertex with four equations
         names = ["constant-vertex", "nsimplex-constant", "nsimplex-su2toffoli"]
-        trials, vectors = 2, 3
+        equations, trials, vectors = 6, 2, 3
         alone = self._alone(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
-        sizes = self._counted_draws(monkeypatch)
+        drawn = []
+
+        def recording(n, rng):
+            drawn.append(random_state(n, rng))
+            return drawn[-1].copy()
+
+        monkeypatch.setattr(verify, "random_state", recording)
         report = campaign(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
-        assert sizes == [6] * (trials * vectors)
+        assert len(drawn) == equations * vectors * trials
+        for trial in np.split(np.array(drawn), trials):
+            for equation in np.split(trial, equations):
+                assert np.array_equal(equation, trial[:vectors])
+        assert not np.array_equal(drawn[0], drawn[equations * vectors])
         for check in report.checks:
             assert check.residuals == alone[check.check].residuals
             assert check.raw_residuals == alone[check.check].raw_residuals
+
+    def test_every_matrixfree_equation_is_one_reversal_residual_call(self, monkeypatch):
+        # constant-vertex has four equations and nsimplex-constant one, two trials each
+        modes = []
+
+        def counting(factors, register_size, mode="dense", *rest):
+            modes.append(mode)
+            return reversal_residual(factors, register_size, mode, *rest)
+
+        monkeypatch.setattr(verify, "reversal_residual", counting)
+        campaign(["constant-vertex", "nsimplex-constant"], trials=2, n=3, mode="matrixfree",
+                 vectors=2)
+        assert modes == ["matrixfree"] * 10
 
     def test_each_equation_gets_the_bits_of_its_own_residual(self):
         names, seed, trials = ["constant-vertex", "nsimplex-constant", "nsimplex-su2toffoli"], 8, 2
@@ -866,7 +889,9 @@ class TestSharedDraws:
                 assert check.residuals[i] == max(norm for _, norm in pairs)
 
     @pytest.mark.parametrize("names, kwargs, sizes", [
-        (["nsimplex-constant", "constant-vertex"], {"n": 4, "mode": "matrixfree"}, [10, 6]),
+        # one draw list per equation: constant-vertex has four
+        (["nsimplex-constant", "constant-vertex"], {"n": 4, "mode": "matrixfree"},
+         [10, 6, 6, 6, 6]),
         (["su2-tetra-vertex", "nsimplex-constant"], {"n": 3}, [6]),
     ], ids=["two-sizes", "dense-and-matrixfree"])
     def test_mixed_sizes_or_modes_share_nothing(self, monkeypatch, names, kwargs, sizes):
@@ -880,8 +905,8 @@ class TestSharedDraws:
 
     def test_vectors_come_from_a_stream_apart_from_the_checks_parameters(self, monkeypatch):
         # every check draws its parameters from default_rng(trial seed); a
-        # vector from that stream would repeat those normals (at seed 7 the
-        # first three set site 1's axis of nsimplex-su2toffoli)
+        # vector from that stream would reuse those bits (at seed 7 its first
+        # three 64-bit words set site 1's axis of nsimplex-su2toffoli)
         equation = CHECKS["nsimplex-su2toffoli"].fn(7, n=3)[0]
         drawn = []
 
@@ -908,9 +933,8 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("name", ["nsimplex-constant", "nsimplex-su2toffoli"])
     def test_a_15_site_matrixfree_residual_peaks_at_four_state_vectors(self, name):
-        # three kernel buffers and the drawn vector, plus the draw's 128 KiB
-        # work array: 4.25 vectors of 512 KiB; keeping the previous vector
-        # alive while the next one is drawn makes it 5.25
+        # three kernel buffers and the drawn vector: 4 vectors of 512 KiB;
+        # keeping the previous vector alive while the next one is drawn makes it 5
         equation = CHECKS[name].fn(3, n=5)[0]
         reversal_residual(*equation, "matrixfree", 2, 0)
         tracemalloc.start()
@@ -922,9 +946,9 @@ class TestSharedDraws:
         assert peak < 4.5 * 2**15 * 16
 
     def test_two_15_site_checks_peak_like_one(self):
-        # the draw and the three kernel buffers are shared, so a second check
-        # adds only its factor matrices (16 KiB each), held while the vectors
-        # run; its own buffers or a second live vector would add 512 KiB
+        # each residual frees its three kernel buffers and its vector before
+        # the next one runs, so a second check adds only small objects; its
+        # buffers or vector held beside the first check's would add 512 KiB
         def peak(names):
             tracemalloc.start()
             try:
