@@ -224,8 +224,9 @@ def _contract(placed: list, t: np.ndarray, steps: tuple, work: tuple[np.ndarray,
     already read; a factored GEMM also allocates its r x cols block Vh g.
     A diagonal factor multiplies in ``acc``, first copying the caller's
     ``t`` there if it is still that very array, so ``t`` itself is never
-    written.  The result is a view of ``acc``, or ``t`` itself when there
-    is no factor.
+    written, unless the caller passes it inside ``acc``: then the first
+    step overwrites it, after its gather or copy has read it.  The result
+    is a view of ``acc``, or ``t`` itself when there is no factor.
     """
     acc, gat = work
     caller = t
@@ -238,7 +239,8 @@ def _contract(placed: list, t: np.ndarray, steps: tuple, work: tuple[np.ndarray,
                 moved[bits] *= entry
             continue
         slots, pinned, rows, cols, shape = gemm
-        op = identity(1) if i is None else placed[i][0]
+        # np.eye, not the public identity, which a tracer may wrap: a pool thread runs this
+        op = np.eye(2, dtype=complex) if i is None else placed[i][0]
         if slots is not None:
             op = op.reshape((2,) * len(slots)).transpose(slots)
             if pinned:
@@ -344,16 +346,22 @@ def _unitarity(a: np.ndarray) -> tuple[float, bool]:
     return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
 
 
+def _fill_state(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``v``, a flat complex array, overwritten with ``random_state``'s draw
+    of its size and returned: one ``rng.random`` call, one 64-bit word per
+    real or imaginary part, into ``v``'s own memory."""
+    rng.random(out=v.view(np.float64))
+    v -= 0.5 + 0.5j
+    v /= np.linalg.norm(v)
+    return v
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm n-site state whose amplitudes have iid real and imaginary
     parts, uniform on [-1/2, 1/2), drawn in one call into its own memory.
     The law is isotropic, E[v v+] = 2**-n times the identity as for a
     Gaussian, which is all a residual probe needs; it is not Haar."""
-    v = np.empty(2**n, dtype=complex)
-    rng.random(out=v.view(np.float64))
-    v -= 0.5 + 0.5j
-    v /= np.linalg.norm(v)
-    return v
+    return _fill_state(np.empty(2**n, dtype=complex), rng)
 
 
 def random_operator(k: int, rng: np.random.Generator) -> np.ndarray:

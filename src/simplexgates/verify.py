@@ -9,12 +9,14 @@ that is the identity plus a rank r < d/4 term, to within d * eps of that
 term's norm, is applied as U (Vh g) + g (``tensor._factored``), which
 changes a residual only by rounding.  Dense mode, which the permutation
 relations share, builds both sides one column block of 2**_BLOCK_BITS
-entries at most at a time (never a whole 2**N x 2**N side), on two threads
-given two CPUs, and reports ||L - R||_F plus that value divided by ||L||_F;
-tolerances apply to the normalized value.  Matrix-free mode applies them
-to seeded random unit vectors and reports the worst ||(L - R) v||_2,
-normalized per vector by ||L v||_2; every matrix-free equation of a trial
-and register size draws the same vectors itself.
+entries at most at a time (never a whole 2**N x 2**N side) and reports
+||L - R||_F plus that value divided by ||L||_F; tolerances apply to the
+normalized value.  Matrix-free mode applies them to seeded random unit
+vectors and reports the worst ||(L - R) v||_2, normalized per vector by
+||L v||_2; every matrix-free equation of a trial and register size draws
+the same vectors itself.  Given two CPUs, both modes run the second half
+of their blocks or vectors on a thread (``_halves``) once those hold more
+than 2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
 Either mode reports the raw value where the norm it would divide by is zero.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
@@ -37,8 +39,9 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import I2, H, X, AxisAngle, random_axis_angle
-from .tensor import (_copied, _placed, _product_view, _unitarity, _validated_sites, apply, embed,
-                     frobenius_distance, random_operator, random_state, random_unitary)
+from .tensor import (_copied, _fill_state, _placed, _product_view, _unitarity, _validated_sites,
+                     apply, embed, frobenius_distance, random_operator, random_state,
+                     random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -65,7 +68,8 @@ __all__ = [
 # side); each of at most two threads holds three 512 KiB column blocks, and
 # 2**14 to 2**18 entries per block ran a 10-site su2-4simplex trial within
 # noise (2**13 and 2**20 slower).  The matrix-free limit, 24 sites, bounds
-# memory: 4 state vectors, 129 MiB traced at 21 sites, about 1 GiB at 24
+# memory: 3 state vectors on one CPU and 6 on two, 194 MiB traced at 21
+# sites on two, about 1.5 GiB at 24
 DENSE_SITE_LIMIT = 12
 _BLOCK_BITS = 15
 DEFAULT_VECTORS = 20
@@ -134,42 +138,53 @@ def _check_block(register_size: int, mode: str) -> None:
         )
 
 
-def _side_norms(lhs, rhs, n, work, block=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) on one vector or one ``_dense_distance`` column
-    # block: the kernel runs in two buffers of ``work``, L is copied into the
-    # third in site order, and L - R is written over the gather buffer from
-    # R's contraction order; both norms sum in site order, like ``product``
-    acc, gat, keep = work
-    left = _copied(_product_view(lhs, n, (acc, gat), block, pins), keep)
-    right = _product_view(rhs, n, (acc, gat), block, pins)
-    diff = np.subtract(left, right, out=gat[:left.size].reshape(left.shape))
+def _side_norms(lhs, rhs, n, work, state=None, pins=None) -> tuple[float, float]:
+    # (||L - R||, ||L||) on one ``_dense_distance`` column block, or on the
+    # vector ``state`` drawn into z of ``work`` = (x, y, z): L contracts in
+    # (x, y) and is copied into y in site order; R contracts in (z, x), its
+    # first step reading the vector before it writes over it, and is copied
+    # into x in site order, where L - R is then written; a subtraction
+    # straight from R's axis order would buffer 128 KiB per thread.  Both
+    # norms sum in site order, like ``product``
+    x, y, z = work
+    left = _copied(_product_view(lhs, n, (x, y), state, pins), y)
+    diff = _copied(_product_view(rhs, n, (z, x), state, pins), x)
+    np.subtract(left, diff, out=diff)
     return float(np.linalg.norm(diff)), float(np.linalg.norm(left))
+
+
+def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], list]) -> list:
+    """``run(half, start, work)`` over the halves of ``items``, its lists of
+    per-item results joined in item order; ``start`` is the half's index in
+    ``items`` and ``work`` its own three complex buffers of ``size`` entries,
+    all allocated here (a pool thread's allocations would land in a malloc
+    arena of their own).  There are two halves when the process may run on
+    two CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``) and
+    ``len(items) * size`` exceeds 2**_BLOCK_BITS; a pool thread then runs the
+    second and its exception is raised here, else the caller runs one.  The
+    pool thread must call no public function, which a tracer may wrap."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cut = len(items) // 2 if (cpus or 1) > 1 and len(items) * size > 2**_BLOCK_BITS else 0
+    works = [tuple(np.empty(size, dtype=complex) for _ in range(3)) for _ in range(1 + bool(cut))]
+    if not cut:
+        return run(items, 0, works[0])
+    # leaving the pool joins its thread, also when the caller's own half raises
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(run, items[cut:], cut, works[1])
+        return run(items[:cut], 0, works[0]) + second.result()
 
 
 def _dense_distance(lhs, rhs, n) -> tuple[float, float]:
     """(||L - R||_F, that over ||L||_F) for the products of two lists placed
     on an n-site register, built one block at a time with the column bits of
-    sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern; each
-    norm is the root of its summed squares, whole-matrix bits when m = 0.
-    Given two CPUs and m > 0, a pool thread builds the second half of the
-    blocks in buffers of its own and its exception is raised here; the squares
-    sum in pattern order either way, so the bits do not depend on the CPU count."""
+    sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern, the
+    blocks split by ``_halves`` (two threads from 8 sites on, given two
+    CPUs); each norm is the root of its squares summed in pattern order,
+    whole-matrix bits when m = 0, so the bits do not depend on the CPU count."""
     m = max(0, 2 * n - _BLOCK_BITS)
     patterns = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cut = len(patterns) // 2 if m and (cpus or 1) > 1 else 0
-
-    def run(half):
-        work = tuple(np.empty(4**n >> m, dtype=complex) for _ in range(3))
-        return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
-
-    if cut:
-        # leaving the pool joins its thread, also when the caller's own half raises
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(run, patterns[cut:])
-            blocks = run(patterns[:cut]) + second.result()
-    else:
-        blocks = run(patterns)
+    blocks = _halves(patterns, 4**n >> m, lambda half, start, work: [
+        _side_norms(lhs, rhs, n, work, pins=pins) for pins in half])
     raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
     return raw, raw / scale if scale > 0 else raw
 
@@ -186,14 +201,19 @@ def _vector_distance(lhs, rhs, n, vectors, seed) -> tuple[float, float]:
     """(raw, normalized) residual of one placed (L, R) pair on n sites: the
     worst ||(L - R) v|| over ||L v|| on ``vectors`` random unit vectors from
     a child of ``seed``'s SeedSequence, apart from the ``default_rng(seed)``
-    a check draws from; each equation of a trial and size reads the same."""
-    work = tuple(np.empty(2**n, dtype=complex) for _ in range(3))
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    norms = []
-    for _ in range(vectors):
-        v = random_state(n, rng)
-        norms.append(_side_norms(lhs, rhs, n, work, v))
-        del v  # before the next draw, so that two vectors are never alive at once
+    a check draws from; each equation of a trial and size reads the same.
+    The vectors are split by ``_halves`` (two threads from 11 sites on at 20
+    vectors, given two CPUs); each half opens the stream and skips the
+    2**(n + 1) words of every vector before its own, so vector j keeps its
+    bits whichever thread draws it into its buffer z."""
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+
+    def run(half, start, work):
+        rng = np.random.default_rng(stream)
+        rng.bit_generator.advance(start * 2 ** (n + 1))
+        return [_side_norms(lhs, rhs, n, work, _fill_state(work[2], rng)) for _ in half]
+
+    norms = _halves(range(vectors), 2**n, run)
     # np.max, unlike max(), lets a NaN through to the verdict
     raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in norms], axis=0)
     return float(raw), float(norm)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from simplexgates.operators import (CouplingConstants, generic_tetrahedron, n_si
 from simplexgates.su2 import AxisAngle, random_axis_angle
 from simplexgates.tensor import (apply, apply_product, embed, identity, random_operator,
                                 random_state, random_unitary)
-from simplexgates import operators, tensor, verify
+from simplexgates import gates, operators, su2, tensor, verify
 from simplexgates.verify import (
     CHECKS,
     EDGE_TUPLES_3,
@@ -505,36 +506,37 @@ def _on_cpus(monkeypatch, count):
     return threads
 
 
+def _on_one_and_two_cpus(monkeypatch, run):
+    results = []
+    for count in (1, 2):
+        with monkeypatch.context() as patch:
+            threads = _on_cpus(patch, count)
+            results.append(run())
+        # one thread per residual, on top of the caller's, and only given two CPUs
+        assert threading.get_ident() in threads and (len(threads) > 1) == (count == 2)
+    return results
+
+
+def _stripped_reports(names, **kwargs):
+    doc = dataclasses.asdict(campaign(names, trials=1, **kwargs))
+    return [{k: v for k, v in c.items() if k != "ms"} for c in doc["checks"]]
+
+
 class TestTwoThreadBlocks:
     """Given two CPUs, a dense residual of 8 sites or more builds the second
     half of its column blocks on a thread; the bits must not depend on it."""
 
-    @staticmethod
-    def _on_one_and_two_cpus(monkeypatch, run):
-        results = []
-        for count in (1, 2):
-            with monkeypatch.context() as patch:
-                threads = _on_cpus(patch, count)
-                results.append(run())
-            # one thread per residual, on top of the caller's, and only given two CPUs
-            assert threading.get_ident() in threads and (len(threads) > 1) == (count == 2)
-        return results
-
     @pytest.mark.parametrize("seed", range(4))
     def test_su2_4simplex_reports_match(self, monkeypatch, seed):
-        def report():
-            # the twin's equations fail, so residuals far from zero are compared too
-            names = ["su2-4simplex-vertex", "su2-4simplex-vertex-per-slot"]
-            doc = dataclasses.asdict(campaign(names, trials=1, seed=seed))
-            return [{k: v for k, v in c.items() if k != "ms"} for c in doc["checks"]]
-
-        one, two = self._on_one_and_two_cpus(monkeypatch, report)
+        # the twin's equations fail, so residuals far from zero are compared too
+        names = ["su2-4simplex-vertex", "su2-4simplex-vertex-per-slot"]
+        one, two = _on_one_and_two_cpus(monkeypatch, lambda: _stripped_reports(names, seed=seed))
         assert one == two
 
     def test_twelve_site_residual_matches(self, monkeypatch):
         factors = [(random_unitary(4, np.random.default_rng(70 + i)), t)
                    for i, t in enumerate(TWELVE_SITE_TUPLES)]
-        one, two = self._on_one_and_two_cpus(monkeypatch, lambda: reversal_residual(factors, 12))
+        one, two = _on_one_and_two_cpus(monkeypatch, lambda: reversal_residual(factors, 12))
         assert one == two
         assert one[1] > 0.1
 
@@ -609,6 +611,134 @@ class TestTwoThreadBlocks:
         assert len(worker_blocks) == 2 ** (2 * 10 - verify._BLOCK_BITS) // 2
         assert all(pins[1] == 1 for pins in worker_blocks)
         assert threading.enumerate() == before
+
+
+def _wrapped_public_functions(monkeypatch, modules):
+    # every public function of ``modules``, wherever the package binds it,
+    # wrapped as a tracer wraps it; returns the set of threads that called one
+    threads = set()
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    package = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "simplexgates" or name.startswith("simplexgates."))]
+    for module in modules:
+        for name, fn in list(vars(module).items()):
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")):
+                wrapper = recording(fn)
+                for bound in package:
+                    for attr, value in list(vars(bound).items()):
+                        if value is fn:
+                            monkeypatch.setattr(bound, attr, wrapper)
+    return threads
+
+
+class TestTwoThreadVectors:
+    """Given two CPUs, a matrix-free residual whose vectors hold more than
+    2**_BLOCK_BITS entries in all (15 sites or more at 2 vectors and up)
+    draws and runs the second half of its vectors on a thread; the bits
+    must not depend on it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_15_site_reports_match(self, monkeypatch, seed):
+        # the twin's equation fails, so residuals far from zero are compared too
+        names = ["nsimplex-constant", "nsimplex-su2toffoli", "nsimplex-su2toffoli-per-slot"]
+        one, two = _on_one_and_two_cpus(monkeypatch, lambda: _stripped_reports(names, seed=seed))
+        assert one == two
+
+    def test_21_site_reports_match(self, monkeypatch):
+        names = ["nsimplex-constant", "nsimplex-su2toffoli-per-slot"]
+        one, two = _on_one_and_two_cpus(
+            monkeypatch, lambda: _stripped_reports(names, seed=1, n=6, vectors=2))
+        assert one == two
+        assert one[1]["residuals"][0] > 0.1
+
+    def test_a_split_residual_has_the_bits_of_the_public_kernel(self, monkeypatch):
+        # the reference draws vector j of the child stream j-th and applies
+        # each side to it in fresh arrays: a half that reads the wrong
+        # vectors, or an R that contracts over L's copy, changes the bits
+        threads = _on_cpus(monkeypatch, 2)
+        factors = CHECKS["nsimplex-su2toffoli-per-slot"].fn(2, n=5)[0].factors
+        got = reversal_residual(factors, 15, "matrixfree", 4, 9)
+        assert len(threads) == 2
+        assert got == _reference_residual(factors, factors[::-1], 15, "matrixfree", 4, 9)
+        assert got[1] > 0.1
+
+    def test_halves_join_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def run(half, start, work):
+            return [(item, start, threading.get_ident(), work) for item in half]
+
+        got = verify._halves(list("abcde"), 2**14, run)
+        assert [item for item, *_ in got] == list("abcde")
+        assert [start for _, start, _, _ in got] == [0, 0, 2, 2, 2]
+        caller, worker = got[0][2], got[-1][2]
+        assert caller == threading.get_ident() != worker
+        assert [thread for _, _, thread, _ in got] == [caller] * 2 + [worker] * 3
+        first, second = got[0][3], got[-1][3]
+        assert all(b.size == 2**14 for b in first + second)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+        fill, caller, failed_on = verify._fill_state, threading.get_ident(), []
+
+        def fail_off_the_caller(v, rng):
+            if threading.get_ident() != caller:
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("second half")
+            return fill(v, rng)
+
+        monkeypatch.setattr(verify, "_fill_state", fail_off_the_caller)
+        before = threading.enumerate()
+        equation = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
+        with pytest.raises(RuntimeError, match="second half"):
+            reversal_residual(*equation, "matrixfree", 4, 0)
+        assert failed_on
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("n, vectors", [(4, verify.DEFAULT_VECTORS), (5, 1)],
+                             ids=["10-sites", "one-vector"])
+    def test_small_registers_and_one_vector_stay_on_the_calling_thread(self, monkeypatch, n,
+                                                                      vectors):
+        # 20 vectors of 2**10 entries, or one of 2**15, fit one block
+        threads = _on_cpus(monkeypatch, 2)
+        equation = CHECKS["nsimplex-su2toffoli"].fn(0, n=n)[0]
+        reversal_residual(*equation, "matrixfree", vectors, 0)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 15])
+    def test_advancing_the_stream_lands_on_each_vector(self, n):
+        # Generator.random takes one 64-bit word per double, two per amplitude
+        stream = np.random.SeedSequence(4).spawn(1)[0]
+        rng = np.random.default_rng(stream)
+        drawn = [random_state(n, rng) for _ in range(3)]
+        for j, want in enumerate(drawn):
+            rng = np.random.default_rng(stream)
+            rng.bit_generator.advance(j * 2 ** (n + 1))
+            assert np.array_equal(tensor._fill_state(np.empty(2**n, dtype=complex), rng), want)
+
+    @pytest.mark.parametrize("mode", ["matrixfree", "dense"])
+    def test_the_pool_thread_calls_no_public_function(self, monkeypatch, mode):
+        # a tracer wraps public functions on one span stack for all threads,
+        # so a call from the pool thread would interleave its spans with the caller's
+        if mode == "matrixfree":
+            factors, n = CHECKS["nsimplex-su2toffoli"].fn(1, n=5)[0]
+        else:
+            # sites 5 to 8 are on no factor, so the matrix takes identity factors
+            rng = np.random.default_rng(8)
+            factors, n = [(random_operator(3, rng), (3, 1, 2)), (random_operator(2, rng), (2, 4))], 8
+        threads = _on_cpus(monkeypatch, 2)
+        callers = _wrapped_public_functions(monkeypatch, [tensor, operators, su2, gates])
+        reversal_residual(factors, n, mode, 4, 0)
+        assert len(threads) == 2
+        assert callers == {threading.get_ident()}
 
 
 class TestPermutationRelations:
@@ -824,18 +954,19 @@ class TestCampaign:
 
 class TestSharedDraws:
     """A campaign runs trials outermost and evaluates every Equation member
-    with one ``reversal_residual`` call; the matrix-free equations of a
-    trial and register size all draw the same vectors."""
+    with one ``reversal_residual`` call; each matrix-free equation draws its
+    vectors itself, and those of one trial and register size share their
+    bits, not a draw."""
 
     @staticmethod
     def _counted_draws(monkeypatch):
         sizes = []
 
-        def counting(n, rng):
-            sizes.append(n)
-            return random_state(n, rng)
+        def counting(v, rng):
+            sizes.append(v.size.bit_length() - 1)
+            return tensor._fill_state(v, rng)
 
-        monkeypatch.setattr(verify, "random_state", counting)
+        monkeypatch.setattr(verify, "_fill_state", counting)
         return sizes
 
     @staticmethod
@@ -849,11 +980,12 @@ class TestSharedDraws:
         alone = self._alone(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
         drawn = []
 
-        def recording(n, rng):
-            drawn.append(random_state(n, rng))
-            return drawn[-1].copy()
+        def recording(v, rng):
+            # a copy: the residual overwrites its vector
+            drawn.append(tensor._fill_state(v, rng).copy())
+            return v
 
-        monkeypatch.setattr(verify, "random_state", recording)
+        monkeypatch.setattr(verify, "_fill_state", recording)
         report = campaign(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
         assert len(drawn) == equations * vectors * trials
         for trial in np.split(np.array(drawn), trials):
@@ -910,11 +1042,11 @@ class TestSharedDraws:
         equation = CHECKS["nsimplex-su2toffoli"].fn(7, n=3)[0]
         drawn = []
 
-        def recording(n, rng):
-            drawn.append(random_state(n, rng))
-            return drawn[-1]
+        def recording(v, rng):
+            drawn.append(tensor._fill_state(v, rng).copy())
+            return v
 
-        monkeypatch.setattr(verify, "random_state", recording)
+        monkeypatch.setattr(verify, "_fill_state", recording)
         reversal_residual(*equation, "matrixfree", 1, 7)
         assert not np.allclose(drawn[0], random_state(6, np.random.default_rng(7)))
 
@@ -931,19 +1063,31 @@ class TestSharedDraws:
         assert all(c.ms > 0 for c in report.checks)
         assert sum(c.ms for c in report.checks) <= report.ms
 
-    @pytest.mark.parametrize("name", ["nsimplex-constant", "nsimplex-su2toffoli"])
-    def test_a_15_site_matrixfree_residual_peaks_at_four_state_vectors(self, name):
-        # three kernel buffers and the drawn vector: 4 vectors of 512 KiB;
-        # keeping the previous vector alive while the next one is drawn makes it 5
+    @staticmethod
+    def _residual_peak(monkeypatch, name, cpus):
+        # the traced peak of one 15-site residual of 2 vectors, in state vectors of 512 KiB
+        _on_cpus(monkeypatch, cpus)
         equation = CHECKS[name].fn(3, n=5)[0]
         reversal_residual(*equation, "matrixfree", 2, 0)
         tracemalloc.start()
         try:
             reversal_residual(*equation, "matrixfree", 2, 0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / (2**15 * 16)
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * 2**15 * 16
+
+    @pytest.mark.parametrize("name", ["nsimplex-constant", "nsimplex-su2toffoli"])
+    def test_a_15_site_matrixfree_residual_peaks_at_three_state_vectors_on_one_cpu(
+            self, monkeypatch, name):
+        # three kernel buffers, each vector drawn into the third; a vector
+        # of its own, or the previous one kept alive, makes it 4
+        assert self._residual_peak(monkeypatch, name, 1) < 3.5
+
+    @pytest.mark.parametrize("name", ["nsimplex-constant", "nsimplex-su2toffoli"])
+    def test_a_15_site_matrixfree_residual_peaks_at_six_state_vectors_on_two_cpus(
+            self, monkeypatch, name):
+        # each thread's three buffers, both sets allocated by the caller
+        assert self._residual_peak(monkeypatch, name, 2) < 6.5
 
     def test_two_15_site_checks_peak_like_one(self):
         # each residual frees its three kernel buffers and its vector before
