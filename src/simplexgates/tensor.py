@@ -3,9 +3,10 @@
 Operators are dense complex matrices of shape ``(2**k, 2**k)`` acting on k
 sites; states are flat complex vectors of length ``2**n``.  Site 1 is the
 leftmost tensor factor / most significant bit, so basis state
-|b1 b2 ... bn> lives at index sum(b_i * 2**(n - i)).  Every function here
-is pure and never mutates its inputs, so the whole module is safe to call
-concurrently.
+|b1 b2 ... bn> lives at index sum(b_i * 2**(n - i)).  No public function
+mutates its inputs (the random ones advance the generator they are given);
+``_contract``, ``_product_view``, ``_copied`` and ``_fill_state`` write
+into buffers their caller owns, one set per thread.
 """
 
 from __future__ import annotations

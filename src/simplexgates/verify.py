@@ -10,14 +10,14 @@ term's norm, is applied as U (Vh g) + g (``tensor._factored``), which
 changes a residual only by rounding.  Dense mode, which the permutation
 relations share, builds both sides one column block of 2**_BLOCK_BITS
 entries at most at a time (never a whole 2**N x 2**N side) and reports
-||L - R||_F plus that value divided by ||L||_F; tolerances apply to the
-normalized value.  Matrix-free mode applies them to seeded random unit
-vectors and reports the worst ||(L - R) v||_2, normalized per vector by
-||L v||_2; every matrix-free equation of a trial and register size draws
-the same vectors itself.  Given two CPUs, both modes run the second half
-of their blocks or vectors on a thread (``_halves``) once those hold more
-than 2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
-Either mode reports the raw value where the norm it would divide by is zero.
+||L - R||_F and that over ||L||_F (raw where ||L||_F is 0); tolerances
+apply to the normalized value.  Matrix-free mode applies both sides to
+seeded random unit vectors, summed like the blocks (``_distance``) into
+estimates of the same two numbers; each matrix-free equation of a trial
+and size draws the same vectors.  Given two CPUs, both modes run the
+second half of their blocks or vectors on a thread (``_halves``) once
+those hold more than 2**_BLOCK_BITS entries in all, with the same bits
+as on one CPU.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
 trials could run in any order or in parallel.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -81,12 +82,12 @@ EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 class CampaignArgumentError(ValueError):
     """A refused request, its message whole: a campaign asked for an
-    unregistered check name, fewer than one trial or vector, a negative
-    seed, a simplex order below 2, or an unknown residual mode; a campaign
-    or residual asked for a register of no sites, one beyond the ceiling
-    (DENSE_SITE_LIMIT sites dense, twice that matrix-free), an unknown
-    mode, or an equation of fewer than two factors; and the command line
-    found a SIMPLEX_SEED that is not an integer."""
+    unregistered check name, fewer than one trial, a negative seed, a
+    simplex order below 2, or an unknown residual mode; a campaign or
+    residual asked for fewer than 1 or over sys.maxsize vectors, a register
+    of no sites or beyond the ceiling (DENSE_SITE_LIMIT sites dense, twice
+    that matrix-free), an unknown mode, or an equation of fewer than two
+    factors; and the command line found a non-integer SIMPLEX_SEED."""
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,18 @@ def _check_block(register_size: int, mode: str) -> None:
     if register_size > most:
         hint = "; use matrixfree" if mode == "dense" else ""
         raise CampaignArgumentError(
-            f"{mode} mode supports at most {most} sites, got {register_size}{hint}"
-        )
+            f"{mode} mode supports at most {most} sites, got {register_size}{hint}")
+
+
+def _check_vectors(vectors: int) -> None:
+    """Refuse fewer than one vector, or more than ``len`` of a range counts."""
+    if not 1 <= vectors <= sys.maxsize:
+        bound = "least 1" if vectors < 1 else f"most {sys.maxsize}"
+        raise CampaignArgumentError(f"vectors must be at {bound}, got {vectors}")
 
 
 def _side_norms(lhs, rhs, n, work, state=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) on one ``_dense_distance`` column block, or on the
+    # (||L - R||, ||L||) on one ``_distance`` column block, or on the
     # vector ``state`` drawn into z of ``work`` = (x, y, z): L contracts in
     # (x, y) and is copied into y in site order; R contracts in (z, x), its
     # first step reading the vector before it writes over it, and is copied
@@ -174,19 +181,36 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
         return run(items[:cut], 0, works[0]) + second.result()
 
 
-def _dense_distance(lhs, rhs, n) -> tuple[float, float]:
-    """(||L - R||_F, that over ||L||_F) for the products of two lists placed
-    on an n-site register, built one block at a time with the column bits of
-    sites 1..m, m = max(0, 2n - _BLOCK_BITS), pinned to each pattern, the
-    blocks split by ``_halves`` (two threads from 8 sites on, given two
-    CPUs); each norm is the root of its squares summed in pattern order,
-    whole-matrix bits when m = 0, so the bits do not depend on the CPU count."""
-    m = max(0, 2 * n - _BLOCK_BITS)
-    patterns = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
-    blocks = _halves(patterns, 4**n >> m, lambda half, start, work: [
-        _side_norms(lhs, rhs, n, work, pins=pins) for pins in half])
-    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*blocks))
-    return raw, raw / scale if scale > 0 else raw
+def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
+    """(raw, normalized) residual of the products L of ``lhs`` and R of
+    ``rhs`` on n sites: the roots of the items' ||(L - R) x||**2 and
+    ||L x||**2 summed in item order, the first over the second normalized
+    (raw where that is zero; a NaN goes through).  Dense items are the
+    column blocks with the bits of sites 1..m, m = max(0, 2n - _BLOCK_BITS),
+    pinned to each pattern: ||L - R||_F and ||L||_F, whole-matrix bits at
+    m = 0.  Matrix-free items are ``vectors`` unit vectors x, E[x x+] = 2**-n,
+    from a child of ``seed``'s SeedSequence, apart from a check's
+    ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
+    ||L - R||_F.  ``_halves`` splits the items; each half of the vectors skips
+    the 2**(n + 1) stream words of every vector before its own, so no bit
+    depends on the CPU count."""
+    if vectors is None:
+        m = max(0, 2 * n - _BLOCK_BITS)
+        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
+        size, scale = 4**n >> m, 1.0
+    else:
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        items, size, scale = range(vectors), 2**n, math.sqrt(2**n / vectors)
+
+    def run(half, start, work):
+        if vectors is None:
+            return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
+        rng = np.random.default_rng(stream)
+        rng.bit_generator.advance(start * 2 ** (n + 1))
+        return [_side_norms(lhs, rhs, n, work, _fill_state(work[2], rng)) for _ in half]
+
+    raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
+    return raw * scale, raw / left if left > 0 else raw * scale
 
 
 class Equation(NamedTuple):
@@ -197,52 +221,25 @@ class Equation(NamedTuple):
     register_size: int
 
 
-def _vector_distance(lhs, rhs, n, vectors, seed) -> tuple[float, float]:
-    """(raw, normalized) residual of one placed (L, R) pair on n sites: the
-    worst ||(L - R) v|| over ||L v|| on ``vectors`` random unit vectors from
-    a child of ``seed``'s SeedSequence, apart from the ``default_rng(seed)``
-    a check draws from; each equation of a trial and size reads the same.
-    The vectors are split by ``_halves`` (two threads from 11 sites on at 20
-    vectors, given two CPUs); each half opens the stream and skips the
-    2**(n + 1) words of every vector before its own, so vector j keeps its
-    bits whichever thread draws it into its buffer z."""
-    stream = np.random.SeedSequence(seed).spawn(1)[0]
-
-    def run(half, start, work):
-        rng = np.random.default_rng(stream)
-        rng.bit_generator.advance(start * 2 ** (n + 1))
-        return [_side_norms(lhs, rhs, n, work, _fill_state(work[2], rng)) for _ in half]
-
-    norms = _halves(range(vectors), 2**n, run)
-    # np.max, unlike max(), lets a NaN through to the verdict
-    raw, norm = np.max([(raw, raw / scale if scale > 0 else raw) for raw, scale in norms], axis=0)
-    return float(raw), float(norm)
-
-
-def reversal_residual(
-    factors: Sequence[tuple[np.ndarray, Sequence[int]]],
-    register_size: int,
-    mode: str = "dense",
-    vectors: int = DEFAULT_VECTORS,
-    seed: int = 0,
-) -> tuple[float, float]:
+def reversal_residual(factors: Sequence[tuple[np.ndarray, Sequence[int]]], register_size: int,
+                      mode: str = "dense", vectors: int = DEFAULT_VECTORS,
+                      seed: int = 0) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product L of the
     factors, composed left to right, and the same product reversed, R.
 
     The block is checked and fewer than two factors, which are their own
     reversal, are refused; then each factor is placed and checked once,
-    and R reuses the placed list.  Dense mode is ``_dense_distance``.
-    Matrix-free mode is ``_vector_distance``: both products on each of
-    ``vectors`` random unit vectors drawn from a child stream of ``seed``,
-    keeping the worst.
+    and R reuses the placed list; ``vectors`` outside 1..sys.maxsize is
+    refused in either mode.  Both modes are ``_distance``: dense mode on
+    the pinned column blocks, matrix-free mode on ``vectors`` random unit
+    vectors drawn from a child stream of ``seed``, summed like the blocks.
     """
     _check_block(register_size, mode)
+    _check_vectors(vectors)
     if len(factors) < 2:
         raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
     lhs = _placed(factors, register_size)
-    if mode == "dense":
-        return _dense_distance(lhs, lhs[::-1], register_size)
-    return _vector_distance(lhs, lhs[::-1], register_size, vectors, seed)
+    return _distance(lhs, lhs[::-1], register_size, None if mode == "dense" else vectors, seed)
 
 
 def slot_equation(tuples: Sequence[tuple[int, ...]], register_size: int,
@@ -339,7 +336,7 @@ class VerificationReport:
 def _relation_distance(lhs, rhs, n) -> tuple[float, float]:
     """(||L - R||_F, that over ||L||_F) for the products L of ``lhs`` and R
     of ``rhs`` on an n-site register, an operator identity L = R."""
-    return _dense_distance(_placed(lhs, n), _placed(rhs, n), n)
+    return _distance(_placed(lhs, n), _placed(rhs, n), n)
 
 
 def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float]]:
@@ -625,15 +622,15 @@ def campaign(
     checks that take a simplex order.  A check passes only if every
     normalized residual is finite and within its bound, or above it for an
     inverted check.  The verdict is the conjunction over checks (an empty
-    campaign passes).  Fewer than one trial or vector, a negative seed, an
-    ``n`` below 2, an unknown mode, an unregistered name, or an n-aware
-    check's register beyond the residual-block ceiling raises
-    CampaignArgumentError, all before any trial runs.
+    campaign passes).  Fewer than one trial, vectors outside 1..sys.maxsize,
+    a negative seed, an ``n`` below 2, an unknown mode, an unregistered
+    name, or an n-aware check's register beyond the residual-block ceiling
+    raises CampaignArgumentError, all before any trial runs.
     """
-    for label, value, least in (("trials", trials, 1), ("vectors", vectors, 1), ("seed", seed, 0),
-                                ("n", n, 2)):
+    for label, value, least in (("trials", trials, 1), ("seed", seed, 0), ("n", n, 2)):
         if value is not None and value < least:
             raise CampaignArgumentError(f"{label} must be at least {least}, got {value}")
+    _check_vectors(vectors)
     if mode is not None:
         _check_mode(mode)
     runs = []

@@ -465,11 +465,14 @@ class TestVerify:
         (["nsimplex-constant", "--n", "1"], None, "n must be at least 2, got 1"),
         (["su2-tetra-vertex", "--trials", "0"], None, "trials must be at least 1, got 0"),
         (["su2-tetra-vertex", "--vectors", "0"], None, "vectors must be at least 1, got 0"),
+        (["nsimplex-constant", "--vectors", str(10**20)], None,
+         f"vectors must be at most {sys.maxsize}, got {10**20}"),
         (["su2-tetra-vertex", "--seed", "-3"], None, "seed must be at least 0, got -3"),
         (["su2-tetra-vertex"], "abc", "SIMPLEX_SEED must be an integer, got 'abc'"),
         (["su2-tetra-vertex"], "-1", "seed must be at least 0, got -1"),
     ], ids=["unknown-name", "dense-ceiling", "matrixfree-ceiling", "order-one", "zero-trials",
-            "zero-vectors", "negative-seed", "non-integer-env-seed", "negative-env-seed"])
+            "zero-vectors", "uncountable-vectors", "negative-seed", "non-integer-env-seed",
+            "negative-env-seed"])
     def test_every_refusal_is_one_stderr_line_and_exit_two(self, capsys, monkeypatch,
                                                            args, env, line):
         if env is None:

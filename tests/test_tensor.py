@@ -657,24 +657,27 @@ class TestFactoredFactors:
 
     def test_a_perturbed_su2toffoli_factor_shows_in_the_matrix_free_residual(self):
         # 1e-9 times a Gaussian matrix on one factor of an n = 5 equation: the
-        # kernel's residual matches one made from whole factor matrices, on
-        # the same vectors, to 1e-12 of ||L v|| = 1, so the factored form of
-        # the other factors hides nothing
+        # kernel's residual, over its sqrt(2**N / vectors) scale, matches the
+        # root-sum-of-squares made from whole factor matrices on the same
+        # vectors, to 1e-12 of ||L v|| = 1, so the factored form of the other
+        # factors hides nothing
         size, vectors, seed = 15, 3, 72
         factors = _su2toffoli_factors(5, seed)
         op, sites = factors[2]
         factors[2] = (op + 1e-9 * random_operator(5, np.random.default_rng(seed)), sites)
         assert tensor._factored(factors[2][0]) is None
         vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        raws, norms = [], []
+        raws, lefts = [], []
         for _ in range(vectors):
             v = random_state(size, vector_rng)
             left = apply_dense(factors, v)
             raws.append(np.linalg.norm(left - apply_dense(factors[::-1], v)))
-            norms.append(raws[-1] / np.linalg.norm(left))
+            lefts.append(np.linalg.norm(left))
         raw, norm = verify.reversal_residual(factors, size, "matrixfree", vectors, seed)
-        assert min(norms) > 1e-10
-        assert abs(raw - max(raws)) <= 1e-12 and abs(norm - max(norms)) <= 1e-12
+        assert min(r / l for r, l in zip(raws, lefts)) > 1e-10
+        rss = np.sqrt(np.sum(np.square(raws)))
+        assert abs(raw / np.sqrt(2**size / vectors) - rss) <= 1e-12
+        assert abs(norm - rss / np.sqrt(np.sum(np.square(lefts)))) <= 1e-12
         factors[2] = (op, sites)
         assert verify.reversal_residual(factors, size, "matrixfree", vectors, seed)[1] < 1e-14
 

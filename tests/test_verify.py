@@ -302,9 +302,11 @@ _TWO_FACTORS = [(identity(1), (1,)), (identity(1), (2,))]
     (lambda: reversal_residual(_TWO_FACTORS[:1], 2),
      "^an equation needs at least two factors, got 1$"),
     (lambda: reversal_residual([], 0), "^register must have at least one site, got 0$"),
+    (lambda: reversal_residual(_TWO_FACTORS, 2, "matrixfree", vectors=0),
+     "^vectors must be at least 1, got 0$"),
 ], ids=["unknown-name", "campaign-dense-ceiling", "residual-dense-ceiling",
         "campaign-matrixfree-ceiling", "residual-matrixfree-ceiling", "campaign-unknown-mode",
-        "residual-unknown-mode", "one-factor", "no-sites"])
+        "residual-unknown-mode", "one-factor", "no-sites", "residual-zero-vectors"])
 def test_every_refusal_is_one_value_error_with_its_whole_message(call, message):
     with pytest.raises(CampaignArgumentError, match=message) as exc:
         call()
@@ -319,7 +321,7 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     factors = [(random_unitary(len(t), rng), t) for t in scheme.tuples]
     size, vectors, seed = scheme.register_size, 4, 38
     vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    raws, norms = [], []
+    raws, lefts = [], []
     for _ in range(vectors):
         v = random_state(size, vector_rng)
         left, right = v, v
@@ -328,11 +330,29 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
         for op, sites in factors:
             right = apply(op, sites, right)
         raws.append(np.linalg.norm(left - right))
-        norms.append(raws[-1] / np.linalg.norm(left))
+        lefts.append(np.linalg.norm(left))
     raw, norm = reversal_residual(factors, size, mode="matrixfree", vectors=vectors, seed=seed)
     assert max(raws) > 0.1  # random unitaries do not solve the equation
-    assert abs(raw - max(raws)) < 1e-14
-    assert abs(norm - max(norms)) < 1e-14
+    # root-sum-of-squares over the vectors, raw over its sqrt(2**N / vectors) scale
+    rss = math.sqrt(sum(r * r for r in raws))
+    assert abs(raw / math.sqrt(2**size / vectors) - rss) < 1e-14
+    assert abs(norm - rss / math.sqrt(sum(x * x for x in lefts))) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_free_residual_estimates_the_dense_one(seed):
+    # 20 unit probes x with E[x x+] = 2**-N sum to estimates of both dense
+    # numbers (Hutchinson's trace estimator); on the violated 10-site
+    # per-slot equation, seeds 0-19 differed from dense by 1.4% at most, so
+    # 8% holds with a 5x margin.  The worst per-vector ratio read raw 0.54-0.6
+    # against dense's 16-18 on seeds 0-3, and a raw without its
+    # sqrt(2**N / vectors) scale 2.3-2.4
+    equation = CHECKS["nsimplex-su2toffoli-per-slot"].fn(seed, n=4)[0]
+    dense = reversal_residual(*equation, "dense")
+    free = reversal_residual(*equation, "matrixfree", 20, seed)
+    assert dense[1] > 0.1
+    for got, want in zip(free, dense):
+        assert abs(got - want) <= 0.08 * want
 
 
 def _haar_equation(tuples, rng):
@@ -414,7 +434,8 @@ def test_residual_of_the_adjoint_equation():
 
 def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     # the same residual from the public kernel: whole matrices or vectors
-    # in site order, subtracted, then the worst vector.  Above 8 sites a
+    # in site order, subtracted, then the roots of the squared norms summed
+    # in vector order, raw times sqrt(2**n / vectors).  Above 8 sites a
     # dense residual sums squared norms over the column blocks whose
     # leading m column bits are pinned, as the residual does
     m = max(0, 2 * n - verify._BLOCK_BITS)
@@ -435,10 +456,10 @@ def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     pairs = []
     for block in blocks:
         left, right = side(lhs, block), side(rhs, block)
-        raw = float(np.linalg.norm(left - right))
-        scale = float(np.linalg.norm(left))
-        pairs.append((raw, raw / scale if scale > 0 else raw))
-    return max(raw for raw, _ in pairs), max(norm for _, norm in pairs)
+        pairs.append((float(np.linalg.norm(left - right)), float(np.linalg.norm(left))))
+    raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*pairs))
+    factor = 1.0 if mode == "dense" else math.sqrt(2**n / vectors)
+    return raw * factor, raw / scale if scale > 0 else raw * factor
 
 
 def _reversal_cases():
