@@ -441,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None,
                      help="base seed (default from SIMPLEX_SEED, else 0)")
     ver.add_argument("--tol", type=parse_tolerance, default=None,
-                     help="override the absolute tolerance on normalized residuals")
+                     help="override the absolute tolerance on normalized residuals "
+                          "(not the bound of an inverted check)")
     ver.add_argument("--mode", choices=verify.MODES, default=None)
     ver.add_argument("--vectors", type=int, default=verify.DEFAULT_VECTORS,
                      help="random unit vectors per matrix-free trial")

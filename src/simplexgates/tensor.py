@@ -163,25 +163,26 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
     tensor holds, in its slot order, so the GEMM sums in one order whatever
     the layout, into a (2**held, rest) block; the rest axes keep the runs
     they form between held axes, the run of fewest axes first, so the
-    copy's inner loop runs over the longest contiguous stretch.  Its sites
-    with no row axis yet act on the identity, so their input slots move to
-    the output side of the operator: one (2**(k + new), 2**held) GEMM
-    leaves the factor's row axes in front, then the new sites' column axes.
-    A new pinned site's input slot is indexed at its bit instead, so it gets
-    no column axis.  Such a step is (i, transpose, (slots, pinned, rows,
-    cols, shape)), with slots None when no site is new.  A GEMM step with
-    slots None runs as the third kind, U (Vh g) + g, when the placed factor
-    carries the (U, Vh) of ``_factored``; that is read at replay, so the
-    plan and its key do not record it.
-    """
+    copy's inner loop runs over the longest contiguous stretch, but the
+    last step puts them in site order, so a last factor on sites 1..k in
+    slot order leaves no transpose.  Its sites with no row axis yet act on
+    the identity, so their input slots move to the output side of the
+    operator: one (2**(k + new), 2**held) GEMM leaves the factor's row axes
+    in front, then the new sites' column axes.  A new pinned site's input
+    slot is indexed at its bit instead, so it gets no column axis.  Such a
+    step is (i, transpose, (slots, pinned, rows, cols, shape)), with slots
+    None when no site is new.  A GEMM step with slots None runs as the
+    third kind, U (Vh g) + g, when the placed factor carries the (U, Vh) of
+    ``_factored``; that is read at replay, so the plan and its key do not
+    record it."""
     if shape == ():
         touched = {s for sites, _ in factors for s in sites}
         untouched = [(None, (s,), False) for s in range(1, n + 1) if s not in touched]
         axes, shape, tail = [], [], [-s for s in range(1, n + 1) if s not in pinned]
     else:
         untouched, axes, shape, tail = [], [*range(1, n + 1), 0], list(shape), [0]
-    steps = []
-    for i, sites, diagonal in reversed(untouched + [(i, *f) for i, f in enumerate(factors)]):
+    steps, todo = [], untouched + [(i, *f) for i, f in enumerate(factors)]
+    for i, sites, diagonal in reversed(todo):
         new = [s for s in sites if s not in axes]
         if diagonal and not new:
             front = [axes.index(s) for s in sites]
@@ -196,6 +197,8 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
         bounds = [-1, *sorted(front), len(axes)]
         rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
                 for a in run]
+        if (i, sites) == todo[0][:2]:
+            rest.sort(key=lambda a: (axes[a] <= 0, abs(axes[a])))
         shape = [2] * (len(sites) + len(new)) + [shape[a] for a in rest]
         steps.append((i, tuple(front + rest), (slots, tuple(new_pins), 2 ** (len(sites) + len(new)),
                                                2 ** len(held), tuple(shape))))
@@ -347,22 +350,32 @@ def _unitarity(a: np.ndarray) -> tuple[float, bool]:
     return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
 
 
+_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="little")
+
+
 def _fill_state(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``v``, a flat complex array, overwritten with ``random_state``'s draw
-    of its size and returned: one ``rng.random`` call, one 64-bit word per
-    real or imaginary part, into ``v``'s own memory."""
-    rng.random(out=v.view(np.float64))
-    v -= 0.5 + 0.5j
-    v /= np.linalg.norm(v)
+    """``v``, a flat complex array of 2**N entries, overwritten with a sign
+    probe and returned: amplitude j is (+-1 +- i) 2**(-(N + 1) / 2), its real
+    and imaginary parts negative where bits 2j and 2j + 1 are set in the
+    ceil(2**(N + 1) / 64) words of one ``random_raw`` call (bit b is bit b % 64
+    of word b // 64, least significant first), a byte at a time into ``v``."""
+    width = min(4, v.size)
+    raw = rng.bit_generator.random_raw(-(-v.size // 32)).astype("<u8", copy=False)
+    # mode "clip", unlike "raise", writes into out unbuffered; a byte never clips
+    np.take((_SIGNS * np.sqrt(0.5 / v.size)).view(complex)[:, :width],
+            raw.view(np.uint8)[:v.size // width], axis=0, out=v.reshape(-1, width), mode="clip")
     return v
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm n-site state whose amplitudes have iid real and imaginary
-    parts, uniform on [-1/2, 1/2), drawn in one call into its own memory.
-    The law is isotropic, E[v v+] = 2**-n times the identity as for a
-    Gaussian, which is all a residual probe needs; it is not Haar."""
-    return _fill_state(np.empty(2**n, dtype=complex), rng)
+    """Unit-norm n-site state of iid real and imaginary parts uniform on
+    [-1/2, 1/2), centred and normalized in its own memory: not Haar, but
+    E[v v+] = 2**-n times the identity."""
+    v = np.empty(2**n, dtype=complex)
+    rng.random(out=v.view(np.float64))
+    v -= 0.5 + 0.5j
+    v /= np.linalg.norm(v)
+    return v
 
 
 def random_operator(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,12 +12,12 @@ relations share, builds both sides one column block of 2**_BLOCK_BITS
 entries at most at a time (never a whole 2**N x 2**N side) and reports
 ||L - R||_F and that over ||L||_F (raw where ||L||_F is 0); tolerances
 apply to the normalized value.  Matrix-free mode applies both sides to
-seeded random unit vectors, summed like the blocks (``_distance``) into
-estimates of the same two numbers; each matrix-free equation of a trial
-and size draws the same vectors.  Given two CPUs, both modes run the
-second half of their blocks or vectors on a thread (``_halves``) once
-those hold more than 2**_BLOCK_BITS entries in all, with the same bits
-as on one CPU.
+seeded random sign vectors, each amplitude (+-1 +- i) 2**(-(N + 1) / 2),
+summed like the blocks (``_distance``) into estimates of the same two
+numbers; each matrix-free equation of a trial and size draws the same
+vectors.  Given two CPUs, both modes run the second half of their blocks
+or vectors on a thread (``_halves``) once those hold more than
+2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
 trials could run in any order or in parallel.
@@ -29,6 +29,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -73,6 +74,7 @@ __all__ = [
 # sites on two, about 1.5 GiB at 24
 DENSE_SITE_LIMIT = 12
 _BLOCK_BITS = 15
+_KEPT = threading.local()  # each calling thread's ``_halves`` buffers
 DEFAULT_VECTORS = 20
 # residual modes: each side's matrix in column blocks, or random vectors
 MODES = ("dense", "matrixfree")
@@ -146,16 +148,17 @@ def _check_vectors(vectors: int) -> None:
 
 
 def _side_norms(lhs, rhs, n, work, state=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) on one ``_distance`` column block, or on the
-    # vector ``state`` drawn into z of ``work`` = (x, y, z): L contracts in
-    # (x, y) and is copied into y in site order; R contracts in (z, x), its
-    # first step reading the vector before it writes over it, and is copied
-    # into x in site order, where L - R is then written; a subtraction
-    # straight from R's axis order would buffer 128 KiB per thread.  Both
-    # norms sum in site order, like ``product``
+    # (||L - R||, ||L||) on one ``_distance`` column block, or on the vector
+    # ``state`` drawn into z of ``work`` = (x, y, z): L contracts in (x, y),
+    # read in place if ``_plan`` left it in site order (a vertex scheme's L
+    # ends on factor 1, on sites 1..n), else copied into y, freeing x; R, its
+    # first step reading the vector before writing over it, contracts in z
+    # and the free buffer, then is copied there in site order, where L - R is
+    # written.  Both norms sum in site order, like ``product``
     x, y, z = work
-    left = _copied(_product_view(lhs, n, (x, y), state, pins), y)
-    diff = _copied(_product_view(rhs, n, (z, x), state, pins), x)
+    left = _product_view(lhs, n, (x, y), state, pins)
+    left, y = (left, y) if left.flags.c_contiguous else (_copied(left, y), x)
+    diff = _copied(_product_view(rhs, n, (z, y), state, pins), y)
     np.subtract(left, diff, out=diff)
     return float(np.linalg.norm(diff)), float(np.linalg.norm(left))
 
@@ -164,7 +167,8 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
     """``run(half, start, work)`` over the halves of ``items``, its lists of
     per-item results joined in item order; ``start`` is the half's index in
     ``items`` and ``work`` its own three complex buffers of ``size`` entries,
-    all allocated here (a pool thread's allocations would land in a malloc
+    all owned by the calling thread, which keeps them in ``_KEPT`` up to
+    2**_BLOCK_BITS entries (a pool thread's allocations would land in a malloc
     arena of their own).  There are two halves when the process may run on
     two CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``) and
     ``len(items) * size`` exceeds 2**_BLOCK_BITS; a pool thread then runs the
@@ -172,7 +176,10 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
     pool thread must call no public function, which a tracer may wrap."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cut = len(items) // 2 if (cpus or 1) > 1 and len(items) * size > 2**_BLOCK_BITS else 0
-    works = [tuple(np.empty(size, dtype=complex) for _ in range(3)) for _ in range(1 + bool(cut))]
+    kept = _KEPT.__dict__.setdefault("works", []) if size <= 2**_BLOCK_BITS else []
+    kept += [tuple(np.empty(max(size, 2**_BLOCK_BITS), dtype=complex) for _ in range(3))
+             for _ in range(1 + bool(cut) - len(kept))]
+    works = [tuple(b[:size] for b in w) for w in kept]
     if not cut:
         return run(items, 0, works[0])
     # leaving the pool joins its thread, also when the caller's own half raises
@@ -188,12 +195,12 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     (raw where that is zero; a NaN goes through).  Dense items are the
     column blocks with the bits of sites 1..m, m = max(0, 2n - _BLOCK_BITS),
     pinned to each pattern: ||L - R||_F and ||L||_F, whole-matrix bits at
-    m = 0.  Matrix-free items are ``vectors`` unit vectors x, E[x x+] = 2**-n,
-    from a child of ``seed``'s SeedSequence, apart from a check's
-    ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
+    m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
+    E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
+    check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
     ||L - R||_F.  ``_halves`` splits the items; each half of the vectors skips
-    the 2**(n + 1) stream words of every vector before its own, so no bit
-    depends on the CPU count."""
+    the ceil(2**(n + 1) / 64) raw words of every vector before its own, so no
+    bit depends on the CPU count."""
     if vectors is None:
         m = max(0, 2 * n - _BLOCK_BITS)
         items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
@@ -206,7 +213,7 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
         if vectors is None:
             return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
         rng = np.random.default_rng(stream)
-        rng.bit_generator.advance(start * 2 ** (n + 1))
+        rng.bit_generator.advance(start * -(-(2**n) // 32))
         return [_side_norms(lhs, rhs, n, work, _fill_state(work[2], rng)) for _ in half]
 
     raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
@@ -618,14 +625,15 @@ def campaign(
     trial is its worst member, and its ``ms`` sums its trials' seconds.
     Equation members are evaluated in ``mode`` (else matrix-free for n-aware
     checks, dense for the rest).  ``tol`` overrides each check's default
-    absolute tolerance on the normalized residual; ``n`` is honored only by
-    checks that take a simplex order.  A check passes only if every
-    normalized residual is finite and within its bound, or above it for an
-    inverted check.  The verdict is the conjunction over checks (an empty
-    campaign passes).  Fewer than one trial, vectors outside 1..sys.maxsize,
-    a negative seed, an ``n`` below 2, an unknown mode, an unregistered
-    name, or an n-aware check's register beyond the residual-block ceiling
-    raises CampaignArgumentError, all before any trial runs.
+    absolute tolerance on the normalized residual, but never an inverted
+    check's bound; ``n`` is honored only by checks that take a simplex
+    order.  A check passes only if every normalized residual is finite and
+    within its bound, or above it for an inverted check.  The verdict is the
+    conjunction over checks (an empty campaign passes).  Fewer than one
+    trial, vectors outside 1..sys.maxsize, a negative seed, an ``n`` below
+    2, an unknown mode, an unregistered name, or an n-aware check's register
+    beyond the residual-block ceiling raises CampaignArgumentError, all
+    before any trial runs.
     """
     for label, value, least in (("trials", trials, 1), ("seed", seed, 0), ("n", n, 2)):
         if value is not None and value < least:
@@ -654,23 +662,11 @@ def campaign(
         ok = bool(norms) and all(math.isfinite(r) and (r > bound if spec.invert else r <= bound)
                                  for r in norms)
         reports.append(CheckReport(
-            check=name,
-            n=use_n,
-            mode=use_mode,
-            trials=trials,
-            seed=seed,
-            residuals=norms,
+            check=name, n=use_n, mode=use_mode, trials=trials, seed=seed, residuals=norms,
             raw_residuals=[float(raw) for (raw, _), _ in per_trial],
-            max_residual=float(np.max(norms)),
-            tolerance={"absolute": bound, "relative": 0.0},
-            verdict="pass" if ok else "fail",
-            ms=sum(sec for _, sec in per_trial) * 1000.0,
-            predicate="residual_exceeds" if spec.invert else "residual_within",
-        ))
+            max_residual=float(np.max(norms)), tolerance={"absolute": bound, "relative": 0.0},
+            verdict="pass" if ok else "fail", ms=sum(sec for _, sec in per_trial) * 1000.0,
+            predicate="residual_exceeds" if spec.invert else "residual_within"))
     return VerificationReport(
-        checks=reports,
-        seed=seed,
-        trials=trials,
-        verdict="pass" if all(r.verdict == "pass" for r in reports) else "fail",
-        ms=(time.perf_counter() - t0) * 1000.0,
-    )
+        checks=reports, seed=seed, trials=trials, ms=(time.perf_counter() - t0) * 1000.0,
+        verdict="pass" if all(r.verdict == "pass" for r in reports) else "fail")

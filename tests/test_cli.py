@@ -336,6 +336,17 @@ class TestVerify:
         code = main(["verify", "su2-tetra-vertex", "--trials", "1", "--tol", "1e-30"])
         assert code == 1
 
+    def test_tol_leaves_the_bounds_of_inverted_checks(self, capsys):
+        # a bound of 5 would fail both: their residuals lie between 1e-3 and 5
+        code = main(["verify", "ccnot-negative-control", "su2-tetra-vertex-per-slot",
+                     "--trials", "1", "--tol", "5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["tolerance"]["absolute"] for c in doc["checks"]] == [0.5, 1e-3]
+        assert [c["predicate"] for c in doc["checks"]] == ["residual_exceeds"] * 2
+        assert all(c["max_residual"] < 5 for c in doc["checks"])
+        assert code == 0
+        assert doc["verdict"] == "pass"
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify", "hadamard-bridge", "--trials", "2", "--out", str(out)])

@@ -669,7 +669,7 @@ class TestFactoredFactors:
         vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         raws, lefts = [], []
         for _ in range(vectors):
-            v = random_state(size, vector_rng)
+            v = tensor._fill_state(np.empty(2**size, dtype=complex), vector_rng)
             left = apply_dense(factors, v)
             raws.append(np.linalg.norm(left - apply_dense(factors[::-1], v)))
             lefts.append(np.linalg.norm(left))
@@ -756,6 +756,30 @@ def test_random_state_is_one_uniform_draw(n):
     v = ref_rng.random(2 ** (n + 1)).view(complex) - (0.5 + 0.5j)
     assert np.array_equal(random_state(n, rng), v / np.linalg.norm(v))
     assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 15])
+def test_a_probe_reads_its_signs_from_the_raw_words(n):
+    # part b of the float64 view, the real part of amplitude b // 2 for even
+    # b and its imaginary part for odd, is negative where bit b % 64 of word
+    # b // 64 is set, counting from the least significant; the stream is
+    # left just after the ceil(2**(n+1) / 64) words
+    ref_rng, rng = np.random.default_rng(60 + n), np.random.default_rng(60 + n)
+    words = [int(w) for w in ref_rng.bit_generator.random_raw(max(1, 2 ** (n + 1) // 64))]
+    scale = (2.0 ** -(n + 1)) ** 0.5
+    parts = [-scale if words[b // 64] >> (b % 64) & 1 else scale for b in range(2 ** (n + 1))]
+    want = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    assert np.array_equal(tensor._fill_state(np.empty(2**n, dtype=complex), rng), want)
+    assert np.array_equal(rng.bit_generator.random_raw(3), ref_rng.bit_generator.random_raw(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 15])
+def test_a_probe_has_unit_norm_and_equal_amplitudes(n):
+    # no normalizing pass: each |amplitude|**2 is 2**-n to rounding, so the norm is 1
+    eps = np.finfo(float).eps
+    v = tensor._fill_state(np.empty(2**n, dtype=complex), np.random.default_rng(n))
+    assert np.allclose(np.abs(v) ** 2 * 2**n, 1.0, rtol=0, atol=4 * eps)
+    assert abs(np.linalg.norm(v) - 1.0) <= 4 * eps
 
 
 def test_random_state_draws_through_a_small_work_array():

@@ -323,7 +323,7 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     raws, lefts = [], []
     for _ in range(vectors):
-        v = random_state(size, vector_rng)
+        v = tensor._fill_state(np.empty(2**size, dtype=complex), vector_rng)
         left, right = v, v
         for op, sites in reversed(factors):
             left = apply(op, sites, left)
@@ -341,18 +341,40 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_matrix_free_residual_estimates_the_dense_one(seed):
-    # 20 unit probes x with E[x x+] = 2**-N sum to estimates of both dense
+    # 20 sign probes x with E[x x+] = 2**-N sum to estimates of both dense
     # numbers (Hutchinson's trace estimator); on the violated 10-site
-    # per-slot equation, seeds 0-19 differed from dense by 1.4% at most, so
-    # 8% holds with a 5x margin.  The worst per-vector ratio read raw 0.54-0.6
+    # per-slot equation, seeds 0-19 differed from dense by 2.7% at most, so
+    # 8% holds with a 3x margin.  The worst per-vector ratio read raw 0.53-0.58
     # against dense's 16-18 on seeds 0-3, and a raw without its
-    # sqrt(2**N / vectors) scale 2.3-2.4
+    # sqrt(2**N / vectors) scale 2.3-2.5
     equation = CHECKS["nsimplex-su2toffoli-per-slot"].fn(seed, n=4)[0]
     dense = reversal_residual(*equation, "dense")
     free = reversal_residual(*equation, "matrixfree", 20, seed)
     assert dense[1] > 0.1
     for got, want in zip(free, dense):
         assert abs(got - want) <= 0.08 * want
+
+
+@pytest.mark.parametrize("vectors", [1, 3, 20])
+def test_sign_probes_give_the_dense_residual_of_a_diagonal_difference(vectors):
+    # for diagonal L and R, ||(L - R) x||**2 = 2**-N ||L - R||_F**2 for every
+    # sign probe x, and likewise for L, so matrix-free raw and normalized are
+    # dense's to rounding; a raw without its sqrt(2**N / vectors) scale, or
+    # amplitudes of 2**(-N / 2), would miss by sqrt(2**N / vectors) or sqrt(2).
+    # 20 vectors of 11 sites are split between two threads given two CPUs
+    rng = np.random.default_rng(81)
+
+    def diagonal(k):
+        return np.diag(rng.standard_normal(2**k) + 1j * rng.standard_normal(2**k))
+
+    n = 11
+    lhs = tensor._placed([(diagonal(2), (1, 5)), (diagonal(3), (2, 4, 11))], n)
+    rhs = tensor._placed([(diagonal(1), (3,)), (diagonal(2), (11, 6))], n)
+    dense = verify._distance(lhs, rhs, n)
+    free = verify._distance(lhs, rhs, n, vectors, seed=4)
+    assert dense[1] > 0.1
+    for got, want in zip(free, dense):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def _haar_equation(tuples, rng):
@@ -451,7 +473,7 @@ def _reference_residual(lhs, rhs, n, mode, vectors, seed):
         side = lambda factors, block: product(factors, n)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        blocks = [random_state(n, rng) for _ in range(vectors)]
+        blocks = [tensor._fill_state(np.empty(2**n, dtype=complex), rng) for _ in range(vectors)]
         side = apply_product
     pairs = []
     for block in blocks:
@@ -706,6 +728,34 @@ class TestTwoThreadVectors:
         assert all(b.size == 2**14 for b in first + second)
         assert not any(np.shares_memory(a, b) for a in first for b in second)
 
+    def test_two_calling_threads_get_the_bits_of_serial_calls(self):
+        # each calling thread keeps its own buffers across calls: buffers
+        # shared between callers would let one residual overwrite the other's
+        # blocks or vectors.  Violated equations, so every residual is O(1)
+        calls = [(*CHECKS["su2-4simplex-vertex-per-slot"].fn(1, n=4)[0], "dense"),
+                 (*CHECKS["nsimplex-su2toffoli-per-slot"].fn(1, n=5)[0], "matrixfree")]
+        serial = [reversal_residual(*call, 4, 0) for call in calls]
+        assert min(norm for _, norm in serial) > 0.1
+        barrier, got = threading.Barrier(2), [None, None]
+
+        def caller(j):
+            barrier.wait(timeout=30)
+            order = calls if j == 0 else calls[::-1]
+            got[j] = [[reversal_residual(*call, 4, 0) for call in order] for _ in range(3)]
+
+        threads = [threading.Thread(target=caller, args=(j,)) for j in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[serial] * 3, [serial[::-1]] * 3]
+
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
         _on_cpus(monkeypatch, 2)
         fill, caller, failed_on = verify._fill_state, threading.get_ident(), []
@@ -736,13 +786,13 @@ class TestTwoThreadVectors:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 15])
     def test_advancing_the_stream_lands_on_each_vector(self, n):
-        # Generator.random takes one 64-bit word per double, two per amplitude
+        # a probe reads one raw 64-bit word per 32 amplitudes, and one word at least
         stream = np.random.SeedSequence(4).spawn(1)[0]
         rng = np.random.default_rng(stream)
-        drawn = [random_state(n, rng) for _ in range(3)]
+        drawn = [tensor._fill_state(np.empty(2**n, dtype=complex), rng) for _ in range(3)]
         for j, want in enumerate(drawn):
             rng = np.random.default_rng(stream)
-            rng.bit_generator.advance(j * 2 ** (n + 1))
+            rng.bit_generator.advance(j * math.ceil(2 ** (n + 1) / 64))
             assert np.array_equal(tensor._fill_state(np.empty(2**n, dtype=complex), rng), want)
 
     @pytest.mark.parametrize("mode", ["matrixfree", "dense"])
@@ -1069,7 +1119,8 @@ class TestSharedDraws:
 
         monkeypatch.setattr(verify, "_fill_state", recording)
         reversal_residual(*equation, "matrixfree", 1, 7)
-        assert not np.allclose(drawn[0], random_state(6, np.random.default_rng(7)))
+        same_stream = tensor._fill_state(np.empty(64, dtype=complex), np.random.default_rng(7))
+        assert not np.allclose(drawn[0], same_stream)
 
     def test_a_check_named_twice_gets_two_reports(self):
         report = campaign(["nsimplex-constant", "nsimplex-constant"], trials=2, seed=1, n=3)
@@ -1085,14 +1136,22 @@ class TestSharedDraws:
         assert sum(c.ms for c in report.checks) <= report.ms
 
     @staticmethod
-    def _residual_peak(monkeypatch, name, cpus):
-        # the traced peak of one 15-site residual of 2 vectors, in state vectors of 512 KiB
+    def _residual_peak(monkeypatch, name, cpus, cold=True):
+        # the traced peak of one 15-site residual of 2 vectors, in state vectors
+        # of 512 KiB, after a warm-up call; a cold call runs on a fresh thread,
+        # which allocates the buffers that the calling thread keeps
         _on_cpus(monkeypatch, cpus)
         equation = CHECKS[name].fn(3, n=5)[0]
         reversal_residual(*equation, "matrixfree", 2, 0)
+        call = threading.Thread(target=reversal_residual, args=(*equation, "matrixfree", 2, 0))
         tracemalloc.start()
         try:
-            reversal_residual(*equation, "matrixfree", 2, 0)
+            if cold:
+                call.start()
+                call.join(timeout=60)
+                assert not call.is_alive()
+            else:
+                reversal_residual(*equation, "matrixfree", 2, 0)
             return tracemalloc.get_traced_memory()[1] / (2**15 * 16)
         finally:
             tracemalloc.stop()
@@ -1109,6 +1168,13 @@ class TestSharedDraws:
             self, monkeypatch, name):
         # each thread's three buffers, both sets allocated by the caller
         assert self._residual_peak(monkeypatch, name, 2) < 6.5
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_warm_15_site_matrixfree_residual_allocates_no_state_vector(self, monkeypatch,
+                                                                        cpus):
+        # the calling thread keeps its buffers from the warm-up call; what is
+        # left is small: a factored step's Vh g block and each probe's raw words
+        assert self._residual_peak(monkeypatch, "nsimplex-su2toffoli", cpus, cold=False) < 0.5
 
     def test_two_15_site_checks_peak_like_one(self):
         # each residual frees its three kernel buffers and its vector before
