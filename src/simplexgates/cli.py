@@ -324,11 +324,9 @@ def cmd_build(args: argparse.Namespace) -> int:
             op = fam.build(args)
         if not np.isfinite(op).all():
             raise ValueError("operator has non-finite entries")
-    except DegenerateEigenvaluesError as exc:
-        print(f"error: DegenerateEigenvalues: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "DegenerateEigenvalues: " if isinstance(exc, DegenerateEigenvaluesError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
     k = arity_of(op)
     deviation, unitary = _unitarity(op)

@@ -65,11 +65,6 @@ class CouplingConstants:
     beta3: complex = 0.0
     gamma: complex = 0.0
 
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "CouplingConstants":
-        vals = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        return cls(*(complex(v) for v in vals))
-
 
 def pauli_exp() -> Callable[[complex], np.ndarray]:
     """Site operators exp(mu * A) with A = cos|mu| X + sin|mu| Z.

@@ -15,9 +15,10 @@ apply to the normalized value.  Matrix-free mode applies both sides to
 seeded random sign vectors, each amplitude (+-1 +- i) 2**(-(N + 1) / 2),
 summed like the blocks (``_distance``) into estimates of the same two
 numbers; each matrix-free equation of a trial and size draws the same
-vectors.  Given two CPUs, both modes run the second half of their blocks
-or vectors on a thread (``_halves``) once those hold more than
-2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
+vectors.  Diagonal factors alone give both modes one exact item instead,
+the all-ones vector.  Given two CPUs, both modes run the second half of
+their blocks or vectors on a thread (``_halves``) once those hold more
+than 2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
 Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
 trials could run in any order or in parallel.
@@ -198,10 +199,14 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
     E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
     check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
-    ||L - R||_F.  ``_halves`` splits the items; each half of the vectors skips
-    the ceil(2**(n + 1) / 64) raw words of every vector before its own, so no
-    bit depends on the CPU count."""
-    if vectors is None:
+    ||L - R||_F.  If ``_placed`` marks every factor diagonal, either mode has
+    one item, the all-ones vector in the z buffer, whose norms are ||L - R||_F
+    and ||L||_F exactly.  ``_halves`` splits the items; each half of the
+    vectors skips the ceil(2**(n + 1) / 64) raw words of every vector before
+    its own, so no bit depends on the CPU count."""
+    if diagonal := all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
+        items, size, scale = [None], 2**n, 1.0
+    elif vectors is None:
         m = max(0, 2 * n - _BLOCK_BITS)
         items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
         size, scale = 4**n >> m, 1.0
@@ -210,6 +215,9 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
         items, size, scale = range(vectors), 2**n, math.sqrt(2**n / vectors)
 
     def run(half, start, work):
+        if diagonal:
+            work[2][:] = 1
+            return [_side_norms(lhs, rhs, n, work, work[2])]
         if vectors is None:
             return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
         rng = np.random.default_rng(stream)
@@ -239,7 +247,8 @@ def reversal_residual(factors: Sequence[tuple[np.ndarray, Sequence[int]]], regis
     and R reuses the placed list; ``vectors`` outside 1..sys.maxsize is
     refused in either mode.  Both modes are ``_distance``: dense mode on
     the pinned column blocks, matrix-free mode on ``vectors`` random unit
-    vectors drawn from a child stream of ``seed``, summed like the blocks.
+    vectors drawn from a child stream of ``seed``, summed like the blocks,
+    and both on the all-ones vector alone if every factor is diagonal.
     """
     _check_block(register_size, mode)
     _check_vectors(vectors)
@@ -427,7 +436,7 @@ def _generic_equations(trial_seed, tuples, register_size, per_slot) -> list[Equa
     # the coupled generic family on the trial's seeded_random site operators
     rng = np.random.default_rng(trial_seed)
     family = op_families.seeded_random(seed=trial_seed)
-    couplings = op_families.CouplingConstants.random(rng)
+    couplings = op_families.CouplingConstants(*random_mu_assignment(7, rng))
     mus, build = _drawn(tuples, register_size, per_slot, random_mu_assignment, rng)
     return [build(tuples, register_size,
                   lambda ps: op_families.generic_tetrahedron(family, ps, couplings), mus)]
@@ -460,8 +469,7 @@ def _check_constant_vertex(trial_seed, *, n):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    return [simplex_equation(index_scheme(3).tuples, 6, lambda _: m, [None] * 6)
-            for m in members]
+    return [Equation([(m, t) for t in index_scheme(3).tuples], 6) for m in members]
 
 
 @_register("hadamard-bridge",
@@ -544,8 +552,7 @@ def _check_nsimplex_constant(trial_seed, *, n):
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
     scheme = index_scheme(n)
-    return [simplex_equation(scheme.tuples, scheme.register_size, lambda _: member,
-                             [None] * scheme.register_size)]
+    return [Equation([(member, t) for t in scheme.tuples], scheme.register_size)]
 
 
 @_register("nsimplex-su2toffoli",
@@ -564,7 +571,7 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n, per_slot=False):
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n):
-    return [simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6)]
+    return [Equation([(CCNOT, t) for t in index_scheme(3).tuples], 6)]
 
 
 @_register("apply-vs-embed",

@@ -75,7 +75,7 @@ def test_criterion_3_generic_trivial_solution():
     for trial in range(100):
         rng = np.random.default_rng(300 + trial)
         family = seeded_random(seed=300 + trial)
-        couplings = CouplingConstants.random(rng)
+        couplings = CouplingConstants(*random_mu_assignment(7, rng))
         provider = lambda mus: generic_tetrahedron(family, mus, couplings)
         worst_vertex = max(worst_vertex,
                            reversal_residual(*simplex_equation(

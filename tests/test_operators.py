@@ -105,7 +105,7 @@ class TestGenericTetrahedron:
     def test_edge_equation(self):
         rng = np.random.default_rng(43)
         fam = seeded_random(43)
-        couplings = CouplingConstants.random(rng)
+        couplings = CouplingConstants(*random_mu_assignment(7, rng))
         assert reversal_residual(*simplex_equation(
             EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
             random_mu_assignment(4, rng)))[1] < 1e-12
@@ -373,7 +373,7 @@ def test_site_relabeling_by_plain_permutations():
     rng = np.random.default_rng(14)
     fam = seeded_random(14)
     mus = random_mu_assignment(3, rng)
-    t = generic_tetrahedron(fam, mus, CouplingConstants.random(rng))
+    t = generic_tetrahedron(fam, mus, CouplingConstants(*random_mu_assignment(7, rng)))
     p24 = embed(SWAP, (2, 4), 6)
     p35 = embed(SWAP, (3, 5), 6)
     lhs = p24 @ p35 @ embed(t, (1, 2, 3), 6) @ p35 @ p24
@@ -386,7 +386,7 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
     fam = pauli_exp()
     for seed in range(5):
         trial = np.random.default_rng(seed)
-        couplings = CouplingConstants.random(trial)
+        couplings = CouplingConstants(*random_mu_assignment(7, trial))
         generic = lambda mus: generic_tetrahedron(fam, mus, couplings)
         assert reversal_residual(*simplex_equation(
             index_scheme(3).tuples, 6, generic, random_mu_assignment(6, trial)))[1] < 1e-11

@@ -34,6 +34,8 @@ from simplexgates.verify import (
 from reference import product
 
 Z_AXIS = (0.0, 0.0, 1.0)
+# the registered checks whose every equation has diagonal factors alone
+DIAGONAL_CHECKS = ("constant-vertex", "nsimplex-constant")
 
 
 class TestIndexScheme:
@@ -161,7 +163,7 @@ class TestEdgeResidual:
     def test_generic_family(self):
         rng = np.random.default_rng(35)
         fam = seeded_random(35)
-        couplings = CouplingConstants.random(rng)
+        couplings = CouplingConstants(*random_mu_assignment(7, rng))
         assert reversal_residual(*simplex_equation(
             EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
             random_mu_assignment(4, rng)))[1] < 1e-12
@@ -357,24 +359,103 @@ def test_matrix_free_residual_estimates_the_dense_one(seed):
 
 @pytest.mark.parametrize("vectors", [1, 3, 20])
 def test_sign_probes_give_the_dense_residual_of_a_diagonal_difference(vectors):
-    # for diagonal L and R, ||(L - R) x||**2 = 2**-N ||L - R||_F**2 for every
-    # sign probe x, and likewise for L, so matrix-free raw and normalized are
-    # dense's to rounding; a raw without its sqrt(2**N / vectors) scale, or
-    # amplitudes of 2**(-N / 2), would miss by sqrt(2**N / vectors) or sqrt(2).
-    # 20 vectors of 11 sites are split between two threads given two CPUs
+    # for L - R a diagonal matrix times a permutation, ||(L - R) x||**2 =
+    # 2**-N ||L - R||_F**2 for every sign probe x, and likewise for L, so
+    # matrix-free raw and normalized are dense's to rounding; a raw without its
+    # sqrt(2**N / vectors) scale, or amplitudes of 2**(-N / 2), would miss by
+    # sqrt(2**N / vectors) or sqrt(2).  The X on site 7 that both sides share
+    # is that permutation: it keeps the sides off the one-item path of
+    # diagonal factors alone.  20 vectors of 11 sites are split between two
+    # threads given two CPUs
     rng = np.random.default_rng(81)
 
     def diagonal(k):
         return np.diag(rng.standard_normal(2**k) + 1j * rng.standard_normal(2**k))
 
     n = 11
-    lhs = tensor._placed([(diagonal(2), (1, 5)), (diagonal(3), (2, 4, 11))], n)
-    rhs = tensor._placed([(diagonal(1), (3,)), (diagonal(2), (11, 6))], n)
+    lhs = tensor._placed([(diagonal(2), (1, 5)), (diagonal(3), (2, 4, 11)), (su2.X, (7,))], n)
+    rhs = tensor._placed([(diagonal(1), (3,)), (diagonal(2), (11, 6)), (su2.X, (7,))], n)
     dense = verify._distance(lhs, rhs, n)
     free = verify._distance(lhs, rhs, n, vectors, seed=4)
     assert dense[1] > 0.1
     for got, want in zip(free, dense):
         assert abs(got - want) <= 1e-12 * want
+
+
+def _embedded_diagonal(diagonal, sites, n):
+    # the diagonal of embed(np.diag(diagonal), sites, n): entry j reads the
+    # bits of j on ``sites`` in slot order, site 1 the most significant bit
+    j = np.arange(2**n)
+    k = len(sites)
+    return diagonal[sum(((j >> (n - s)) & 1) << (k - 1 - i) for i, s in enumerate(sites))]
+
+
+class TestDiagonalEquations:
+    """An equation whose placed factors are all diagonal runs one item in
+    either mode, the all-ones vector, whose norms are ||L - R||_F and
+    ||L||_F exactly: no probe, no column blocks, no second thread."""
+
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+    @pytest.mark.parametrize("n", [6, 10, 15])
+    def test_both_modes_give_the_norms_of_the_diagonals(self, n, mode):
+        # L and R differ, so both numbers are of order 1; the reference
+        # multiplies the factors' embedded diagonals.  A sign probe in place
+        # of the ones would read 2**(-n / 2) of the raw residual, and a scale
+        # of sqrt(2**n) in place of 1 would read 2**(n / 2) times it
+        rng = np.random.default_rng(90 + n)
+        sides, want = [], []
+        for _ in range(2):
+            tuples = [tuple(int(s) + 1 for s in rng.permutation(n)[:k]) for k in (1, 2, 3, 3)]
+            diagonals = [rng.standard_normal(2 ** len(t)) + 1j * rng.standard_normal(2 ** len(t))
+                         for t in tuples]
+            sides.append(tensor._placed([(np.diag(d), t) for d, t in zip(diagonals, tuples)], n))
+            want.append(np.prod([_embedded_diagonal(d, t, n) for d, t in zip(diagonals, tuples)],
+                                axis=0))
+        raw = np.linalg.norm(want[0] - want[1])
+        norm = raw / np.linalg.norm(want[0])
+        got = verify._distance(*sides, n, None if mode == "dense" else 20, 4)
+        assert norm > 0.1
+        assert abs(got[0] - raw) <= 1e-12 * raw
+        assert abs(got[1] - norm) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dense_and_matrixfree_give_the_same_bits(self, n):
+        # rounding-level residuals, which probes and column blocks round apart
+        dense, free = (campaign(DIAGONAL_CHECKS, trials=3, seed=3, n=n, mode=mode, vectors=5)
+                       for mode in ("dense", "matrixfree"))
+        for d, f in zip(dense.checks, free.checks):
+            assert d.verdict == f.verdict == "pass"
+            assert (d.residuals, d.raw_residuals) == (f.residuals, f.raw_residuals)
+
+    def test_a_diagonal_equation_draws_no_probe_and_stays_on_the_calling_thread(
+            self, monkeypatch):
+        # 20 vectors of 15 sites would draw 20 probes on two threads
+        threads = _on_cpus(monkeypatch, 2)
+        drawn = TestSharedDraws._counted_draws(monkeypatch)
+        equation = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
+        _, norm = reversal_residual(*equation, "matrixfree", 20, 0)
+        assert drawn == []
+        assert threads == {threading.get_ident()}
+        assert norm < 1e-15
+
+    def test_one_non_diagonal_factor_draws_every_probe(self, monkeypatch):
+        drawn = TestSharedDraws._counted_draws(monkeypatch)
+        factors, size = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
+        reversal_residual([*factors, (su2.X, (1,))], size, "matrixfree", 3, 0)
+        assert len(drawn) == 3
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
+    def test_a_non_finite_diagonal_entry_fails(self, monkeypatch, mode, entry):
+        # inf - inf and nan read nan; a nan over ||L||_F, inf or nan, stays nan
+        member = np.diag([1.0] * 7 + [entry]).astype(complex)
+        with np.errstate(invalid="ignore"):
+            got = reversal_residual([(member, t) for t in index_scheme(3).tuples], 6, mode, 2)
+            _patch_phased_constant(monkeypatch, member)
+            check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
+        assert not any(map(math.isfinite, got))
+        assert check.verdict == "fail"
+        assert not np.isfinite(check.max_residual)
 
 
 def _haar_equation(tuples, rng):
@@ -768,7 +849,7 @@ class TestTwoThreadVectors:
 
         monkeypatch.setattr(verify, "_fill_state", fail_off_the_caller)
         before = threading.enumerate()
-        equation = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
+        equation = CHECKS["nsimplex-su2toffoli"].fn(0, n=5)[0]
         with pytest.raises(RuntimeError, match="second half"):
             reversal_residual(*equation, "matrixfree", 4, 0)
         assert failed_on
@@ -1025,9 +1106,9 @@ class TestCampaign:
 
 class TestSharedDraws:
     """A campaign runs trials outermost and evaluates every Equation member
-    with one ``reversal_residual`` call; each matrix-free equation draws its
-    vectors itself, and those of one trial and register size share their
-    bits, not a draw."""
+    with one ``reversal_residual`` call; each matrix-free equation that is
+    not diagonal draws its vectors itself, and those of one trial and
+    register size share their bits, not a draw."""
 
     @staticmethod
     def _counted_draws(monkeypatch):
@@ -1045,9 +1126,11 @@ class TestSharedDraws:
         return {name: campaign([name], **kwargs).checks[0] for name in names}
 
     def test_each_matrixfree_equation_draws_the_trials_vectors_itself(self, monkeypatch):
-        # n = 3: all three checks are 6-site, constant-vertex with four equations
-        names = ["constant-vertex", "nsimplex-constant", "nsimplex-su2toffoli"]
-        equations, trials, vectors = 6, 2, 3
+        # n = 3: all four checks are 6-site; the four equations of
+        # constant-vertex and the one of nsimplex-constant are diagonal and
+        # draw nothing, so the draws are the two rotation equations'
+        names = ["constant-vertex", "su2-tetra-vertex", "nsimplex-constant", "nsimplex-su2toffoli"]
+        equations, trials, vectors = 2, 2, 3
         alone = self._alone(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
         drawn = []
 
@@ -1066,6 +1149,9 @@ class TestSharedDraws:
         for check in report.checks:
             assert check.residuals == alone[check.check].residuals
             assert check.raw_residuals == alone[check.check].raw_residuals
+        drawn.clear()
+        campaign(DIAGONAL_CHECKS, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
+        assert drawn == []
 
     def test_every_matrixfree_equation_is_one_reversal_residual_call(self, monkeypatch):
         # constant-vertex has four equations and nsimplex-constant one, two trials each
@@ -1092,10 +1178,11 @@ class TestSharedDraws:
                 assert check.residuals[i] == max(norm for _, norm in pairs)
 
     @pytest.mark.parametrize("names, kwargs, sizes", [
-        # one draw list per equation: constant-vertex has four
-        (["nsimplex-constant", "constant-vertex"], {"n": 4, "mode": "matrixfree"},
-         [10, 6, 6, 6, 6]),
-        (["su2-tetra-vertex", "nsimplex-constant"], {"n": 3}, [6]),
+        # one draw list per matrix-free equation that is not diagonal; the
+        # diagonal ones, constant-vertex's four and nsimplex-constant's, draw none
+        (["nsimplex-su2toffoli", "su2-tetra-vertex", "nsimplex-constant", "constant-vertex"],
+         {"n": 4, "mode": "matrixfree"}, [10, 6]),
+        (["su2-tetra-vertex", "nsimplex-su2toffoli", "nsimplex-constant"], {"n": 3}, [6]),
     ], ids=["two-sizes", "dense-and-matrixfree"])
     def test_mixed_sizes_or_modes_share_nothing(self, monkeypatch, names, kwargs, sizes):
         trials, vectors = 2, 2
@@ -1105,6 +1192,10 @@ class TestSharedDraws:
         assert sorted(drawn) == sorted(sizes * trials * vectors)
         for check in report.checks:
             assert check.residuals == alone[check.check].residuals
+        drawn.clear()
+        campaign([name for name in names if name in DIAGONAL_CHECKS], trials=trials, seed=3,
+                 vectors=vectors, **kwargs)
+        assert drawn == []
 
     def test_vectors_come_from_a_stream_apart_from_the_checks_parameters(self, monkeypatch):
         # every check draws its parameters from default_rng(trial seed); a
@@ -1176,10 +1267,15 @@ class TestSharedDraws:
         # left is small: a factored step's Vh g block and each probe's raw words
         assert self._residual_peak(monkeypatch, "nsimplex-su2toffoli", cpus, cold=False) < 0.5
 
-    def test_two_15_site_checks_peak_like_one(self):
+    def test_two_15_site_checks_peak_like_one(self, monkeypatch):
         # each residual frees its three kernel buffers and its vector before
         # the next one runs, so a second check adds only small objects; its
-        # buffers or vector held beside the first check's would add 512 KiB
+        # buffers or vector held beside the first check's would add 512 KiB.
+        # On one CPU: given two, the pool thread's short-lived blocks and
+        # probe words overlap the caller's by chance, which moved the peak of
+        # one 15-site nsimplex-su2toffoli residual by up to 80 KiB
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
         def peak(names):
             tracemalloc.start()
             try:
