@@ -5,8 +5,8 @@ sites; states are flat complex vectors of length ``2**n``.  Site 1 is the
 leftmost tensor factor / most significant bit, so basis state
 |b1 b2 ... bn> lives at index sum(b_i * 2**(n - i)).  No public function
 mutates its inputs (the random ones advance the generator they are given);
-``_contract``, ``_product_view``, ``_copied`` and ``_fill_state`` write
-into buffers their caller owns, one set per thread.
+``_replay`` (in the buffers ``_program`` binds), ``_product_view``, ``_copied``
+and ``_fill_state`` write into buffers their caller owns, one per thread.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
 
 def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
-    # every factor as (complex operator, validated sites, diagonal, factored):
-    # the one check of a factor, made where it enters, before the kernel that
-    # trusts it; if no off-diagonal entry is nonzero, the diagonal is the list
-    # of (slot bits, entry) of its entries that are not exactly 1, else the
-    # factor may carry the (U, Vh) of ``_factored``
+    # every factor as (complex operator, validated sites, diagonal, factored),
+    # checked once, where it enters, before the kernel that trusts it; with no
+    # nonzero off-diagonal entry, diagonal lists (slot bits, entry) for its
+    # entries not exactly 1, the only slices multiplied (x * (1 + 0j) = x up
+    # to the sign of zero; NaN is kept), else it may carry ``_factored``'s (U, Vh)
     placed = []
     for op, sites in factors:
         op = np.asarray(op, dtype=complex)
@@ -147,11 +147,11 @@ def _factored(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 @lru_cache(maxsize=256)
 def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tuple, tuple]:
-    """The steps ``_contract`` replays to multiply placed factors, last one
-    first, onto a working tensor of ``shape``, and the transpose that then
-    puts its axes in site order.  It reads only structure (each factor's
-    sites and whether it is diagonal, the pinned sites, the start shape),
-    so one plan serves every block, vector and trial of that structure.
+    """The steps that multiply placed factors, last one first, onto a
+    working tensor of ``shape``, and the transpose that then puts its axes
+    in site order, for ``_program`` to bind.  It reads only structure (each
+    factor's sites and whether it is diagonal, the pinned sites, the start
+    shape), so one plan serves every block, vector and trial of it.
 
     Shape () is the matrix, started from the scalar 1, whose untouched
     sites get identity factors (i None) that act last, as outer products;
@@ -173,7 +173,7 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
     step is (i, transpose, (slots, pinned, rows, cols, shape)), with slots
     None when no site is new.  A GEMM step with slots None runs as the
     third kind, U (Vh g) + g, when the placed factor carries the (U, Vh) of
-    ``_factored``; that is read at replay, so the plan and its key do not
+    ``_factored``; ``_program`` reads that, so the plan and its key do not
     record it."""
     if shape == ():
         touched = {s for sites, _ in factors for s in sites}
@@ -206,82 +206,80 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
     return tuple(steps), tuple(axes.index(s) for s in [*range(1, n + 1), *tail])
 
 
-def _contract(placed: list, t: np.ndarray, steps: tuple, work: tuple[np.ndarray, np.ndarray],
-              pins: dict[int, int]) -> np.ndarray:
-    """Replay the ``_plan`` steps of the placed factors on the tensor ``t``:
-    only the gathers, GEMMs, factored GEMMs and diagonal multiplies, in the
-    plan's order.  The factors arrive from ``_placed``, so each operator is
-    complex, its sites are checked, its diagonal is marked and its factored
-    form found; nothing here checks them again.  A diagonal factor
-    multiplies only the slices of ``t`` where its sites read a diagonal
-    entry that is not exactly 1 (x * (1 + 0j) = x up to the sign of zero; a
-    NaN entry is multiplied): no gather, no GEMM.  A factor that is the
-    identity plus U Vh, within d * eps of ||F - 1||_F (see ``_factored``),
-    computes U (Vh g) + g over its gathered block g instead of F g, on a step
-    that creates no axes; a step that does keeps the GEMM.  A pinned site's
-    input slot is indexed at its bit in ``pins``.
-
-    ``work = (acc, gat)`` are two flat complex buffers, each at least as
-    large as the largest working tensor, and nothing else is allocated at
-    that size: the gather copies ``t`` into ``gat`` and the GEMM writes
-    into ``acc``, over the previous working tensor, which the gather has
-    already read; a factored GEMM also allocates its r x cols block Vh g.
-    A diagonal factor multiplies in ``acc``, first copying the caller's
-    ``t`` there if it is still that very array, so ``t`` itself is never
-    written, unless the caller passes it inside ``acc``: then the first
-    step overwrites it, after its gather or copy has read it.  The result
-    is a view of ``acc``, or ``t`` itself when there is no factor.
-    """
+def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=None,
+             pinned: frozenset = frozenset(), settle: bool = False) -> tuple:
+    """The ``_plan`` of the placed factors on an n-site register, bound once
+    to ``work = (acc, gat)`` and ``state`` (None: the matrix) for ``_replay``:
+    (steps, result), the result a site-order view of ``acc``, or of ``state``
+    if no factor.  Each step holds fixed views, down to a diagonal factor's
+    slices, and its operator in slot order, one (rows, cols) matrix per bit
+    pattern of its new pinned sites, first most significant (``np.eye`` for
+    an untouched site: a tracer may wrap the public identity).  ``settle``
+    copies the result to the front of ``gat`` unless C-contiguous in ``acc``.
+    No entry is read, so ``state`` may be refilled between replays.  Buffers
+    need 4**n >> len(pinned) entries or ``state.size``."""
     acc, gat = work
-    caller = t
-    for i, order, gemm in steps:
+    t = np.array(1, dtype=complex) if state is None else state.reshape((2,) * n + (-1,))
+    plan, order = _plan(n, tuple((sites, diag is not None) for _, sites, diag, _ in placed),
+                        pinned, t.shape)
+    steps, caller = [], t
+    for i, axes, gemm in plan:
         if gemm is None:
-            if t is caller:
-                t = _copied(t, acc)
-            moved = t.transpose(order)
-            for bits, entry in placed[i][2]:
-                moved[bits] *= entry
+            source, t = (t, acc[:t.size].reshape(t.shape)) if t is caller else (None, t)
+            views = [(t.transpose(axes)[(*bits, ...)], entry) for bits, entry in placed[i][2]]
+            steps.append((source, t, None, (), views, None, None))
             continue
-        slots, pinned, rows, cols, shape = gemm
-        # np.eye, not the public identity, which a tracer may wrap: a pool thread runs this
+        slots, pins, rows, cols, shape = gemm
         op = np.eye(2, dtype=complex) if i is None else placed[i][0]
-        if slots is not None:
-            op = op.reshape((2,) * len(slots)).transpose(slots)
-            if pinned:
-                op = op[(..., *[pins[s] for s in pinned])]
-            op = op.reshape(rows, cols)
-        moved = t.transpose(order)
+        op = op if slots is None else op.reshape((2,) * len(slots)).transpose(slots)
+        ops = ([op[(..., *bits)].reshape(rows, cols) for bits in np.ndindex((2,) * len(pins))]
+               if pins else [op.reshape(rows, cols)])
+        moved = t.transpose(axes)
         gathered = gat[:t.size].reshape(moved.shape)
-        gathered[...] = moved
-        block = gathered.reshape(cols, -1)
         out = acc[:rows * (t.size // cols)].reshape(rows, -1)
-        factored = placed[i][3] if slots is None else None
+        steps.append((moved, gathered, ops, pins, gathered.reshape(cols, -1), out,
+                      placed[i][3] if slots is None else None))
+        t = out.reshape(shape)
+    t = t.transpose(order)
+    if settle and not (steps and t.flags.c_contiguous):
+        steps.append((t, gat[:t.size].reshape(t.shape), None, (), (), None, None))
+        t = steps[-1][1]
+    return steps, t
+
+
+def _replay(program: tuple, pins: dict | None = None) -> np.ndarray:
+    """Run a ``_program`` on its buffers, ``pins`` ({site: bit}) picking each
+    pinned step's operator, and return its result view.  Each gather copies
+    into ``gat`` and each GEMM writes into ``acc``, over the tensor the gather
+    read; a diagonal factor multiplies in ``acc``, a first one copying the
+    state there.  Only a factored GEMM allocates (Vh g, r x cols), and the
+    state is written only if bound inside ``acc``, after its first read."""
+    steps, result = program
+    for source, gathered, ops, pinned, block, out, factored in steps:
+        if source is not None:
+            gathered[...] = source
+        if out is None:
+            for view, entry in block:
+                view *= entry
+            continue
+        index = 0
+        for s in pinned:
+            index = 2 * index + pins[s]
         if factored is None:
             # out by position: the keyword costs about 1 us per small factor
-            np.matmul(op, block, out)
+            np.matmul(ops[index], block, out)
         else:
             np.matmul(factored[0], factored[1] @ block, out)
             out += block
-        t = out.reshape(shape)
-    return t
+    return result
 
 
 def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
                   state: np.ndarray | None = None, pins: dict | None = None) -> np.ndarray:
-    """The product of factors already placed by ``_placed`` on an n-site
-    register, contracted in ``work`` by replaying its cached ``_plan`` (see
-    ``_contract``) and returned as a view with its axes in site order, not
-    copied: the (2,) * 2n tensor of the 2**n x 2**n matrix, or, applied to
-    ``state``, the (2,) * n + (batch,) tensor of ``apply_product``.  The
-    matrix starts from the scalar 1, so ``work`` needs 4**n entries; a
-    state needs ``state.size``.  ``pins``, a {site: bit} map, keeps only the
-    matrix columns where those sites read those bits, in 4**n >> len(pins)
-    entries."""
-    pins = pins or {}
-    t = np.ones((), dtype=complex) if state is None else state.reshape((2,) * n + (-1,))
-    steps, order = _plan(n, tuple((sites, diag is not None) for _, sites, diag, _ in placed),
-                         frozenset(pins), t.shape)
-    return _contract(placed, t, steps, work, pins).transpose(order)
+    """``_replay`` of a fresh ``_program``: the site-order view of the (2,) *
+    2n matrix of ``_placed`` factors at the columns where ``pins`` ({site:
+    bit}) hold, or of the (2,) * n + (batch,) product applied to ``state``."""
+    return _replay(_program(placed, n, work, state, frozenset(pins or {})), pins)
 
 
 def _copied(view: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -303,7 +301,7 @@ def apply_product(
     sites_m, n) @ state`` but runs in O(2**n * 2**k) time per column and
     factor and never forms a 2**n x 2**n matrix: each factor gathers its
     sites and multiplies them, or, if diagonal, multiplies elementwise (see
-    ``_contract``).  Site order is restored once, after the last factor,
+    ``_replay``).  Site order is restored once, after the last factor,
     into a fresh array; the state itself is never written.  A state
     with no entries (0-d, or an empty axis) or a leading dimension that is
     not a power of two >= 2 raises one ValueError naming its shape.

@@ -3,23 +3,23 @@ verification campaign, the one place that picks the residual mode.
 
 Residual conventions: ``reversal_residual`` evaluates one equation.  It
 places and checks each factor once (the reversed side reverses the placed
-list), then both modes run the two sides through one product kernel in
-three reused buffers per thread; a non-diagonal factor of 5 or 6 sites
-that is the identity plus a rank r < d/4 term, to within d * eps of that
-term's norm, is applied as U (Vh g) + g (``tensor._factored``), which
-changes a residual only by rounding.  Dense mode, which the permutation
-relations share, builds both sides one column block of 2**_BLOCK_BITS
-entries at most at a time (never a whole 2**N x 2**N side) and reports
-||L - R||_F and that over ||L||_F (raw where ||L||_F is 0); tolerances
-apply to the normalized value.  Matrix-free mode applies both sides to
-seeded random sign vectors, each amplitude (+-1 +- i) 2**(-(N + 1) / 2),
-summed like the blocks (``_distance``) into estimates of the same two
-numbers; each matrix-free equation of a trial and size draws the same
-vectors.  Diagonal factors alone give both modes one exact item instead,
-the all-ones vector.  Given two CPUs, both modes run the second half of
-their blocks or vectors on a thread (``_halves``) once those hold more
-than 2**_BLOCK_BITS entries in all, with the same bits as on one CPU.
-Campaign trial i is one ``_trial`` call that draws everything from
+list); each half of either mode's items compiles both sides once, bound to
+its thread's three reused buffers (``tensor._program``), and replays them
+per item; a non-diagonal factor of 5 or 6 sites that is the identity plus a
+rank r < d/4 term, to within d * eps of that term's norm, is applied as U
+(Vh g) + g (``tensor._factored``), which changes a residual only by
+rounding.  Dense mode, which the permutation relations share, builds both
+sides one column block of 2**_BLOCK_BITS entries at most at a time (never a
+whole 2**N x 2**N side) and reports ||L - R||_F and that over ||L||_F (raw
+where ||L||_F is 0); tolerances apply to the normalized value.  Matrix-free
+mode applies both sides to seeded random sign vectors, each amplitude (+-1
++- i) 2**(-(N + 1) / 2), summed like the blocks (``_distance``) into
+estimates of the same two numbers; each matrix-free equation of a trial and
+size draws the same vectors.  Diagonal factors alone give both modes one
+exact item instead, the all-ones vector.  Given two CPUs, both modes run the
+second half of their blocks or vectors on a thread (``_halves``) once those
+hold more than 2**_BLOCK_BITS entries in all, with the same bits as on one
+CPU.  Campaign trial i is one ``_trial`` call that draws everything from
 seed + i, so reports are reproducible bit for bit (wall time aside) and
 trials could run in any order or in parallel.
 """
@@ -42,7 +42,7 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import I2, H, X, AxisAngle, random_axis_angle
-from .tensor import (_copied, _fill_state, _placed, _product_view, _unitarity, _validated_sites,
+from .tensor import (_fill_state, _placed, _program, _replay, _unitarity, _validated_sites,
                      apply, embed, frobenius_distance, random_operator, random_state,
                      random_unitary)
 
@@ -68,11 +68,11 @@ __all__ = [
 ]
 
 # dense mode is refused above 12 sites, a bound on time (4**12 entries per
-# side); each of at most two threads holds three 512 KiB column blocks, and
-# 2**14 to 2**18 entries per block ran a 10-site su2-4simplex trial within
-# noise (2**13 and 2**20 slower).  The matrix-free limit, 24 sites, bounds
-# memory: 3 state vectors on one CPU and 6 on two, 194 MiB traced at 21
-# sites on two, about 1.5 GiB at 24
+# side); each of at most two threads holds three 512 KiB column blocks: a
+# 10-site su2-4simplex trial at 2**13, 2**14, 2**16 and 2**17 entries per
+# block took 15/3/14/23% longer than at 2**15 on one CPU, 35/10/0/3% on
+# two.  The matrix-free limit, 24 sites, bounds memory: 3 state vectors on
+# one CPU and 6 on two, 194 MiB traced at 21 sites on two, about 1.5 GiB at 24
 DENSE_SITE_LIMIT = 12
 _BLOCK_BITS = 15
 _KEPT = threading.local()  # each calling thread's ``_halves`` buffers
@@ -148,20 +148,14 @@ def _check_vectors(vectors: int) -> None:
         raise CampaignArgumentError(f"vectors must be at {bound}, got {vectors}")
 
 
-def _side_norms(lhs, rhs, n, work, state=None, pins=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) on one ``_distance`` column block, or on the vector
-    # ``state`` drawn into z of ``work`` = (x, y, z): L contracts in (x, y),
-    # read in place if ``_plan`` left it in site order (a vertex scheme's L
-    # ends on factor 1, on sites 1..n), else copied into y, freeing x; R, its
-    # first step reading the vector before writing over it, contracts in z
-    # and the free buffer, then is copied there in site order, where L - R is
-    # written.  Both norms sum in site order, like ``product``
-    x, y, z = work
-    left = _product_view(lhs, n, (x, y), state, pins)
-    left, y = (left, y) if left.flags.c_contiguous else (_copied(left, y), x)
-    diff = _copied(_product_view(rhs, n, (z, y), state, pins), y)
-    np.subtract(left, diff, out=diff)
-    return float(np.linalg.norm(diff)), float(np.linalg.norm(left))
+def _side_norms(sides, pins=None, rng=None) -> tuple[float, float]:
+    # (||L - R||, ||L||) of a half's ``_distance`` sides on the block of ``pins``,
+    # the probe ``rng`` draws into z, or z: np.linalg.norm's sums, in site order
+    z, left, right, norms = sides
+    if rng is not None:
+        _fill_state(z, rng)
+    np.subtract(_replay(left, pins), _replay(right, pins), out=right[1])
+    return tuple(math.sqrt(re.dot(re) + im.dot(im)) for re, im in norms)
 
 
 def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], list]) -> list:
@@ -200,29 +194,37 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
     check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
     ||L - R||_F.  If ``_placed`` marks every factor diagonal, either mode has
-    one item, the all-ones vector in the z buffer, whose norms are ||L - R||_F
-    and ||L||_F exactly.  ``_halves`` splits the items; each half of the
-    vectors skips the ceil(2**(n + 1) / 64) raw words of every vector before
-    its own, so no bit depends on the CPU count."""
+    one item, the all-ones vector in z, whose norms are ||L - R||_F and
+    ||L||_F exactly.  ``_halves`` splits the items; each half compiles L and
+    R once and replays them per item, and skips the ceil(2**(n + 1) / 64) raw
+    words of every vector before its own, so no bit depends on the CPU count."""
     if diagonal := all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
-        items, size, scale = [None], 2**n, 1.0
+        items, size, scale, pinned = [None], 2**n, 1.0, None
     elif vectors is None:
-        m = max(0, 2 * n - _BLOCK_BITS)
-        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=m)]
-        size, scale = 4**n >> m, 1.0
+        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
+        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
+        size, scale = 4**n >> len(pinned), 1.0
     else:
         stream = np.random.SeedSequence(seed).spawn(1)[0]
-        items, size, scale = range(vectors), 2**n, math.sqrt(2**n / vectors)
+        items, size, scale, pinned = range(vectors), 2**n, math.sqrt(2**n / vectors), None
 
     def run(half, start, work):
+        # L in (x, y), then in site order in y unless ``_plan`` left it so in x
+        # (a vertex scheme's L ends on factor 1, on sites 1..n); R, reading z
+        # first, in z and the buffer L left free, then in site order there
+        x, y, z = work
+        state, fixed = (z, frozenset()) if pinned is None else (None, pinned)
+        left = _program(lhs, n, (x, y), state, fixed, True)
+        free = x if np.may_share_memory(left[1], y) else y
+        right = _program(rhs, n, (z, free), state, fixed, True)
+        sides = z, left, right, [(a.ravel().real, a.ravel().imag) for a in (right[1], left[1])]
         if diagonal:
-            work[2][:] = 1
-            return [_side_norms(lhs, rhs, n, work, work[2])]
-        if vectors is None:
-            return [_side_norms(lhs, rhs, n, work, pins=pins) for pins in half]
+            z[:] = 1
+        if vectors is None or diagonal:
+            return [_side_norms(sides, pins=pins) for pins in half]
         rng = np.random.default_rng(stream)
         rng.bit_generator.advance(start * -(-(2**n) // 32))
-        return [_side_norms(lhs, rhs, n, work, _fill_state(work[2], rng)) for _ in half]
+        return [_side_norms(sides, rng=rng) for _ in half]
 
     raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
     return raw * scale, raw / left if left > 0 else raw * scale

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import json
@@ -891,6 +892,95 @@ class TestTwoThreadVectors:
         reversal_residual(factors, n, mode, 4, 0)
         assert len(threads) == 2
         assert callers == {threading.get_ident()}
+
+
+class TestCompiledSides:
+    """Each half of a residual compiles L and R once (``tensor._program``)
+    and replays them on every one of its blocks or vectors in a row; each
+    item must still get the sides that fresh one-shot ``_product_view``
+    calls build on that item alone (for a block, the whole matrices'
+    columns), bit for bit."""
+
+    @staticmethod
+    def _assert_items_match_one_shot(monkeypatch, factors, n, mode):
+        # on one CPU one compiled pair runs every item; after each, L must be
+        # in its view and L - R in R's: for a block, its columns of the whole
+        # matrices, built with no pinned site; for a probe, both sides built
+        # in fresh buffers from a copy of it
+        _on_cpus(monkeypatch, 1)
+        placed, side_norms, items = tensor._placed(factors, n), verify._side_norms, []
+        wholes = (product(factors, n), product(factors[::-1], n)) if mode == "dense" else None
+
+        def checked(sides, pins=None, rng=None):
+            if rng is None:
+                width = 2 ** (n - len(pins))
+                start = width * int("".join(str(pins[s]) for s in sorted(pins)), 2)
+                left, right = (np.ascontiguousarray(whole[:, start:start + width])
+                               for whole in wholes)
+            else:
+                probe = tensor._fill_state(np.empty(2**n, dtype=complex), copy.deepcopy(rng))
+                left, right = (np.ascontiguousarray(tensor._product_view(
+                    side, n, (np.empty(2**n, dtype=complex), np.empty(2**n, dtype=complex)),
+                    probe.copy())) for side in (placed, placed[::-1]))
+            got = side_norms(sides, pins=pins, rng=rng)
+            _, compiled_left, compiled_right, _ = sides
+            assert compiled_left[1].tobytes() == left.tobytes()
+            assert compiled_right[1].tobytes() == (left - right).tobytes()
+            assert got == (float(np.linalg.norm(left - right)), float(np.linalg.norm(left)))
+            items.append(got)
+            return got
+
+        monkeypatch.setattr(verify, "_side_norms", checked)
+        _, norm = reversal_residual(factors, n, mode, 4, 3)
+        assert len(items) >= 3 and norm > 0.01
+
+    def test_dense_blocks_with_an_untouched_site_and_two_new_pinned_sites(self, monkeypatch):
+        # 10 sites pin sites 1..5 in 32 blocks; no factor touches site 1; on
+        # each side one factor creates two pinned sites in one step (5 and 3
+        # in L, 4 and 3 in R), so its operator table is read at two bits; the
+        # diagonal factor creates site 10 by a GEMM
+        rng = np.random.default_rng(91)
+        diag = np.diag(random_operator(2, rng).diagonal())
+        factors = [(random_unitary(3, rng), (4, 8, 3)), (diag, (2, 10)),
+                   (random_unitary(4, rng), (5, 6, 3, 7)), (random_unitary(3, rng), (9, 2, 8))]
+        self._assert_items_match_one_shot(monkeypatch, factors, 10, "dense")
+
+    def test_probe_vectors_through_factored_and_diagonal_first_steps(self, monkeypatch):
+        # the 5-site factors of the twin's 15-site equation run as U (Vh g) + g;
+        # a diagonal factor at each end is the first step of each side
+        rng = np.random.default_rng(92)
+        factors = list(CHECKS["nsimplex-su2toffoli-per-slot"].fn(2, n=5)[0].factors)
+        factors = [(np.diag(random_operator(2, rng).diagonal()), (1, 2)), *factors,
+                   (np.diag(random_operator(2, rng).diagonal()), (3, 4))]
+        assert any(factored is not None for *_, factored in tensor._placed(factors, 15))
+        self._assert_items_match_one_shot(monkeypatch, factors, 15, "matrixfree")
+
+    def test_a_side_with_no_factors_keeps_its_item(self):
+        # both sides diagonal, so the one item is the all-ones vector in z: an
+        # empty L is z itself, which R's first step used to multiply in place,
+        # so ||1 - CZ||_F read 0
+        cz = np.diag([1, 1, 1, -1]).astype(complex)
+        assert verify._relation_distance([], [(cz, (1, 2))], 2) == (2.0, 1.0)
+        assert verify._relation_distance([(cz, (1, 2))], [], 2) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("check, order, mode", [("su2-4simplex-vertex", 4, "dense"),
+                                                    ("nsimplex-su2toffoli", 5, "matrixfree")])
+    def test_each_half_compiles_each_side_once(self, monkeypatch, cpus, check, order, mode):
+        # one compile per side per half, however many items: 2 on one CPU and
+        # 4 on two, for each 10-site equation's 32 blocks or 15-site one's 4 vectors
+        _on_cpus(monkeypatch, cpus)
+        program, compiled = verify._program, []
+
+        def counted(*args, **kwargs):
+            compiled.append(threading.get_ident())
+            return program(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_program", counted)
+        for factors, n in CHECKS[check].fn(0, n=order):
+            compiled.clear()
+            reversal_residual(factors, n, mode, 4)
+            assert len(compiled) == 2 * cpus
 
 
 class TestPermutationRelations:
