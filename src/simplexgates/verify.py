@@ -26,6 +26,7 @@ trials could run in any order or in parallel.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import os
@@ -51,13 +52,11 @@ __all__ = [
     "DEFAULT_VECTORS",
     "MODES",
     "CampaignArgumentError",
-    "SimplexIndexScheme",
     "index_scheme",
+    "edge_scheme",
     "Equation",
     "reversal_residual",
     "slot_equation",
-    "simplex_equation",
-    "EDGE_TUPLES_3",
     "random_su2_assignment",
     "random_mu_assignment",
     "CheckReport",
@@ -80,8 +79,6 @@ DEFAULT_VECTORS = 20
 # residual modes: each side's matrix in column blocks, or random vectors
 MODES = ("dense", "matrixfree")
 
-EDGE_TUPLES_3 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-
 
 class CampaignArgumentError(ValueError):
     """A refused request, its message whole: a campaign asked for an
@@ -93,31 +90,25 @@ class CampaignArgumentError(ValueError):
     factors; and the command line found a non-integer SIMPLEX_SEED."""
 
 
-@dataclass(frozen=True)
-class SimplexIndexScheme:
-    """Sites and operator placements of one n-simplex equation instance.
-
-    Sites are the 2-subsets {a, b} of {1, ..., n+1} in lexicographic order,
-    numbered from 1; operator a acts on every site whose pair contains a,
-    in lexicographic order.  Each of the n+1 operators then touches n
-    sites, every site is shared by exactly two operators, and any two
-    operators share exactly one site.
-    """
-
-    register_size: int
-    tuples: tuple[tuple[int, ...], ...]
-
-
-def index_scheme(n: int) -> SimplexIndexScheme:
-    """Pair-labeled scheme of the n-simplex equation on n(n+1)/2 sites."""
+def index_scheme(n: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex form of the n-simplex equation as a scheme: one placement tuple
+    per operator, its sites in slot order, on a register of its largest site,
+    here n(n+1)/2.  Sites are the 2-subsets {a, b} of {1, ..., n+1} in
+    lexicographic order, numbered from 1; operator a acts on every site whose
+    pair contains a.  Each of the n+1 operators touches n sites, every site is
+    shared by exactly two of them, and any two share exactly one site."""
     if n < 2:
         raise ValueError(f"simplex order must be at least 2, got {n}")
     pairs = list(itertools.combinations(range(1, n + 2), 2))
-    site_of = {pair: i + 1 for i, pair in enumerate(pairs)}
-    tuples = tuple(
-        tuple(site_of[p] for p in pairs if a in p) for a in range(1, n + 2)
-    )
-    return SimplexIndexScheme(register_size=len(pairs), tuples=tuples)
+    return tuple(tuple(i for i, p in enumerate(pairs, 1) if a in p) for a in range(1, n + 2))
+
+
+def edge_scheme(n: int) -> tuple[tuple[int, ...], ...]:
+    """Edge form of the n-simplex equation (Frenkel and Moore) on n+1 sites: the
+    n-subsets of {1, ..., n+1} in lexicographic order, any two sharing n-1 sites."""
+    if n < 2:
+        raise ValueError(f"simplex order must be at least 2, got {n}")
+    return tuple(itertools.combinations(range(1, n + 2), n))
 
 
 def _check_mode(mode: str) -> None:
@@ -167,8 +158,9 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
     arena of their own).  There are two halves when the process may run on
     two CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``) and
     ``len(items) * size`` exceeds 2**_BLOCK_BITS; a pool thread then runs the
-    second and its exception is raised here, else the caller runs one.  The
-    pool thread must call no public function, which a tracer may wrap."""
+    second in a copy of the caller's context (numpy's errstate) and its
+    exception is raised here, else the caller runs one.  The pool thread must
+    call no public function, which a tracer may wrap."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cut = len(items) // 2 if (cpus or 1) > 1 and len(items) * size > 2**_BLOCK_BITS else 0
     kept = _KEPT.__dict__.setdefault("works", []) if size <= 2**_BLOCK_BITS else []
@@ -179,7 +171,7 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
         return run(items, 0, works[0])
     # leaving the pool joins its thread, also when the caller's own half raises
     with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(run, items[cut:], cut, works[1])
+        second = pool.submit(contextvars.copy_context().run, run, items[cut:], cut, works[1])
         return run(items[:cut], 0, works[0]) + second.result()
 
 
@@ -260,17 +252,20 @@ def reversal_residual(factors: Sequence[tuple[np.ndarray, Sequence[int]]], regis
     return _distance(lhs, lhs[::-1], register_size, None if mode == "dense" else vectors, seed)
 
 
-def slot_equation(tuples: Sequence[tuple[int, ...]], register_size: int,
-                  provider: Callable[[tuple], np.ndarray], params: Sequence) -> Equation:
-    """The simplex equation with one operator per placement tuple and one
-    parameter per (placement, slot): ``params`` lists each tuple's slot
-    parameters in tuple order.  ``tuples`` lists each operator's sites
-    (``index_scheme(n).tuples`` for the n-simplex vertex form,
-    ``EDGE_TUPLES_3`` for the tetrahedron edge form); ``provider`` maps one
-    placement's parameters to its dense matrix and is called for every tuple
-    before this returns, so it may close over a loop variable.  A tuple site
-    that ``_placed`` would refuse, or a count other than the number of
-    slots, raises ValueError before any provider call."""
+def slot_equation(tuples: Sequence[tuple[int, ...]], provider: Callable[[tuple], np.ndarray],
+                  params: Sequence) -> Equation:
+    """The simplex equation of a scheme, one operator per placement tuple
+    (``index_scheme(n)`` for the n-simplex vertex form, ``edge_scheme(n)`` for
+    the edge form), on a register of as many sites as its largest site, with
+    one parameter per (placement, slot): ``params`` lists each tuple's slot
+    parameters in tuple order.  ``provider`` maps one placement's parameters
+    to its dense matrix and is called for every tuple before this returns, so
+    it may close over a loop variable.  No tuple or an empty one, a site below
+    1, a repeated site, or a count other than the number of slots raises
+    ValueError before any provider call."""
+    if not (tuples and all(tuples)):
+        raise ValueError(f"a scheme needs placements of at least one site, got {tuples}")
+    register_size = max(map(max, tuples))
     tuples = [_validated_sites(tup, len(tup), register_size) for tup in tuples]
     slots = sum(map(len, tuples))
     if len(params) != slots:
@@ -278,26 +273,6 @@ def slot_equation(tuples: Sequence[tuple[int, ...]], register_size: int,
     rest = iter(params)
     factors = [(provider(tuple(itertools.islice(rest, len(tup)))), tup) for tup in tuples]
     return Equation(factors, register_size)
-
-
-def simplex_equation(
-    tuples: Sequence[tuple[int, ...]],
-    register_size: int,
-    provider: Callable[[tuple], np.ndarray],
-    assignment: Sequence,
-) -> Equation:
-    """``slot_equation`` with each slot reading its site's parameter from
-    ``assignment``, one per register site (anything the provider understands;
-    a constant provider ignores them).  An assignment that does not cover all
-    ``register_size`` sites raises ValueError before any provider call."""
-    if len(assignment) != register_size:
-        raise ValueError(
-            f"assignment must cover all {register_size} sites, got {len(assignment)}"
-        )
-    # a site outside the register reads None, and slot_equation refuses its tuple
-    at = dict(enumerate(assignment, 1))
-    params = [at.get(s) for tup in tuples for s in tup]
-    return slot_equation(tuples, register_size, provider, params)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +392,12 @@ def _register(name: str, description: str, tolerance: float, **kwargs):
     return deco
 
 
-def _drawn(tuples, register_size, per_slot, sample, rng) -> tuple[list, Callable[..., Equation]]:
+def _drawn(tuples, per_slot, sample, rng) -> list:
+    # ``sample``'s draws, one per slot, or one per site that each slot on it reads
     if per_slot:
-        return sample(sum(map(len, tuples)), rng), slot_equation
-    return sample(register_size, rng), simplex_equation
+        return sample(sum(map(len, tuples)), rng)
+    drawn = sample(max(map(max, tuples)), rng)
+    return [drawn[s - 1] for tup in tuples for s in tup]
 
 
 @_register("su2-tetra-vertex",
@@ -428,34 +405,34 @@ def _drawn(tuples, register_size, per_slot, sample, rng) -> tuple[list, Callable
            1e-11, default_n=3)
 def _check_su2_tetra_vertex(trial_seed, *, n, per_slot=False):
     rng = np.random.default_rng(trial_seed)
-    tuples = index_scheme(3).tuples
-    params, build = _drawn(tuples, 6, per_slot, random_su2_assignment, rng)
+    tuples = index_scheme(3)
+    params = _drawn(tuples, per_slot, random_su2_assignment, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    return [build(tuples, 6, lambda ps: op_families.su2_tetrahedron(*ps, alpha=alpha), params)]
+    return [slot_equation(tuples, lambda ps: op_families.su2_tetrahedron(*ps, alpha=alpha), params)]
 
 
-def _generic_equations(trial_seed, tuples, register_size, per_slot) -> list[Equation]:
+def _generic_equations(trial_seed, tuples, per_slot) -> list[Equation]:
     # the coupled generic family on the trial's seeded_random site operators
     rng = np.random.default_rng(trial_seed)
     family = op_families.seeded_random(seed=trial_seed)
     couplings = op_families.CouplingConstants(*random_mu_assignment(7, rng))
-    mus, build = _drawn(tuples, register_size, per_slot, random_mu_assignment, rng)
-    return [build(tuples, register_size,
-                  lambda ps: op_families.generic_tetrahedron(family, ps, couplings), mus)]
+    mus = _drawn(tuples, per_slot, random_mu_assignment, rng)
+    return [slot_equation(tuples, lambda ps: op_families.generic_tetrahedron(family, ps, couplings),
+                          mus)]
 
 
 @_register("generic-vertex",
            "coupled generic family (seeded random site operators) against the 6-site vertex equation",
            1e-11, default_n=3)
 def _check_generic_vertex(trial_seed, *, n, per_slot=False):
-    return _generic_equations(trial_seed, index_scheme(3).tuples, 6, per_slot)
+    return _generic_equations(trial_seed, index_scheme(3), per_slot)
 
 
 @_register("edge-form-3",
            "coupled generic family against the 4-site edge-form equation",
            1e-11, default_n=3)
 def _check_edge_form(trial_seed, *, n, per_slot=False):
-    return _generic_equations(trial_seed, EDGE_TUPLES_3, 4, per_slot)
+    return _generic_equations(trial_seed, edge_scheme(3), per_slot)
 
 
 @_register("constant-vertex",
@@ -471,7 +448,7 @@ def _check_constant_vertex(trial_seed, *, n):
         op_families.constant_alpha_beta(alpha, beta),
         op_families.constant_linear(a, b),
     ]
-    return [Equation([(m, t) for t in index_scheme(3).tuples], 6) for m in members]
+    return [Equation([(m, t) for t in index_scheme(3)], 6) for m in members]
 
 
 @_register("hadamard-bridge",
@@ -538,12 +515,11 @@ def _check_perm_relations(trial_seed, *, n):
            1e-10, default_n=4)
 def _check_su2_4simplex_vertex(trial_seed, *, n, per_slot=False):
     rng = np.random.default_rng(trial_seed)
-    tuples = index_scheme(4).tuples
-    params, build = _drawn(tuples, 10, per_slot, random_su2_assignment, rng)
+    tuples = index_scheme(4)
+    params = _drawn(tuples, per_slot, random_su2_assignment, rng)
     alpha = float(rng.uniform(0, 2 * np.pi))
-    return [build(tuples, 10,
-                  lambda ps: op_families.su2_4simplex(*ps, alpha=alpha, variant=variant), params)
-            for variant in op_families.FOUR_SIMPLEX_VARIANTS]
+    return [slot_equation(tuples, lambda ps: op_families.su2_4simplex(*ps, alpha=alpha, variant=v),
+                          params) for v in op_families.FOUR_SIMPLEX_VARIANTS]
 
 
 @_register("nsimplex-constant",
@@ -553,8 +529,7 @@ def _check_nsimplex_constant(trial_seed, *, n):
     rng = np.random.default_rng(trial_seed)
     alpha = float(rng.uniform(0, 2 * np.pi))
     member = op_families.n_simplex_constant(n, alpha)
-    scheme = index_scheme(n)
-    return [Equation([(member, t) for t in scheme.tuples], scheme.register_size)]
+    return [Equation([(member, t) for t in index_scheme(n)], n * (n + 1) // 2)]
 
 
 @_register("nsimplex-su2toffoli",
@@ -563,17 +538,16 @@ def _check_nsimplex_constant(trial_seed, *, n):
            1e-10, default_n=5, supports_n=True)
 def _check_nsimplex_su2toffoli(trial_seed, *, n, per_slot=False):
     rng = np.random.default_rng(trial_seed)
-    scheme = index_scheme(n)
-    params, build = _drawn(scheme.tuples, scheme.register_size, per_slot, random_su2_assignment,
-                           rng)
-    return [build(scheme.tuples, scheme.register_size, op_families.n_simplex_su2_toffoli, params)]
+    tuples = index_scheme(n)
+    params = _drawn(tuples, per_slot, random_su2_assignment, rng)
+    return [slot_equation(tuples, op_families.n_simplex_su2_toffoli, params)]
 
 
 @_register("ccnot-negative-control",
            "CCNOT does NOT solve the constant vertex equation; passes when the residual exceeds 0.5",
            0.5, default_n=3, invert=True)
 def _check_ccnot_negative_control(trial_seed, *, n):
-    return [Equation([(CCNOT, t) for t in index_scheme(3).tuples], 6)]
+    return [Equation([(CCNOT, t) for t in index_scheme(3)], 6)]
 
 
 @_register("apply-vs-embed",
@@ -658,7 +632,7 @@ def campaign(
         use_n = n if (n is not None and spec.supports_n) else spec.default_n
         use_mode = mode if mode is not None else ("matrixfree" if spec.supports_n else "dense")
         if spec.supports_n:
-            # refuse on the n(n+1)/2 sites before index_scheme (n**3) or the operator (4**n)
+            # refuse index_scheme(n)'s n(n+1)/2 sites before it (n**3) or the operator (4**n)
             _check_block(use_n * (use_n + 1) // 2, use_mode)
         runs.append((name, spec, use_n, use_mode))
     t0 = time.perf_counter()

@@ -2,15 +2,16 @@
 product of placed factors, a product applied to a vector one whole factor
 matrix at a time, an operator embedded by a Kronecker product with the
 identity, the unitarity verdict, a reader for the operator files that
-``simplexgates build --out`` writes, and the sites of a simplex scheme
-that take two roles."""
+``simplexgates build --out`` writes, a scheme's equation whose slots read
+one parameter per site, and the sites of a simplex scheme that take two
+roles."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 
-from simplexgates import tensor
+from simplexgates import tensor, verify
 
 
 def product(factors, n):
@@ -62,12 +63,19 @@ def read_operator(path):
     return np.array(entries, dtype=complex).reshape(data["dim"], data["dim"])
 
 
+def site_equation(scheme, provider, assignment):
+    """``verify.slot_equation`` with each slot of a site reading that site's
+    parameter, ``assignment[site - 1]`` (anything the provider understands; a
+    constant provider ignores them)."""
+    return verify.slot_equation(scheme, provider, [assignment[s - 1] for t in scheme for s in t])
+
+
 def role_conflicted_sites(scheme):
     """Sites that sit in the last slot of one placement and a non-last slot
     of another.  In the vertex form, a family that treats the last slot
     through a different function of the site parameter (general_toffoli)
     only satisfies the equation when these sites carry parameters making
-    the two roles commute; the edge form (EDGE_TUPLES_3) holds regardless."""
-    targets = {t[-1] for t in scheme.tuples}
-    controls = {s for t in scheme.tuples for s in t[:-1]}
+    the two roles commute; the edge form (``edge_scheme(3)``) holds regardless."""
+    targets = {t[-1] for t in scheme}
+    controls = {s for t in scheme for s in t[:-1]}
     return sorted(targets & controls)

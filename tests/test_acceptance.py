@@ -25,15 +25,14 @@ from simplexgates.operators import (
 from simplexgates.su2 import H, I2, X, AxisAngle, random_axis_angle
 from simplexgates.tensor import apply, embed, random_operator, random_state, random_unitary
 from simplexgates.verify import (
-    EDGE_TUPLES_3,
+    edge_scheme,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
-    simplex_equation,
 )
 
-from reference import is_unitary, role_conflicted_sites
+from reference import is_unitary, role_conflicted_sites, site_equation
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
@@ -60,8 +59,8 @@ def test_criterion_2_su2_tetrahedron_vertex():
     for trial in range(100):
         rng = np.random.default_rng(200 + trial)
         alpha = float(rng.uniform(0, 2 * np.pi))
-        worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=alpha),
+        worst = max(worst, reversal_residual(*site_equation(
+            index_scheme(3), lambda ps: su2_tetrahedron(*ps, alpha=alpha),
             random_su2_assignment(6, rng)))[1])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-11 and elapsed < 5.0
@@ -78,12 +77,12 @@ def test_criterion_3_generic_trivial_solution():
         couplings = CouplingConstants(*random_mu_assignment(7, rng))
         provider = lambda mus: generic_tetrahedron(family, mus, couplings)
         worst_vertex = max(worst_vertex,
-                           reversal_residual(*simplex_equation(
-                               index_scheme(3).tuples, 6, provider,
+                           reversal_residual(*site_equation(
+                               index_scheme(3), provider,
                                random_mu_assignment(6, rng)))[1])
         worst_edge = max(worst_edge,
-                         reversal_residual(*simplex_equation(
-                             EDGE_TUPLES_3, 4, provider, random_mu_assignment(4, rng)))[1])
+                         reversal_residual(*site_equation(
+                             edge_scheme(3), provider, random_mu_assignment(4, rng)))[1])
     elapsed = time.perf_counter() - t0
     worst = max(worst_vertex, worst_edge)
     ok = worst < 1e-11 and elapsed < 5.0
@@ -97,15 +96,15 @@ def test_criterion_4_constant_solutions():
     worst = 0.0
     members = [n_simplex_constant(3), n_simplex_constant(3, 1.3), constant_alpha_beta(0.7, -2.1)]
     for member in members:
-        worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1])
+        worst = max(worst, reversal_residual(*site_equation(
+            index_scheme(3), lambda _: member, [None] * 6))[1])
         assert is_unitary(member)
     detected_nonunitary = 0
     for _ in range(20):
         a, b = (complex(x, y) for x, y in rng.standard_normal((2, 2)))
         member = constant_linear(a, b)
-        worst = max(worst, reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1])
+        worst = max(worst, reversal_residual(*site_equation(
+            index_scheme(3), lambda _: member, [None] * 6))[1])
         if not is_unitary(member):
             detected_nonunitary += 1
     elapsed = time.perf_counter() - t0
@@ -135,8 +134,8 @@ def test_criterion_6_four_simplex():
         assignment = random_su2_assignment(10, rng)
         alpha = float(rng.uniform(0, 2 * np.pi))
         for variant in FOUR_SIMPLEX_VARIANTS:
-            worst = max(worst, reversal_residual(*simplex_equation(
-                index_scheme(4).tuples, 10,
+            worst = max(worst, reversal_residual(*site_equation(
+                index_scheme(4),
                 lambda ps: su2_4simplex(*ps, alpha=alpha, variant=variant), assignment))[1])
     elapsed = time.perf_counter() - t0
 
@@ -158,15 +157,14 @@ def test_criterion_7_five_simplex_matrix_free():
     t0 = time.perf_counter()
     rng = np.random.default_rng(700)
     scheme = index_scheme(5)
-    register = scheme.register_size
+    register = max(map(max, scheme))
     assert register == 15
     r_constant = reversal_residual(
-        *simplex_equation(scheme.tuples, register,
-                          lambda _: n_simplex_constant(5, alpha=1.1), [None] * register),
+        *site_equation(scheme, lambda _: n_simplex_constant(5, alpha=1.1), [None] * register),
         mode="matrixfree", vectors=20, seed=700)[1]
     assignment = random_su2_assignment(register, rng)
     r_su2 = reversal_residual(
-        *simplex_equation(scheme.tuples, register, n_simplex_su2_toffoli, assignment),
+        *site_equation(scheme, n_simplex_su2_toffoli, assignment),
         mode="matrixfree", vectors=20, seed=701)[1]
     elapsed = time.perf_counter() - t0
 
@@ -174,7 +172,7 @@ def test_criterion_7_five_simplex_matrix_free():
     for s in role_conflicted_sites(scheme):
         compatible[s - 1] = AxisAngle(X_AXIS, float(rng.uniform(0.1, np.pi - 0.1)))
     r_su2_compatible = reversal_residual(
-        *simplex_equation(scheme.tuples, register, n_simplex_su2_toffoli, compatible),
+        *site_equation(scheme, n_simplex_su2_toffoli, compatible),
         mode="matrixfree", vectors=20, seed=701)[1]
 
     worst = max(r_constant, r_su2)
@@ -210,17 +208,17 @@ def test_criterion_8_twisted_permutations():
 
 
 def test_criterion_9_ccnot_negative_control():
-    residual = reversal_residual(*simplex_equation(
-        index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6))[1]
+    residual = reversal_residual(*site_equation(
+        index_scheme(3), lambda _: CCNOT, [None] * 6))[1]
 
     scheme = index_scheme(3)
     v = np.zeros(64, dtype=complex)
     v[0b111111] = 1.0
     lhs = v
-    for sites in reversed(scheme.tuples):
+    for sites in reversed(scheme):
         lhs = apply(CCNOT, sites, lhs)
     rhs = v
-    for sites in scheme.tuples:
+    for sites in scheme:
         rhs = apply(CCNOT, sites, rhs)
     lhs_label = format(int(np.argmax(np.abs(lhs))), "06b")
     rhs_label = format(int(np.argmax(np.abs(rhs))), "06b")
@@ -244,7 +242,7 @@ def test_criterion_10_oracle_equivalence():
     assignment = random_su2_assignment(6, rng)
     scheme = index_scheme(3)
     factors = [(su2_tetrahedron(*(assignment[s - 1] for s in t), alpha=0.6), t)
-               for t in scheme.tuples]
+               for t in scheme]
     mats = [embed(op, sites, 6) for op, sites in factors]
     dense_raw = np.linalg.norm(
         mats[0] @ mats[1] @ mats[2] @ mats[3] - mats[3] @ mats[2] @ mats[1] @ mats[0])

@@ -32,15 +32,14 @@ from simplexgates.su2 import (
 )
 from simplexgates.tensor import embed, identity, kron, random_unitary
 from simplexgates.verify import (
-    EDGE_TUPLES_3,
+    edge_scheme,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
-    simplex_equation,
 )
 
-from reference import is_unitary, role_conflicted_sites
+from reference import is_unitary, role_conflicted_sites, site_equation
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
@@ -97,8 +96,8 @@ class TestGenericTetrahedron:
         rng = np.random.default_rng(42)
         fam = seeded_random(42)
         couplings = CouplingConstants(1, 1, 1, 1, 1, 1, 1)
-        residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda mus: generic_tetrahedron(fam, mus, couplings),
+        residual = reversal_residual(*site_equation(
+            index_scheme(3), lambda mus: generic_tetrahedron(fam, mus, couplings),
             random_mu_assignment(6, rng)))[1]
         assert residual < 1e-11
 
@@ -106,8 +105,8 @@ class TestGenericTetrahedron:
         rng = np.random.default_rng(43)
         fam = seeded_random(43)
         couplings = CouplingConstants(*random_mu_assignment(7, rng))
-        assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
+        assert reversal_residual(*site_equation(
+            edge_scheme(3), lambda mus: generic_tetrahedron(fam, mus, couplings),
             random_mu_assignment(4, rng)))[1] < 1e-12
 
 
@@ -128,8 +127,8 @@ class TestSu2Tetrahedron:
     def test_vertex_equation_random_parameters(self):
         rng = np.random.default_rng(7)
         alpha = float(rng.uniform(0, 2 * np.pi))
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=alpha),
+        assert reversal_residual(*site_equation(
+            index_scheme(3), lambda ps: su2_tetrahedron(*ps, alpha=alpha),
             random_su2_assignment(6, rng)))[1] < 1e-11
 
 
@@ -188,8 +187,8 @@ class TestConstantSolutions:
         assert np.linalg.norm(w @ n_simplex_constant(3) @ w.conj().T - CCNOT) < 1e-15
 
     def test_ccz_vertex_residual_vanishes(self):
-        residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: n_simplex_constant(3), [None] * 6))[1]
+        residual = reversal_residual(*site_equation(
+            index_scheme(3), lambda _: n_simplex_constant(3), [None] * 6))[1]
         assert residual < 1e-12
 
     def test_alpha_zero_matches_ccz(self):
@@ -206,8 +205,8 @@ class TestConstantSolutions:
 
     def test_linear_generic_solves_but_is_not_unitary(self):
         member = constant_linear(1.0, 0.5)
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: member, [None] * 6))[1] < 1e-12
+        assert reversal_residual(*site_equation(
+            index_scheme(3), lambda _: member, [None] * 6))[1] < 1e-12
         assert not is_unitary(member)
 
 
@@ -218,9 +217,9 @@ class TestCzYangBaxter:
         proj[3, 3] = 1
         assert np.allclose(n_simplex_constant(2), identity(2) - 2 * proj, atol=0)
 
-    def test_two_simplex_equation(self):
-        residual = reversal_residual(*simplex_equation(
-            index_scheme(2).tuples, 3, lambda _: n_simplex_constant(2), [None] * 3))[1]
+    def test_yang_baxter_equation(self):
+        residual = reversal_residual(*site_equation(
+            index_scheme(2), lambda _: n_simplex_constant(2), [None] * 3))[1]
         assert residual < 1e-13
 
     def test_hadamard_conjugate_is_cnot(self):
@@ -248,8 +247,8 @@ class TestSu24Simplex:
     @pytest.mark.parametrize("variant", FOUR_SIMPLEX_VARIANTS)
     def test_vertex_equation_one_random_trial(self, variant):
         rng = np.random.default_rng(10)
-        assert reversal_residual(*simplex_equation(
-            index_scheme(4).tuples, 10, lambda ps: su2_4simplex(*ps, alpha=0.9, variant=variant),
+        assert reversal_residual(*site_equation(
+            index_scheme(4), lambda ps: su2_4simplex(*ps, alpha=0.9, variant=variant),
             random_su2_assignment(10, rng)))[1] < 1e-10
 
 
@@ -302,9 +301,8 @@ class TestNSimplexFamilies:
         rng = np.random.default_rng(30 + n)
         scheme = index_scheme(n)
         for _ in range(3):
-            assignment = random_su2_assignment(scheme.register_size, rng)
-            equation = simplex_equation(scheme.tuples, scheme.register_size,
-                                        n_simplex_su2_toffoli, assignment)
+            assignment = random_su2_assignment(n * (n + 1) // 2, rng)
+            equation = site_equation(scheme, n_simplex_su2_toffoli, assignment)
             assert reversal_residual(*equation)[1] < 1e-10
 
     def test_su2_toffoli_needs_two_sites(self):
@@ -388,16 +386,16 @@ def test_site_local_constructors_pass_vertex_and_edge_sweep():
         trial = np.random.default_rng(seed)
         couplings = CouplingConstants(*random_mu_assignment(7, trial))
         generic = lambda mus: generic_tetrahedron(fam, mus, couplings)
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, generic, random_mu_assignment(6, trial)))[1] < 1e-11
-        assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, generic, random_mu_assignment(4, trial)))[1] < 1e-11
+        assert reversal_residual(*site_equation(
+            index_scheme(3), generic, random_mu_assignment(6, trial)))[1] < 1e-11
+        assert reversal_residual(*site_equation(
+            edge_scheme(3), generic, random_mu_assignment(4, trial)))[1] < 1e-11
         alpha = float(trial.uniform(0, 2 * np.pi))
         su2 = lambda ps: su2_tetrahedron(*ps, alpha=alpha)
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, su2, random_su2_assignment(6, trial)))[1] < 1e-11
-        assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, su2, random_su2_assignment(4, trial)))[1] < 1e-11
+        assert reversal_residual(*site_equation(
+            index_scheme(3), su2, random_su2_assignment(6, trial)))[1] < 1e-11
+        assert reversal_residual(*site_equation(
+            edge_scheme(3), su2, random_su2_assignment(4, trial)))[1] < 1e-11
 
 
 class TestProjectorToffoliRoleMix:
@@ -422,20 +420,18 @@ class TestProjectorToffoliRoleMix:
     def test_generic_parameters_violate_the_vertex_equation(self):
         rng = np.random.default_rng(17)
         provider = lambda params: general_toffoli(*params)
-        residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, provider, random_su2_assignment(6, rng)))[1]
+        residual = reversal_residual(*site_equation(
+            index_scheme(3), provider, random_su2_assignment(6, rng)))[1]
         assert residual > 0.01
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generic_parameters_satisfy_the_edge_form(self, seed):
         # site 3 is the target of (1, 2, 3) and a control of (1, 3, 4) and
         # (2, 3, 4), yet the edge form holds where the vertex form fails
-        from simplexgates.verify import SimplexIndexScheme
-
-        assert role_conflicted_sites(SimplexIndexScheme(4, EDGE_TUPLES_3)) == [3]
+        assert role_conflicted_sites(edge_scheme(3)) == [3]
         provider = lambda params: general_toffoli(*params)
-        equation = simplex_equation(EDGE_TUPLES_3, 4, provider,
-                                    random_su2_assignment(4, np.random.default_rng(seed)))
+        equation = site_equation(edge_scheme(3), provider,
+                                 random_su2_assignment(4, np.random.default_rng(seed)))
         assert reversal_residual(*equation)[1] < 1e-13
 
     def test_role_compatible_assignment_satisfies_the_equation(self):
@@ -446,5 +442,5 @@ class TestProjectorToffoliRoleMix:
         assert role_conflicted_sites(scheme) == [3, 5]
         for s in role_conflicted_sites(scheme):
             assignment[s - 1] = AxisAngle(X_AXIS, float(rng.uniform(0.1, np.pi - 0.1)))
-        equation = simplex_equation(scheme.tuples, 6, provider, assignment)
+        equation = site_equation(scheme, provider, assignment)
         assert reversal_residual(*equation)[1] < 1e-11

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from simplexgates.tensor import (
     save_operator,
 )
 
-from reference import apply_dense, embed_by_kron, is_unitary, product, read_operator
+from reference import (apply_dense, embed_by_kron, is_unitary, product, read_operator,
+                       site_equation)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -321,7 +323,7 @@ class TestProduct:
         for variant in operators.FOUR_SIMPLEX_VARIANTS:
             factors = [(operators.su2_4simplex(*(assignment[s - 1] for s in tup), alpha=alpha,
                                                variant=variant), tup)
-                       for tup in verify.index_scheme(4).tuples]
+                       for tup in verify.index_scheme(4)]
             for side in (factors, factors[::-1]):
                 assert np.array_equal(product(side, 10), apply_product(side, np.eye(1024)))
 
@@ -364,8 +366,8 @@ def test_residual_is_unchanged_by_clearing_the_plan_cache(mode):
     # plans are keyed on structure alone, so a replayed plan, one built
     # fresh and one reused for other values of the same structure agree
     rng = np.random.default_rng(8)
-    factors = [(random_unitary(3, rng), t) for t in verify.index_scheme(3).tuples]
-    other = [(random_unitary(3, rng), t) for t in verify.index_scheme(3).tuples]
+    factors = [(random_unitary(3, rng), t) for t in verify.index_scheme(3)]
+    other = [(random_unitary(3, rng), t) for t in verify.index_scheme(3)]
     tensor._plan.cache_clear()
     fresh = verify.reversal_residual(factors, 6, mode)
     verify.reversal_residual(other, 6, mode)
@@ -398,15 +400,15 @@ class TestPinnedBlocks:
         rng = np.random.default_rng(51)
         assignment = verify.random_su2_assignment(10, rng)
         alpha = float(rng.uniform(0, 2 * np.pi))
-        eq = verify.simplex_equation(
-            verify.index_scheme(4).tuples, 10,
+        eq = site_equation(
+            verify.index_scheme(4),
             lambda ps: operators.su2_4simplex(*ps, alpha=alpha, variant=variant), assignment)
         for side in (eq.factors, eq.factors[::-1]):
             self._assert_blocks_match_product(side, 10)
 
     def test_random_unitary_blocks(self):
         rng = np.random.default_rng(52)
-        factors = [(random_unitary(4, rng), t) for t in verify.index_scheme(4).tuples]
+        factors = [(random_unitary(4, rng), t) for t in verify.index_scheme(4)]
         for side in (factors, factors[::-1]):
             self._assert_blocks_match_product(side, 10)
 
@@ -608,6 +610,25 @@ class TestFactoredFactors:
         with np.errstate(invalid="ignore", over="ignore"):
             _, norm = verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
         assert not np.isfinite(norm)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="np.errstate is a context variable from numpy 2.0 on")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_both_halves_keep_the_callers_error_state(self, monkeypatch, cpus):
+        # given two CPUs a pool thread runs the second of the two probes; an
+        # infinite factor entry must then be ignored, or raise, as the caller asks
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        factors = _su2toffoli_factors(5, 3)
+        op, sites = factors[1]
+        factors[1] = (op.copy(), sites)
+        factors[1][0][3, 5] = np.inf
+        with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore"):
+            warnings.simplefilter("error")
+            _, norm = verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
+        assert not np.isfinite(norm)
+        with np.errstate(invalid="raise", over="ignore"), pytest.raises(FloatingPointError):
+            verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
 
     def test_the_rank_test_calls_no_lapack(self, monkeypatch):
         haar = random_unitary(5, np.random.default_rng(66))

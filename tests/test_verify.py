@@ -20,19 +20,18 @@ from simplexgates.tensor import (apply, apply_product, embed, identity, random_o
 from simplexgates import gates, operators, su2, tensor, verify
 from simplexgates.verify import (
     CHECKS,
-    EDGE_TUPLES_3,
     CampaignArgumentError,
     CheckSpec,
     campaign,
+    edge_scheme,
     index_scheme,
     random_mu_assignment,
     random_su2_assignment,
     reversal_residual,
-    simplex_equation,
     slot_equation,
 )
 
-from reference import product
+from reference import product, site_equation
 
 Z_AXIS = (0.0, 0.0, 1.0)
 # the registered checks whose every equation has diagonal factors alone
@@ -42,65 +41,73 @@ DIAGONAL_CHECKS = ("constant-vertex", "nsimplex-constant")
 class TestIndexScheme:
     def test_yang_baxter_pattern(self):
         scheme = index_scheme(2)
-        assert scheme.register_size == 3
-        assert scheme.tuples == ((1, 2), (1, 3), (2, 3))
+        assert max(map(max, scheme)) == 3
+        assert scheme == ((1, 2), (1, 3), (2, 3))
 
     def test_three_simplex_tuples(self):
-        assert index_scheme(3).tuples == ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
+        assert index_scheme(3) == ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
 
     def test_four_simplex_tuples(self):
-        assert index_scheme(4).tuples == (
+        assert index_scheme(4) == (
             (1, 2, 3, 4), (1, 5, 6, 7), (2, 5, 8, 9), (3, 6, 8, 10), (4, 7, 9, 10))
 
+    def test_three_simplex_edge_tuples(self):
+        assert edge_scheme(3) == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+
     def test_rejects_small_order(self):
-        with pytest.raises(ValueError):
-            index_scheme(1)
+        for scheme in (index_scheme, edge_scheme):
+            with pytest.raises(ValueError, match="simplex order must be at least 2, got 1"):
+                scheme(1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_combinatorial_invariants(self, n):
         scheme = index_scheme(n)
-        assert len(scheme.tuples) == n + 1
-        assert all(len(t) == n for t in scheme.tuples)
+        assert len(scheme) == n + 1
+        assert all(len(t) == n for t in scheme)
         counts = {}
-        for t in scheme.tuples:
+        for t in scheme:
             for s in t:
                 counts[s] = counts.get(s, 0) + 1
-        assert set(counts) == set(range(1, scheme.register_size + 1))
+        assert set(counts) == set(range(1, n * (n + 1) // 2 + 1))
         assert all(c == 2 for c in counts.values())
-        for i, a in enumerate(scheme.tuples):
-            for b in scheme.tuples[i + 1:]:
+        for i, a in enumerate(scheme):
+            for b in scheme[i + 1:]:
                 assert len(set(a) & set(b)) == 1
+        if n <= 6:
+            # the edge form: n+1 placements of n sites on n+1 sites, any two sharing n-1
+            edges = edge_scheme(n)
+            assert len(edges) == n + 1 and all(len(t) == n for t in edges)
+            assert {s for t in edges for s in t} == set(range(1, n + 2))
+            for i, a in enumerate(edges):
+                for b in edges[i + 1:]:
+                    assert len(set(a) & set(b)) == n - 1
 
 
 class TestVertexResidual:
     def test_constant_ccz_vanishes(self):
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: n_simplex_constant(3), [None] * 6))[1] < 1e-12
+        assert reversal_residual(*site_equation(
+            index_scheme(3), lambda _: n_simplex_constant(3), [None] * 6))[1] < 1e-12
 
     def test_su2_family_vanishes(self):
         rng = np.random.default_rng(31)
-        assert reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=1.0),
+        assert reversal_residual(*site_equation(
+            index_scheme(3), lambda ps: su2_tetrahedron(*ps, alpha=1.0),
             random_su2_assignment(6, rng)))[1] < 1e-11
 
     def test_ccnot_violates_the_equation(self):
-        residual = reversal_residual(*simplex_equation(
-            index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6))[1]
+        residual = reversal_residual(*site_equation(
+            index_scheme(3), lambda _: CCNOT, [None] * 6))[1]
         assert residual >= 0.5
 
-    def test_wrong_assignment_length(self):
-        with pytest.raises(ValueError, match="assignment"):
-            simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 5)
-
-    @pytest.mark.parametrize("site", [0, 7])
+    @pytest.mark.parametrize("site", [0])
     def test_site_outside_the_register_is_refused_before_the_provider(self, site):
-        # site 0 would read assignment[-1] and site 7 assignment[6], an IndexError
+        # the register is the largest site, 6, so only a site below 1 lies outside it
         def provider(params):
             raise AssertionError("provider called")
 
-        tuples = ((1, 2, 3), (1, 4, site))
+        tuples = ((1, 2, 3), (1, 6, site))
         with pytest.raises(ValueError, match=f"site {site} outside register 1..6"):
-            simplex_equation(tuples, 6, provider, list(range(6)))
+            slot_equation(tuples, provider, list(range(6)))
 
     def test_dense_refused_beyond_site_limit(self):
         def provider(params):
@@ -108,26 +115,26 @@ class TestVertexResidual:
 
         with pytest.raises(CampaignArgumentError,
                            match="dense mode supports at most 12 sites, got 15; use matrixfree"):
-            reversal_residual(*simplex_equation(
-                index_scheme(5).tuples, 15, provider, [None] * 15), mode="dense")[1]
+            reversal_residual(*site_equation(
+                index_scheme(5), provider, [None] * 15), mode="dense")[1]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            reversal_residual(*simplex_equation(
-                index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6), mode="sparse")[1]
+            reversal_residual(*site_equation(
+                index_scheme(3), lambda _: CCNOT, [None] * 6), mode="sparse")[1]
 
     def test_matrixfree_agrees_with_dense_on_solution(self):
         rng = np.random.default_rng(33)
         assignment = random_su2_assignment(6, rng)
-        equation = simplex_equation(index_scheme(3).tuples, 6,
-                                    lambda ps: su2_tetrahedron(*ps, alpha=0.5), assignment)
+        equation = site_equation(index_scheme(3), lambda ps: su2_tetrahedron(*ps, alpha=0.5),
+                                 assignment)
         dense = reversal_residual(*equation, mode="dense")[1]
         free = reversal_residual(*equation, mode="matrixfree", vectors=8, seed=5)[1]
         assert dense < 1e-11 and free < 1e-11
 
     def test_matrixfree_detects_violation(self):
         free = reversal_residual(
-            *simplex_equation(index_scheme(3).tuples, 6, lambda _: CCNOT, [None] * 6),
+            *site_equation(index_scheme(3), lambda _: CCNOT, [None] * 6),
             mode="matrixfree", vectors=8, seed=5)[1]
         assert free > 0.1
 
@@ -138,7 +145,7 @@ def test_column_reconstruction_matches_dense_residual():
     assignment = random_su2_assignment(6, rng)
     scheme = index_scheme(3)
     factors = [(su2_tetrahedron(*(assignment[s - 1] for s in t), alpha=0.8), t)
-               for t in scheme.tuples]
+               for t in scheme]
     mats = [embed(op, sites, 6) for op, sites in factors]
     left = mats[0] @ mats[1] @ mats[2] @ mats[3]
     right = mats[3] @ mats[2] @ mats[1] @ mats[0]
@@ -165,37 +172,35 @@ class TestEdgeResidual:
         rng = np.random.default_rng(35)
         fam = seeded_random(35)
         couplings = CouplingConstants(*random_mu_assignment(7, rng))
-        assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, lambda mus: generic_tetrahedron(fam, mus, couplings),
+        assert reversal_residual(*site_equation(
+            edge_scheme(3), lambda mus: generic_tetrahedron(fam, mus, couplings),
             random_mu_assignment(4, rng)))[1] < 1e-12
 
     def test_constant_ccz(self):
-        assert reversal_residual(*simplex_equation(
-            EDGE_TUPLES_3, 4, lambda _: n_simplex_constant(3), [None] * 4))[1] < 1e-13
+        assert reversal_residual(*site_equation(
+            edge_scheme(3), lambda _: n_simplex_constant(3), [None] * 4))[1] < 1e-13
 
     def test_identity_provider_is_exactly_zero(self):
         raw, norm = reversal_residual(
             [(identity(3), t) for t in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))], 4)
         assert raw == 0.0 and norm == 0.0
 
-    def test_wrong_assignment_length(self):
-        with pytest.raises(ValueError, match="4 sites"):
-            simplex_equation(EDGE_TUPLES_3, 4, lambda _: n_simplex_constant(3), [None] * 6)
-
 
 class TestSlotEquation:
     @pytest.mark.parametrize("tuples, size, provider", [
-        (index_scheme(3).tuples, 6, lambda ps: su2_tetrahedron(*ps, alpha=0.7)),
-        (EDGE_TUPLES_3, 4, lambda ps: su2_tetrahedron(*ps, alpha=2.1)),
-        (index_scheme(4).tuples, 10, lambda ps: su2_4simplex(*ps, alpha=0.4)),
+        (index_scheme(3), 6, lambda ps: su2_tetrahedron(*ps, alpha=0.7)),
+        (edge_scheme(3), 4, lambda ps: su2_tetrahedron(*ps, alpha=2.1)),
+        (index_scheme(4), 10, lambda ps: su2_4simplex(*ps, alpha=0.4)),
     ], ids=["vertex-3", "edge-3", "vertex-4"])
     def test_each_slot_reading_its_site_gives_the_per_site_factors(self, tuples, size, provider):
+        # the register is the scheme's largest site, and each factor is the
+        # provider's matrix at its own sites' parameters
         assignment = random_su2_assignment(size, np.random.default_rng(size))
-        want = simplex_equation(tuples, size, provider, assignment)
-        got = slot_equation(tuples, size, provider, [assignment[s - 1] for t in tuples for s in t])
-        assert got.register_size == want.register_size
+        got = slot_equation(tuples, provider, [assignment[s - 1] for t in tuples for s in t])
+        want = [(provider(tuple(assignment[s - 1] for s in t)), t) for t in tuples]
+        assert got.register_size == size
         assert ([(op.tobytes(), sites) for op, sites in got.factors]
-                == [(op.tobytes(), sites) for op, sites in want.factors])
+                == [(op.tobytes(), sites) for op, sites in want])
 
     @pytest.mark.parametrize("count", [0, 6, 11, 13])
     def test_a_wrong_parameter_count_is_refused_before_the_provider(self, count):
@@ -203,7 +208,33 @@ class TestSlotEquation:
             raise AssertionError("provider called")
 
         with pytest.raises(ValueError, match=f"params must cover all 12 slots, got {count}$"):
-            slot_equation(index_scheme(3).tuples, 6, provider, list(range(count)))
+            slot_equation(index_scheme(3), provider, list(range(count)))
+
+    @pytest.mark.parametrize("tuples, message", [
+        (((1, 2, 3), (1, 3, 3)), r"duplicate site in \(1, 3, 3\)"),
+        ((), "a scheme needs placements of at least one site, got"),
+        (((1, 2), ()), "a scheme needs placements of at least one site, got"),
+    ], ids=["repeated-site", "no-tuples", "empty-tuple"])
+    def test_a_bad_scheme_is_refused_before_the_provider(self, tuples, message):
+        def provider(params):
+            raise AssertionError("provider called")
+
+        with pytest.raises(ValueError, match=message):
+            slot_equation(tuples, provider, [None] * sum(map(len, tuples)))
+
+    @pytest.mark.parametrize("tuples", [index_scheme(3), index_scheme(4), edge_scheme(3)],
+                             ids=["vertex-3", "vertex-4", "edge-3"])
+    def test_each_slot_reads_its_sites_draw(self, tuples):
+        # the sampler is asked for one draw per site of the register, or one
+        # per slot for a per-slot twin, and slot i of site s reads draw s - 1 or i
+        def sample(count, rng):
+            asked.append(count)
+            return [f"draw {i}" for i in range(count)]
+
+        asked, slots = [], [s for t in tuples for s in t]
+        assert verify._drawn(tuples, False, sample, None) == [f"draw {s - 1}" for s in slots]
+        assert verify._drawn(tuples, True, sample, None) == [f"draw {i}" for i in range(len(slots))]
+        assert asked == [max(slots), len(slots)]
 
 
 class TestPerSlotTwins:
@@ -239,7 +270,7 @@ class TestPerSlotTwins:
 @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
 def test_zero_operator_reports_zero_in_both_modes(mode):
     zero = np.zeros((8, 8), dtype=complex)
-    assert reversal_residual([(zero, t) for t in EDGE_TUPLES_3], 4, mode=mode) == (0.0, 0.0)
+    assert reversal_residual([(zero, t) for t in edge_scheme(3)], 4, mode=mode) == (0.0, 0.0)
 
 
 def test_residual_checks_each_factor_once_per_side(monkeypatch):
@@ -321,8 +352,8 @@ def test_matrixfree_residual_matches_per_factor_apply(order):
     # the product kernel against one apply per factor on the same vectors
     rng = np.random.default_rng(37 + order)
     scheme = index_scheme(order)
-    factors = [(random_unitary(len(t), rng), t) for t in scheme.tuples]
-    size, vectors, seed = scheme.register_size, 4, 38
+    factors = [(random_unitary(len(t), rng), t) for t in scheme]
+    size, vectors, seed = order * (order + 1) // 2, 4, 38
     vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     raws, lefts = [], []
     for _ in range(vectors):
@@ -451,7 +482,7 @@ class TestDiagonalEquations:
         # inf - inf and nan read nan; a nan over ||L||_F, inf or nan, stays nan
         member = np.diag([1.0] * 7 + [entry]).astype(complex)
         with np.errstate(invalid="ignore"):
-            got = reversal_residual([(member, t) for t in index_scheme(3).tuples], 6, mode, 2)
+            got = reversal_residual([(member, t) for t in index_scheme(3)], 6, mode, 2)
             _patch_phased_constant(monkeypatch, member)
             check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
         assert not any(map(math.isfinite, got))
@@ -478,7 +509,7 @@ TWELVE_SITE_TUPLES = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
 # Each invariance below holds in exact arithmetic for the dense residual, so
 # these three tests check the kernel's axis bookkeeping with no reference matrix.
 def test_residual_invariant_under_global_site_relabeling():
-    cases = [(36 + order, index_scheme(order).tuples) for order in (3, 4)]
+    cases = [(36 + order, index_scheme(order)) for order in (3, 4)]
     for seed, tuples in cases + [(48, TWELVE_SITE_TUPLES)]:
         rng = np.random.default_rng(seed)
         factors, size, base = _haar_equation(tuples, rng)
@@ -517,7 +548,7 @@ def test_residual_invariant_under_per_site_conjugation():
     # becomes W_t F W_t+, so both sides of the equation become W side W+
     for order in (3, 4):
         rng = np.random.default_rng(46 + order)
-        factors, size, base = _haar_equation(index_scheme(order).tuples, rng)
+        factors, size, base = _haar_equation(index_scheme(order), rng)
         frames = [random_unitary(1, rng) for _ in range(size)]
         rotated = [(local_conjugate(op, [frames[s - 1] for s in sites]), sites)
                    for op, sites in factors]
@@ -530,7 +561,7 @@ def test_residual_of_the_adjoint_equation():
     # adjoint of the same side before, so the difference is the old one's adjoint
     for order in (3, 4):
         rng = np.random.default_rng(56 + order)
-        factors, size, base = _haar_equation(index_scheme(order).tuples, rng)
+        factors, size, base = _haar_equation(index_scheme(order), rng)
         adjoint = [(op.conj().T, sites) for op, sites in reversed(factors)]
         _, daggered = reversal_residual(adjoint, size)
         assert abs(base - daggered) <= 1e-12 * base
@@ -607,7 +638,7 @@ class TestProductResidual:
         # Haar-random 4-site unitaries do not solve the 10-site equation, so
         # every column block adds an O(1) share to both norms
         rng = np.random.default_rng(61)
-        factors = [(random_unitary(4, rng), t) for t in index_scheme(4).tuples]
+        factors = [(random_unitary(4, rng), t) for t in index_scheme(4)]
         left, right = product(factors, 10), product(factors[::-1], 10)
         raw = np.linalg.norm(left - right)
         norm = raw / np.linalg.norm(left)
@@ -668,7 +699,7 @@ class TestTwoThreadBlocks:
     def test_small_registers_stay_on_the_calling_thread(self, monkeypatch):
         # below 8 sites every column fits one block, so there is nothing to split
         rng = np.random.default_rng(5)
-        factors = [(random_unitary(3, rng), t) for t in index_scheme(3).tuples]
+        factors = [(random_unitary(3, rng), t) for t in index_scheme(3)]
         threads = _on_cpus(monkeypatch, 2)
         reversal_residual(factors, 6)
         assert threads == {threading.get_ident()}
