@@ -5,16 +5,23 @@ sites; states are flat complex vectors of length ``2**n``.  Site 1 is the
 leftmost tensor factor / most significant bit, so basis state
 |b1 b2 ... bn> lives at index sum(b_i * 2**(n - i)).  No public function
 mutates its inputs (the random ones advance the generator they are given);
-``_replay`` (in the buffers ``_program`` binds), ``_product_view``, ``_copied``
-and ``_fill_state`` write into buffers their caller owns, one per thread.
+``_replay`` (in the buffers ``_program`` binds) and ``_fill_state`` write
+into buffers their caller owns, one per thread.  ``_distance`` computes
+every equation and relation residual.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import json
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,17 +214,17 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
 
 
 def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=None,
-             pinned: frozenset = frozenset(), settle: bool = False) -> tuple:
+             pinned: frozenset = frozenset()) -> tuple:
     """The ``_plan`` of the placed factors on an n-site register, bound once
     to ``work = (acc, gat)`` and ``state`` (None: the matrix) for ``_replay``:
-    (steps, result), the result a site-order view of ``acc``, or of ``state``
-    if no factor.  Each step holds fixed views, down to a diagonal factor's
-    slices, and its operator in slot order, one (rows, cols) matrix per bit
-    pattern of its new pinned sites, first most significant (``np.eye`` for
-    an untouched site: a tracer may wrap the public identity).  ``settle``
-    copies the result to the front of ``gat`` unless C-contiguous in ``acc``.
-    No entry is read, so ``state`` may be refilled between replays.  Buffers
-    need 4**n >> len(pinned) entries or ``state.size``."""
+    (steps, result), the result a C-contiguous site-order view of ``acc``,
+    else of the front of ``gat``, where a last step copies it (also the state
+    when no factor acts).  Each step holds fixed views, down to a diagonal
+    factor's slices, and its operator in slot order, one (rows, cols) matrix
+    per bit pattern of its new pinned sites, first most significant
+    (``np.eye`` for an untouched site: a tracer may wrap the public
+    identity).  No entry is read, so ``state`` may be refilled between
+    replays.  Buffers need 4**n >> len(pinned) entries or ``state.size``."""
     acc, gat = work
     t = np.array(1, dtype=complex) if state is None else state.reshape((2,) * n + (-1,))
     plan, order = _plan(n, tuple((sites, diag is not None) for _, sites, diag, _ in placed),
@@ -241,7 +248,7 @@ def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=No
                       placed[i][3] if slots is None else None))
         t = out.reshape(shape)
     t = t.transpose(order)
-    if settle and not (steps and t.flags.c_contiguous):
+    if not (steps and t.flags.c_contiguous):
         steps.append((t, gat[:t.size].reshape(t.shape), None, (), (), None, None))
         t = steps[-1][1]
     return steps, t
@@ -274,21 +281,6 @@ def _replay(program: tuple, pins: dict | None = None) -> np.ndarray:
     return result
 
 
-def _product_view(placed: list, n: int, work: tuple[np.ndarray, np.ndarray],
-                  state: np.ndarray | None = None, pins: dict | None = None) -> np.ndarray:
-    """``_replay`` of a fresh ``_program``: the site-order view of the (2,) *
-    2n matrix of ``_placed`` factors at the columns where ``pins`` ({site:
-    bit}) hold, or of the (2,) * n + (batch,) product applied to ``state``."""
-    return _replay(_program(placed, n, work, state, frozenset(pins or {})), pins)
-
-
-def _copied(view: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """``view`` copied into the front of the flat ``buffer``, in its shape."""
-    out = buffer[:view.size].reshape(view.shape)
-    out[...] = view
-    return out
-
-
 def apply_product(
     factors: Sequence[tuple[np.ndarray, Sequence[int]]], state: np.ndarray
 ) -> np.ndarray:
@@ -311,9 +303,8 @@ def apply_product(
     if state.size == 0 or n < 1 or len(state) != 2**n:
         raise ValueError(f"state must be a (2**n, *batch) block with n >= 1 and no empty axis, "
                          f"got shape {state.shape}")
-    placed = _placed(factors, n)
     work = (np.empty(state.size, dtype=complex), np.empty(state.size, dtype=complex))
-    return _copied(_product_view(placed, n, work, state), work[1]).reshape(state.shape)
+    return _replay(_program(_placed(factors, n), n, work, state)).reshape(state.shape)
 
 
 def apply(op: np.ndarray, sites: Sequence[int], state: np.ndarray) -> np.ndarray:
@@ -348,6 +339,11 @@ def _unitarity(a: np.ndarray) -> tuple[float, bool]:
     return deviation, deviation <= 1e-10 + 1e-12 * float(np.sqrt(2**k))
 
 
+def _probe_words(size: int) -> int:
+    # the raw 64-bit words of one sign probe of ``size`` amplitudes, two bits each
+    return -(-size // 32)
+
+
 _SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="little")
 
 
@@ -358,11 +354,101 @@ def _fill_state(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ceil(2**(N + 1) / 64) words of one ``random_raw`` call (bit b is bit b % 64
     of word b // 64, least significant first), a byte at a time into ``v``."""
     width = min(4, v.size)
-    raw = rng.bit_generator.random_raw(-(-v.size // 32)).astype("<u8", copy=False)
+    raw = rng.bit_generator.random_raw(_probe_words(v.size)).astype("<u8", copy=False)
     # mode "clip", unlike "raise", writes into out unbuffered; a byte never clips
     np.take((_SIGNS * np.sqrt(0.5 / v.size)).view(complex)[:, :width],
             raw.view(np.uint8)[:v.size // width], axis=0, out=v.reshape(-1, width), mode="clip")
     return v
+
+
+# each of at most two threads holds three 512 KiB column blocks: a 10-site
+# su2-4simplex trial at 2**13, 2**14, 2**16 and 2**17 entries per block took
+# 15/3/14/23% longer than at 2**15 on one CPU, 35/10/0/3% on two
+_BLOCK_BITS = 15
+_KEPT = threading.local()  # each calling thread's ``_halves`` buffers
+
+
+def _side_norms(sides, pins=None, rng=None) -> tuple[float, float]:
+    # (||L - R||, ||L||) of a half's ``_distance`` sides on the block of ``pins``,
+    # the probe ``rng`` draws into z, or z: np.linalg.norm's sums, in site order
+    z, left, right, norms = sides
+    if rng is not None:
+        _fill_state(z, rng)
+    np.subtract(_replay(left, pins), _replay(right, pins), out=right[1])
+    return tuple(math.sqrt(re.dot(re) + im.dot(im)) for re, im in norms)
+
+
+def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], list]) -> list:
+    """``run(half, start, work)`` over the halves of ``items``, its lists of
+    per-item results joined in item order; ``start`` is the half's index in
+    ``items`` and ``work`` its own three complex buffers of ``size`` entries,
+    all owned by the calling thread, which keeps them in ``_KEPT`` up to
+    2**_BLOCK_BITS entries (a pool thread's allocations would land in a malloc
+    arena of their own).  There are two halves when the process may run on
+    two CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``) and
+    ``len(items) * size`` exceeds 2**_BLOCK_BITS; a pool thread then runs the
+    second in a copy of the caller's context (numpy's errstate) and its
+    exception is raised here, else the caller runs one.  The pool thread must
+    call no public function, which a tracer may wrap."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cut = len(items) // 2 if (cpus or 1) > 1 and len(items) * size > 2**_BLOCK_BITS else 0
+    kept = _KEPT.__dict__.setdefault("works", []) if size <= 2**_BLOCK_BITS else []
+    kept += [tuple(np.empty(max(size, 2**_BLOCK_BITS), dtype=complex) for _ in range(3))
+             for _ in range(1 + bool(cut) - len(kept))]
+    works = [tuple(b[:size] for b in w) for w in kept]
+    if not cut:
+        return run(items, 0, works[0])
+    # leaving the pool joins its thread, also when the caller's own half raises
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(contextvars.copy_context().run, run, items[cut:], cut, works[1])
+        return run(items[:cut], 0, works[0]) + second.result()
+
+
+def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
+    """(raw, normalized) residual of the products L of ``lhs`` and R of
+    ``rhs`` on n sites: the roots of the items' ||(L - R) x||**2 and
+    ||L x||**2 summed in item order, the first over the second normalized
+    (raw where that is zero; a NaN goes through).  Dense items are the
+    column blocks with the bits of sites 1..m, m = max(0, 2n - _BLOCK_BITS),
+    pinned to each pattern: ||L - R||_F and ||L||_F, whole-matrix bits at
+    m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
+    E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
+    check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
+    ||L - R||_F.  If ``_placed`` marks every factor diagonal, either mode has
+    one item, the all-ones vector in z, whose norms are ||L - R||_F and
+    ||L||_F exactly.  ``_halves`` splits the items; each half compiles L and
+    R once and replays them per item, and skips the ``_probe_words`` of every
+    vector before its own, so no bit depends on the CPU count."""
+    if diagonal := all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
+        items, size, scale, pinned = [None], 2**n, 1.0, None
+    elif vectors is None:
+        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
+        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
+        size, scale = 4**n >> len(pinned), 1.0
+    else:
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        items, size, scale, pinned = range(vectors), 2**n, math.sqrt(2**n / vectors), None
+
+    def run(half, start, work):
+        # L in (x, y), then in site order in y unless ``_plan`` left it so in x
+        # (a vertex scheme's L ends on factor 1, on sites 1..n); R, reading z
+        # first, in z and the buffer L left free, then in site order there
+        x, y, z = work
+        state, fixed = (z, frozenset()) if pinned is None else (None, pinned)
+        left = _program(lhs, n, (x, y), state, fixed)
+        free = x if np.may_share_memory(left[1], y) else y
+        right = _program(rhs, n, (z, free), state, fixed)
+        sides = z, left, right, [(a.ravel().real, a.ravel().imag) for a in (right[1], left[1])]
+        if diagonal:
+            z[:] = 1
+        if vectors is None or diagonal:
+            return [_side_norms(sides, pins=pins) for pins in half]
+        rng = np.random.default_rng(stream)
+        rng.bit_generator.advance(start * _probe_words(2**n))
+        return [_side_norms(sides, rng=rng) for _ in half]
+
+    raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
+    return raw * scale, raw / left if left > 0 else raw * scale
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

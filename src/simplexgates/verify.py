@@ -1,39 +1,18 @@
-"""Simplex-equation instances, residual computation, and the named-check
-verification campaign, the one place that picks the residual mode.
-
-Residual conventions: ``reversal_residual`` evaluates one equation.  It
-places and checks each factor once (the reversed side reverses the placed
-list); each half of either mode's items compiles both sides once, bound to
-its thread's three reused buffers (``tensor._program``), and replays them
-per item; a non-diagonal factor of 5 or 6 sites that is the identity plus a
-rank r < d/4 term, to within d * eps of that term's norm, is applied as U
-(Vh g) + g (``tensor._factored``), which changes a residual only by
-rounding.  Dense mode, which the permutation relations share, builds both
-sides one column block of 2**_BLOCK_BITS entries at most at a time (never a
-whole 2**N x 2**N side) and reports ||L - R||_F and that over ||L||_F (raw
-where ||L||_F is 0); tolerances apply to the normalized value.  Matrix-free
-mode applies both sides to seeded random sign vectors, each amplitude (+-1
-+- i) 2**(-(N + 1) / 2), summed like the blocks (``_distance``) into
-estimates of the same two numbers; each matrix-free equation of a trial and
-size draws the same vectors.  Diagonal factors alone give both modes one
-exact item instead, the all-ones vector.  Given two CPUs, both modes run the
-second half of their blocks or vectors on a thread (``_halves``) once those
-hold more than 2**_BLOCK_BITS entries in all, with the same bits as on one
-CPU.  Campaign trial i is one ``_trial`` call that draws everything from
-seed + i, so reports are reproducible bit for bit (wall time aside) and
-trials could run in any order or in parallel.
+"""Simplex-equation instances and the named-check verification campaign,
+the one place that picks the residual mode and its tolerances, which apply
+to the normalized value of ``tensor._distance``, where every equation and
+relation residual is computed.  Each matrix-free equation of a trial
+and size draws the same vectors.  Campaign trial i is one ``_trial`` call
+that draws everything from seed + i, so reports are reproducible bit for
+bit (wall time aside) and trials could run in any order or in parallel.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -43,9 +22,8 @@ import numpy as np
 from . import operators as op_families
 from .gates import CCNOT, CNOT, local_conjugate
 from .su2 import I2, H, X, AxisAngle, random_axis_angle
-from .tensor import (_fill_state, _placed, _program, _replay, _unitarity, _validated_sites,
-                     apply, embed, frobenius_distance, random_operator, random_state,
-                     random_unitary)
+from .tensor import (_distance, _placed, _unitarity, _validated_sites, apply, embed,
+                     frobenius_distance, random_operator, random_state, random_unitary)
 
 __all__ = [
     "DENSE_SITE_LIMIT",
@@ -67,14 +45,10 @@ __all__ = [
 ]
 
 # dense mode is refused above 12 sites, a bound on time (4**12 entries per
-# side); each of at most two threads holds three 512 KiB column blocks: a
-# 10-site su2-4simplex trial at 2**13, 2**14, 2**16 and 2**17 entries per
-# block took 15/3/14/23% longer than at 2**15 on one CPU, 35/10/0/3% on
-# two.  The matrix-free limit, 24 sites, bounds memory: 3 state vectors on
-# one CPU and 6 on two, 194 MiB traced at 21 sites on two, about 1.5 GiB at 24
+# side, built in column blocks of 2**tensor._BLOCK_BITS).  The matrix-free
+# limit, 24 sites, bounds memory: 3 state vectors on one CPU and 6 on two,
+# 194 MiB traced at 21 sites on two, about 1.5 GiB at 24
 DENSE_SITE_LIMIT = 12
-_BLOCK_BITS = 15
-_KEPT = threading.local()  # each calling thread's ``_halves`` buffers
 DEFAULT_VECTORS = 20
 # residual modes: each side's matrix in column blocks, or random vectors
 MODES = ("dense", "matrixfree")
@@ -139,89 +113,6 @@ def _check_vectors(vectors: int) -> None:
         raise CampaignArgumentError(f"vectors must be at {bound}, got {vectors}")
 
 
-def _side_norms(sides, pins=None, rng=None) -> tuple[float, float]:
-    # (||L - R||, ||L||) of a half's ``_distance`` sides on the block of ``pins``,
-    # the probe ``rng`` draws into z, or z: np.linalg.norm's sums, in site order
-    z, left, right, norms = sides
-    if rng is not None:
-        _fill_state(z, rng)
-    np.subtract(_replay(left, pins), _replay(right, pins), out=right[1])
-    return tuple(math.sqrt(re.dot(re) + im.dot(im)) for re, im in norms)
-
-
-def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], list]) -> list:
-    """``run(half, start, work)`` over the halves of ``items``, its lists of
-    per-item results joined in item order; ``start`` is the half's index in
-    ``items`` and ``work`` its own three complex buffers of ``size`` entries,
-    all owned by the calling thread, which keeps them in ``_KEPT`` up to
-    2**_BLOCK_BITS entries (a pool thread's allocations would land in a malloc
-    arena of their own).  There are two halves when the process may run on
-    two CPUs (``os.sched_getaffinity``, else ``os.cpu_count()``) and
-    ``len(items) * size`` exceeds 2**_BLOCK_BITS; a pool thread then runs the
-    second in a copy of the caller's context (numpy's errstate) and its
-    exception is raised here, else the caller runs one.  The pool thread must
-    call no public function, which a tracer may wrap."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cut = len(items) // 2 if (cpus or 1) > 1 and len(items) * size > 2**_BLOCK_BITS else 0
-    kept = _KEPT.__dict__.setdefault("works", []) if size <= 2**_BLOCK_BITS else []
-    kept += [tuple(np.empty(max(size, 2**_BLOCK_BITS), dtype=complex) for _ in range(3))
-             for _ in range(1 + bool(cut) - len(kept))]
-    works = [tuple(b[:size] for b in w) for w in kept]
-    if not cut:
-        return run(items, 0, works[0])
-    # leaving the pool joins its thread, also when the caller's own half raises
-    with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(contextvars.copy_context().run, run, items[cut:], cut, works[1])
-        return run(items[:cut], 0, works[0]) + second.result()
-
-
-def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
-    """(raw, normalized) residual of the products L of ``lhs`` and R of
-    ``rhs`` on n sites: the roots of the items' ||(L - R) x||**2 and
-    ||L x||**2 summed in item order, the first over the second normalized
-    (raw where that is zero; a NaN goes through).  Dense items are the
-    column blocks with the bits of sites 1..m, m = max(0, 2n - _BLOCK_BITS),
-    pinned to each pattern: ||L - R||_F and ||L||_F, whole-matrix bits at
-    m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
-    E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
-    check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
-    ||L - R||_F.  If ``_placed`` marks every factor diagonal, either mode has
-    one item, the all-ones vector in z, whose norms are ||L - R||_F and
-    ||L||_F exactly.  ``_halves`` splits the items; each half compiles L and
-    R once and replays them per item, and skips the ceil(2**(n + 1) / 64) raw
-    words of every vector before its own, so no bit depends on the CPU count."""
-    if diagonal := all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
-        items, size, scale, pinned = [None], 2**n, 1.0, None
-    elif vectors is None:
-        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
-        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
-        size, scale = 4**n >> len(pinned), 1.0
-    else:
-        stream = np.random.SeedSequence(seed).spawn(1)[0]
-        items, size, scale, pinned = range(vectors), 2**n, math.sqrt(2**n / vectors), None
-
-    def run(half, start, work):
-        # L in (x, y), then in site order in y unless ``_plan`` left it so in x
-        # (a vertex scheme's L ends on factor 1, on sites 1..n); R, reading z
-        # first, in z and the buffer L left free, then in site order there
-        x, y, z = work
-        state, fixed = (z, frozenset()) if pinned is None else (None, pinned)
-        left = _program(lhs, n, (x, y), state, fixed, True)
-        free = x if np.may_share_memory(left[1], y) else y
-        right = _program(rhs, n, (z, free), state, fixed, True)
-        sides = z, left, right, [(a.ravel().real, a.ravel().imag) for a in (right[1], left[1])]
-        if diagonal:
-            z[:] = 1
-        if vectors is None or diagonal:
-            return [_side_norms(sides, pins=pins) for pins in half]
-        rng = np.random.default_rng(stream)
-        rng.bit_generator.advance(start * -(-(2**n) // 32))
-        return [_side_norms(sides, rng=rng) for _ in half]
-
-    raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
-    return raw * scale, raw / left if left > 0 else raw * scale
-
-
 class Equation(NamedTuple):
     """One simplex-equation instance: the product of the placed factors,
     composed left to right, equals the same product reversed."""
@@ -239,10 +130,9 @@ def reversal_residual(factors: Sequence[tuple[np.ndarray, Sequence[int]]], regis
     The block is checked and fewer than two factors, which are their own
     reversal, are refused; then each factor is placed and checked once,
     and R reuses the placed list; ``vectors`` outside 1..sys.maxsize is
-    refused in either mode.  Both modes are ``_distance``: dense mode on
-    the pinned column blocks, matrix-free mode on ``vectors`` random unit
-    vectors drawn from a child stream of ``seed``, summed like the blocks,
-    and both on the all-ones vector alone if every factor is diagonal.
+    refused in either mode.  Both modes are ``tensor._distance``: dense
+    mode on pinned column blocks, matrix-free mode on ``vectors`` sign
+    probes from a child stream of ``seed``.
     """
     _check_block(register_size, mode)
     _check_vectors(vectors)

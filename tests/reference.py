@@ -21,7 +21,7 @@ def product(factors, n):
     Every site that no factor touches sees the identity."""
     placed = tensor._placed(factors, n)
     work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
-    return tensor._copied(tensor._product_view(placed, n, work), work[1]).reshape(2**n, 2**n)
+    return tensor._replay(tensor._program(placed, n, work)).reshape(2**n, 2**n)
 
 
 def apply_dense(factors, v):

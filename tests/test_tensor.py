@@ -384,14 +384,15 @@ class TestPinnedBlocks:
 
     @staticmethod
     def _assert_blocks_match_product(factors, n):
-        m = max(0, 2 * n - verify._BLOCK_BITS)
+        m = max(0, 2 * n - tensor._BLOCK_BITS)
         assert m > 0
         whole = product(factors, n)
         placed = tensor._placed(factors, n)
         work = (np.empty(4**n >> m, dtype=complex), np.empty(4**n >> m, dtype=complex))
         width = 2 ** (n - m)
         for b, bits in enumerate(itertools.product((0, 1), repeat=m)):
-            view = tensor._product_view(placed, n, work, pins=dict(enumerate(bits, 1)))
+            pins = dict(enumerate(bits, 1))
+            view = tensor._replay(tensor._program(placed, n, work, pinned=frozenset(pins)), pins)
             assert view.shape == (2,) * (2 * n - m)
             assert np.array_equal(view.reshape(2**n, width), whole[:, b * width:(b + 1) * width])
 
@@ -617,7 +618,7 @@ class TestFactoredFactors:
     def test_both_halves_keep_the_callers_error_state(self, monkeypatch, cpus):
         # given two CPUs a pool thread runs the second of the two probes; an
         # infinite factor entry must then be ignored, or raise, as the caller asks
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         factors = _su2toffoli_factors(5, 3)
         op, sites = factors[1]

@@ -407,8 +407,8 @@ def test_sign_probes_give_the_dense_residual_of_a_diagonal_difference(vectors):
     n = 11
     lhs = tensor._placed([(diagonal(2), (1, 5)), (diagonal(3), (2, 4, 11)), (su2.X, (7,))], n)
     rhs = tensor._placed([(diagonal(1), (3,)), (diagonal(2), (11, 6)), (su2.X, (7,))], n)
-    dense = verify._distance(lhs, rhs, n)
-    free = verify._distance(lhs, rhs, n, vectors, seed=4)
+    dense = tensor._distance(lhs, rhs, n)
+    free = tensor._distance(lhs, rhs, n, vectors, seed=4)
     assert dense[1] > 0.1
     for got, want in zip(free, dense):
         assert abs(got - want) <= 1e-12 * want
@@ -445,7 +445,7 @@ class TestDiagonalEquations:
                                 axis=0))
         raw = np.linalg.norm(want[0] - want[1])
         norm = raw / np.linalg.norm(want[0])
-        got = verify._distance(*sides, n, None if mode == "dense" else 20, 4)
+        got = tensor._distance(*sides, n, None if mode == "dense" else 20, 4)
         assert norm > 0.1
         assert abs(got[0] - raw) <= 1e-12 * raw
         assert abs(got[1] - norm) <= 1e-12 * norm
@@ -573,7 +573,7 @@ def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     # in vector order, raw times sqrt(2**n / vectors).  Above 8 sites a
     # dense residual sums squared norms over the column blocks whose
     # leading m column bits are pinned, as the residual does
-    m = max(0, 2 * n - verify._BLOCK_BITS)
+    m = max(0, 2 * n - tensor._BLOCK_BITS)
     if mode == "dense" and m > 0:
         left, right = product(lhs, n), product(rhs, n)
         width = 2 ** (n - m)
@@ -649,16 +649,16 @@ class TestProductResidual:
 
 
 def _on_cpus(monkeypatch, count):
-    # the CPU set _dense_distance reads, and the threads its blocks then run on
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)),
+    # the CPU set tensor._halves reads, and the threads its blocks then run on
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
-    threads, side_norms = set(), verify._side_norms
+    threads, side_norms = set(), tensor._side_norms
 
     def spy(*args, **kwargs):
         threads.add(threading.get_ident())
         return side_norms(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_side_norms", spy)
+    monkeypatch.setattr(tensor, "_side_norms", spy)
     return threads
 
 
@@ -708,7 +708,7 @@ class TestTwoThreadBlocks:
         # three callers at once, each with its worker: six threads on fewer
         # cores, switching often, race on the empty plan cache and share the
         # placed factors; each must still get the serial bits
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         equation = CHECKS["su2-4simplex-vertex"].fn(2, n=4)[1]
         want = reversal_residual(*equation)
         tensor._plan.cache_clear()
@@ -729,7 +729,7 @@ class TestTwoThreadBlocks:
 
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
         _on_cpus(monkeypatch, 2)
-        side_norms, failed_on = verify._side_norms, []
+        side_norms, failed_on = tensor._side_norms, []
 
         def fail_on_site_1_set(*args, pins=None, **kwargs):
             # site 1's column bit is 1 in exactly the second half of the patterns
@@ -738,7 +738,7 @@ class TestTwoThreadBlocks:
                 raise RuntimeError("second half")
             return side_norms(*args, pins=pins, **kwargs)
 
-        monkeypatch.setattr(verify, "_side_norms", fail_on_site_1_set)
+        monkeypatch.setattr(tensor, "_side_norms", fail_on_site_1_set)
         before = threading.enumerate()
         equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
         with pytest.raises(RuntimeError, match="second half"):
@@ -748,7 +748,7 @@ class TestTwoThreadBlocks:
 
     def test_an_error_in_the_first_half_waits_for_the_worker(self, monkeypatch):
         _on_cpus(monkeypatch, 2)
-        side_norms, worker_blocks = verify._side_norms, []
+        side_norms, worker_blocks = tensor._side_norms, []
 
         def fail_on_site_1_clear(*args, pins=None, **kwargs):
             # site 1's column bit is 0 in exactly the caller's half of the patterns
@@ -758,13 +758,13 @@ class TestTwoThreadBlocks:
                 raise RuntimeError("first half")
             return side_norms(*args, pins=pins, **kwargs)
 
-        monkeypatch.setattr(verify, "_side_norms", fail_on_site_1_clear)
+        monkeypatch.setattr(tensor, "_side_norms", fail_on_site_1_clear)
         caller, before = threading.get_ident(), threading.enumerate()
         equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
         with pytest.raises(RuntimeError, match="first half"):
             reversal_residual(*equation)
         # the worker built its whole half before the error left, and no thread runs on
-        assert len(worker_blocks) == 2 ** (2 * 10 - verify._BLOCK_BITS) // 2
+        assert len(worker_blocks) == 2 ** (2 * 10 - tensor._BLOCK_BITS) // 2
         assert all(pins[1] == 1 for pins in worker_blocks)
         assert threading.enumerate() == before
 
@@ -826,12 +826,12 @@ class TestTwoThreadVectors:
         assert got[1] > 0.1
 
     def test_halves_join_in_item_order(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
         def run(half, start, work):
             return [(item, start, threading.get_ident(), work) for item in half]
 
-        got = verify._halves(list("abcde"), 2**14, run)
+        got = tensor._halves(list("abcde"), 2**14, run)
         assert [item for item, *_ in got] == list("abcde")
         assert [start for _, start, _, _ in got] == [0, 0, 2, 2, 2]
         caller, worker = got[0][2], got[-1][2]
@@ -871,7 +871,7 @@ class TestTwoThreadVectors:
 
     def test_an_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
         _on_cpus(monkeypatch, 2)
-        fill, caller, failed_on = verify._fill_state, threading.get_ident(), []
+        fill, caller, failed_on = tensor._fill_state, threading.get_ident(), []
 
         def fail_off_the_caller(v, rng):
             if threading.get_ident() != caller:
@@ -879,7 +879,7 @@ class TestTwoThreadVectors:
                 raise RuntimeError("second half")
             return fill(v, rng)
 
-        monkeypatch.setattr(verify, "_fill_state", fail_off_the_caller)
+        monkeypatch.setattr(tensor, "_fill_state", fail_off_the_caller)
         before = threading.enumerate()
         equation = CHECKS["nsimplex-su2toffoli"].fn(0, n=5)[0]
         with pytest.raises(RuntimeError, match="second half"):
@@ -928,9 +928,8 @@ class TestTwoThreadVectors:
 class TestCompiledSides:
     """Each half of a residual compiles L and R once (``tensor._program``)
     and replays them on every one of its blocks or vectors in a row; each
-    item must still get the sides that fresh one-shot ``_product_view``
-    calls build on that item alone (for a block, the whole matrices'
-    columns), bit for bit."""
+    item must still get the sides that a fresh ``_program`` of that item
+    alone builds (for a block, the whole matrices' columns), bit for bit."""
 
     @staticmethod
     def _assert_items_match_one_shot(monkeypatch, factors, n, mode):
@@ -939,7 +938,7 @@ class TestCompiledSides:
         # matrices, built with no pinned site; for a probe, both sides built
         # in fresh buffers from a copy of it
         _on_cpus(monkeypatch, 1)
-        placed, side_norms, items = tensor._placed(factors, n), verify._side_norms, []
+        placed, side_norms, items = tensor._placed(factors, n), tensor._side_norms, []
         wholes = (product(factors, n), product(factors[::-1], n)) if mode == "dense" else None
 
         def checked(sides, pins=None, rng=None):
@@ -950,9 +949,9 @@ class TestCompiledSides:
                                for whole in wholes)
             else:
                 probe = tensor._fill_state(np.empty(2**n, dtype=complex), copy.deepcopy(rng))
-                left, right = (np.ascontiguousarray(tensor._product_view(
+                left, right = (np.ascontiguousarray(tensor._replay(tensor._program(
                     side, n, (np.empty(2**n, dtype=complex), np.empty(2**n, dtype=complex)),
-                    probe.copy())) for side in (placed, placed[::-1]))
+                    probe.copy()))) for side in (placed, placed[::-1]))
             got = side_norms(sides, pins=pins, rng=rng)
             _, compiled_left, compiled_right, _ = sides
             assert compiled_left[1].tobytes() == left.tobytes()
@@ -961,7 +960,7 @@ class TestCompiledSides:
             items.append(got)
             return got
 
-        monkeypatch.setattr(verify, "_side_norms", checked)
+        monkeypatch.setattr(tensor, "_side_norms", checked)
         _, norm = reversal_residual(factors, n, mode, 4, 3)
         assert len(items) >= 3 and norm > 0.01
 
@@ -1001,13 +1000,13 @@ class TestCompiledSides:
         # one compile per side per half, however many items: 2 on one CPU and
         # 4 on two, for each 10-site equation's 32 blocks or 15-site one's 4 vectors
         _on_cpus(monkeypatch, cpus)
-        program, compiled = verify._program, []
+        program, compiled = tensor._program, []
 
         def counted(*args, **kwargs):
             compiled.append(threading.get_ident())
             return program(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "_program", counted)
+        monkeypatch.setattr(tensor, "_program", counted)
         for factors, n in CHECKS[check].fn(0, n=order):
             compiled.clear()
             reversal_residual(factors, n, mode, 4)
@@ -1233,13 +1232,13 @@ class TestSharedDraws:
 
     @staticmethod
     def _counted_draws(monkeypatch):
-        sizes = []
+        sizes, fill = [], tensor._fill_state
 
         def counting(v, rng):
             sizes.append(v.size.bit_length() - 1)
-            return tensor._fill_state(v, rng)
+            return fill(v, rng)
 
-        monkeypatch.setattr(verify, "_fill_state", counting)
+        monkeypatch.setattr(tensor, "_fill_state", counting)
         return sizes
 
     @staticmethod
@@ -1253,14 +1252,14 @@ class TestSharedDraws:
         names = ["constant-vertex", "su2-tetra-vertex", "nsimplex-constant", "nsimplex-su2toffoli"]
         equations, trials, vectors = 2, 2, 3
         alone = self._alone(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
-        drawn = []
+        drawn, fill = [], tensor._fill_state
 
         def recording(v, rng):
             # a copy: the residual overwrites its vector
-            drawn.append(tensor._fill_state(v, rng).copy())
+            drawn.append(fill(v, rng).copy())
             return v
 
-        monkeypatch.setattr(verify, "_fill_state", recording)
+        monkeypatch.setattr(tensor, "_fill_state", recording)
         report = campaign(names, trials=trials, seed=5, n=3, mode="matrixfree", vectors=vectors)
         assert len(drawn) == equations * vectors * trials
         for trial in np.split(np.array(drawn), trials):
@@ -1323,15 +1322,15 @@ class TestSharedDraws:
         # vector from that stream would reuse those bits (at seed 7 its first
         # three 64-bit words set site 1's axis of nsimplex-su2toffoli)
         equation = CHECKS["nsimplex-su2toffoli"].fn(7, n=3)[0]
-        drawn = []
+        drawn, fill = [], tensor._fill_state
 
         def recording(v, rng):
-            drawn.append(tensor._fill_state(v, rng).copy())
+            drawn.append(fill(v, rng).copy())
             return v
 
-        monkeypatch.setattr(verify, "_fill_state", recording)
+        monkeypatch.setattr(tensor, "_fill_state", recording)
         reversal_residual(*equation, "matrixfree", 1, 7)
-        same_stream = tensor._fill_state(np.empty(64, dtype=complex), np.random.default_rng(7))
+        same_stream = fill(np.empty(64, dtype=complex), np.random.default_rng(7))
         assert not np.allclose(drawn[0], same_stream)
 
     def test_a_check_named_twice_gets_two_reports(self):
@@ -1395,7 +1394,7 @@ class TestSharedDraws:
         # On one CPU: given two, the pool thread's short-lived blocks and
         # probe words overlap the caller's by chance, which moved the peak of
         # one 15-site nsimplex-su2toffoli residual by up to 80 KiB
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
         def peak(names):
             tracemalloc.start()
