@@ -29,7 +29,7 @@ from . import operators as op_families
 from . import verify
 from .gates import CCNOT, CCZ, CZ, SWAP, n_toffoli
 from .su2 import AxisAngle, DegenerateEigenvaluesError, fixed_gate
-from .tensor import _unitarity, arity_of, frobenius_distance, save_operator
+from .tensor import _unitarity, _write_text, arity_of, frobenius_distance, save_operator
 
 _PI_RE = re.compile(
     r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?\s*$", re.IGNORECASE
@@ -361,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            _write_text(args.out, text + "\n")
         except OSError as exc:
             return _unwritable(args.out, exc)
     else:

@@ -254,11 +254,23 @@ def n_simplex_su2_toffoli(params: Sequence[AxisAngle]) -> np.ndarray:
     site's rotation, so the family is site-local and satisfies the
     n-simplex equation at every assignment.
     """
+    return _su2_toffoli_factor(params)[0]
+
+
+def _su2_toffoli_factor(params: Sequence[AxisAngle]) -> tuple:
+    """(F, (U, Vh)): F = n_simplex_su2_toffoli(params), and F - 1 = U Vh of rank 2
+    from the same projectors, U = -kron(P_1[:, j_1] / P_1[j_1, j_1], ..., 1 - i R) and
+    Vh = kron(P_1[j_1, :], ..., 1): a rank-1 P is P[:, j] P[j, :] / P[j, j], taking j
+    at its larger diagonal entry."""
     params = list(params)
     if len(params) < 2:
         raise ValueError(f"need at least two sites, got {len(params)}")
     projs = [projector_pm(p, -1) for p in params[:-1]]
-    return identity(len(params)) - kron(*projs, I2 - 1j * rotation(params[-1]))
+    flip = I2 - 1j * rotation(params[-1])
+    pivots = [(p, int(np.diagonal(p).real.argmax())) for p in projs]
+    return identity(len(params)) - kron(*projs, flip), (
+        -kron(*[p[:, [j]] / p[j, j] for p, j in pivots], flip),
+        kron(*[p[[j], :] for p, j in pivots], I2))
 
 
 def twisted_permutation(p_1: AxisAngle, p_2: AxisAngle) -> np.ndarray:

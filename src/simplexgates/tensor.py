@@ -107,49 +107,35 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
     return out
 
 
-def _placed(factors: Sequence[tuple[np.ndarray, Sequence[int]]], n: int) -> list:
+def _placed(factors: Sequence[tuple], n: int) -> list:
     # every factor as (complex operator, validated sites, diagonal, factored),
     # checked once, where it enters, before the kernel that trusts it; with no
     # nonzero off-diagonal entry, diagonal lists (slot bits, entry) for its
     # entries not exactly 1, the only slices multiplied (x * (1 + 0j) = x up
-    # to the sign of zero; NaN is kept), else it may carry ``_factored``'s (U, Vh)
+    # to the sign of zero; NaN is kept), else factored is what ``_form`` keeps
     placed = []
-    for op, sites in factors:
+    for op, sites, *form in factors:
         op = np.asarray(op, dtype=complex)
         k = arity_of(op)
         diag = np.diagonal(op).reshape((2,) * k)
         diag = ([(tuple(bits), diag[tuple(bits)]) for bits in np.argwhere(diag != 1).tolist()]
                 if np.count_nonzero(op) == np.count_nonzero(diag) else None)
         placed.append((op, _validated_sites(sites, k, n), diag,
-                       _factored(op) if diag is None else None))
+                       _form(op, *form) if form and diag is None else None))
     return placed
 
 
-def _factored(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(U, Vh) with ``op - 1 = U @ Vh`` of rank r < d/4, for a d x d operator
-    of 5 or 6 sites; else None.  Pivoted Gram-Schmidt on the columns of
-    op - 1, BLAS only (no SVD, QR or eig): each of at most d/4 steps takes
-    the largest column of the remainder op - 1 - U Vh, normalized, as the
-    next column of U and its inner products with the remainder as the next
-    row of Vh.  The pair is accepted once ||op - 1 - U Vh||_F is within
-    d * eps * ||op - 1||_F.  Below 5 sites a GEMM is as fast; above 6, the
-    d/4 steps of a full-rank factor cost 10 ms at 7 sites and 0.7 s at 9,
-    and no check places such a factor."""
-    d = len(op)
-    if not 32 <= d <= 64:
-        return None
-    a = op.copy()
-    a.flat[::d + 1] -= 1
+def _form(op: np.ndarray, form: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """A factor's supplied ``op - 1 = U Vh``, kept for a d x d operator of at
+    least 5 sites (below, a GEMM is as fast) when U is (d, r) and Vh (r, d),
+    r < d/4, and ||op - 1 - U Vh||_F is within d * eps * ||op - 1||_F, finite
+    and nonzero, so it changes a product by rounding alone; else None.  The
+    norms are sums of squares: no LAPACK call."""
+    u, vh = (np.asarray(x, dtype=complex) for x in form)
+    d, r, a = len(op), len(vh), op - np.eye(len(op))
     bound = d * np.finfo(float).eps * np.linalg.norm(a)
-    u, vh = np.empty((d, 0), dtype=complex), np.empty((0, d), dtype=complex)
-    for _ in range(d // 4 if 0 < bound < np.inf else 0):
-        rest = a - u @ vh
-        norms = np.linalg.norm(rest, axis=0)
-        if np.linalg.norm(norms) <= bound:
-            return u, vh
-        q = rest[:, norms.argmax()] / norms.max()
-        u, vh = np.column_stack([u, q]), np.vstack([vh, q.conj() @ rest])
-    return None
+    ok = d >= 32 and 4 * r < d and u.shape == (d, r) and vh.shape == (r, d) and 0 < bound < np.inf
+    return (u, vh) if ok and np.linalg.norm(a - u @ vh) <= bound else None
 
 
 @lru_cache(maxsize=256)
@@ -180,7 +166,7 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
     step is (i, transpose, (slots, pinned, rows, cols, shape)), with slots
     None when no site is new.  A GEMM step with slots None runs as the
     third kind, U (Vh g) + g, when the placed factor carries the (U, Vh) of
-    ``_factored``; ``_program`` reads that, so the plan and its key do not
+    ``_form``; ``_program`` reads that, so the plan and its key do not
     record it."""
     if shape == ():
         touched = {s for sites, _ in factors for s in sites}
@@ -478,10 +464,19 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
 def save_operator(op: np.ndarray, path: str | Path) -> None:
     """Write the operator as JSON: {"arity": k, "dim": 2**k, "entries":
     [[re, im], ...]}, entries row-major.  Floats round-trip exactly through
-    JSON; a non-finite entry raises ValueError and writes nothing."""
+    JSON; a non-finite entry raises ValueError and leaves ``path`` as it was."""
     op = np.asarray(op, dtype=complex)
     k = arity_of(op)
     entries = [[float(z.real), float(z.imag)] for z in op.reshape(-1)]
-    Path(path).write_text(json.dumps({"arity": k, "dim": 2**k, "entries": entries},
-                                     allow_nan=False) + "\n")
+    _write_text(path, json.dumps({"arity": k, "dim": 2**k, "entries": entries},
+                                 allow_nan=False) + "\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``, a writable regular file there (no symlink) unlinked
+    first: ext4 flushes a file rewritten in place on close (55-75 ms on a 2-vCPU VM)."""
+    path = Path(path)
+    if path.is_file() and not path.is_symlink() and os.access(path, os.W_OK):
+        path.unlink()
+    path.write_text(text)
 

@@ -93,9 +93,8 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_block(register_size: int, mode: str) -> None:
-    """Refuse an unknown mode, a register of no sites, and a register of
-    more than DENSE_SITE_LIMIT sites in dense mode or twice that in
-    matrix-free mode."""
+    """Refuse an unknown mode, and a register of no sites or beyond the
+    mode's ceiling: DENSE_SITE_LIMIT sites dense, twice that matrix-free."""
     _check_mode(mode)
     if register_size < 1:
         raise CampaignArgumentError(f"register must have at least one site, got {register_size}")
@@ -115,24 +114,26 @@ def _check_vectors(vectors: int) -> None:
 
 class Equation(NamedTuple):
     """One simplex-equation instance: the product of the placed factors,
-    composed left to right, equals the same product reversed."""
+    composed left to right, equals the same product reversed.  A factor is
+    (operator, sites), or (operator, sites, (U, Vh)) with operator - 1 = U Vh
+    supplied, which ``tensor._placed`` checks before any use."""
 
-    factors: Sequence[tuple[np.ndarray, Sequence[int]]]
+    factors: Sequence[tuple]
     register_size: int
 
 
-def reversal_residual(factors: Sequence[tuple[np.ndarray, Sequence[int]]], register_size: int,
+def reversal_residual(factors: Sequence[tuple], register_size: int,
                       mode: str = "dense", vectors: int = DEFAULT_VECTORS,
                       seed: int = 0) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product L of the
     factors, composed left to right, and the same product reversed, R.
 
     The block is checked and fewer than two factors, which are their own
-    reversal, are refused; then each factor is placed and checked once,
-    and R reuses the placed list; ``vectors`` outside 1..sys.maxsize is
-    refused in either mode.  Both modes are ``tensor._distance``: dense
-    mode on pinned column blocks, matrix-free mode on ``vectors`` sign
-    probes from a child stream of ``seed``.
+    reversal, are refused; then each factor, with or without its (U, Vh)
+    (see ``Equation``), is placed and checked once, and R reuses the placed
+    list; ``vectors`` outside 1..sys.maxsize is refused in either mode.
+    Both modes are ``tensor._distance``: dense mode on pinned column blocks,
+    matrix-free mode on ``vectors`` sign probes from a child stream of ``seed``.
     """
     _check_block(register_size, mode)
     _check_vectors(vectors)
@@ -149,9 +150,10 @@ def slot_equation(tuples: Sequence[tuple[int, ...]], provider: Callable[[tuple],
     the edge form), on a register of as many sites as its largest site, with
     one parameter per (placement, slot): ``params`` lists each tuple's slot
     parameters in tuple order.  ``provider`` maps one placement's parameters
-    to its dense matrix and is called for every tuple before this returns, so
-    it may close over a loop variable.  No tuple or an empty one, a site below
-    1, a repeated site, or a count other than the number of slots raises
+    to its dense matrix, or to (matrix, (U, Vh)), the factor's third element
+    then, and is called for every tuple before this returns, so it may close
+    over a loop variable.  No tuple or an empty one, a site below 1, a
+    repeated site, or a count other than the number of slots raises
     ValueError before any provider call."""
     if not (tuples and all(tuples)):
         raise ValueError(f"a scheme needs placements of at least one site, got {tuples}")
@@ -161,12 +163,9 @@ def slot_equation(tuples: Sequence[tuple[int, ...]], provider: Callable[[tuple],
     if len(params) != slots:
         raise ValueError(f"params must cover all {slots} slots, got {len(params)}")
     rest = iter(params)
-    factors = [(provider(tuple(itertools.islice(rest, len(tup)))), tup) for tup in tuples]
-    return Equation(factors, register_size)
-
-
-# ---------------------------------------------------------------------------
-# assignment samplers
+    built = [provider(tuple(itertools.islice(rest, len(tup)))) for tup in tuples]
+    return Equation([(b[0], tup, b[1]) if isinstance(b, tuple) else (b, tup)
+                     for b, tup in zip(built, tuples)], register_size)
 
 
 def random_su2_assignment(register_size: int, rng: np.random.Generator) -> list[AxisAngle]:
@@ -176,10 +175,6 @@ def random_su2_assignment(register_size: int, rng: np.random.Generator) -> list[
 def random_mu_assignment(register_size: int, rng: np.random.Generator) -> list[complex]:
     vals = rng.standard_normal(register_size) + 1j * rng.standard_normal(register_size)
     return [complex(v) for v in vals]
-
-
-# ---------------------------------------------------------------------------
-# reports
 
 
 @dataclass
@@ -212,10 +207,6 @@ class VerificationReport:
     ms: float
 
 
-# ---------------------------------------------------------------------------
-# permutation relations
-
-
 def _relation_distance(lhs, rhs, n) -> tuple[float, float]:
     """(||L - R||_F, that over ||L||_F) for the products L of ``lhs`` and R
     of ``rhs`` on an n-site register, an operator identity L = R."""
@@ -246,10 +237,6 @@ def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float
         m2 = (op_families.conjugated_site_operator(p_2, core), (2,))
         out[label] = _relation_distance([p12, m1, p12], [m2], 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# named checks
 
 
 @dataclass(frozen=True)
@@ -430,7 +417,7 @@ def _check_nsimplex_su2toffoli(trial_seed, *, n, per_slot=False):
     rng = np.random.default_rng(trial_seed)
     tuples = index_scheme(n)
     params = _drawn(tuples, per_slot, random_su2_assignment, rng)
-    return [slot_equation(tuples, op_families.n_simplex_su2_toffoli, params)]
+    return [slot_equation(tuples, op_families._su2_toffoli_factor, params)]
 
 
 @_register("ccnot-negative-control",
@@ -461,10 +448,6 @@ for _name in ("su2-tetra-vertex", "generic-vertex", "edge-form-3", "su2-4simplex
         CHECKS[_name], name=f"{_name}-per-slot", fn=partial(CHECKS[_name].fn, per_slot=True),
         description=f"{_name} with one parameter per slot; passes when the residual exceeds 1e-3",
         tolerance=1e-3, invert=True)
-
-
-# ---------------------------------------------------------------------------
-# campaign
 
 
 def _trial(runs, seed, vectors) -> list[tuple[np.ndarray, float]]:

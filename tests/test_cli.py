@@ -355,6 +355,16 @@ class TestVerify:
         assert doc["verdict"] == "pass"
         assert doc["config"]["checks"] == ["hadamard-bridge"]
 
+    def test_a_rerun_replaces_the_existing_report(self, tmp_path, capsys, monkeypatch):
+        # the old report is unlinked, not truncated and rewritten in place
+        out = tmp_path / "report.json"
+        out.write_text("stale " * 1000)
+        unlinked, unlink = [], Path.unlink
+        monkeypatch.setattr(Path, "unlink", lambda path: unlinked.append(path) or unlink(path))
+        assert main(["verify", "hadamard-bridge", "--trials", "1", "--out", str(out)]) == 0
+        assert unlinked == [out]
+        assert json.loads(out.read_text())["config"]["checks"] == ["hadamard-bridge"]
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "is-dir"])
     def test_unwritable_out_is_usage_error_before_any_trial(self, target, tmp_path,
                                                            capsys, monkeypatch):
@@ -515,6 +525,19 @@ class TestVerify:
         assert main(["verify", "hadamard-bridge", "--trials", "1", *args]) == 2
         assert f"error: seed must be at least 0, got {seed}" in capsys.readouterr().err
         assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["verify", "hadamard-bridge", "--trials", "1"],
+                                  ["build", "toffoli-family"]], ids=["verify", "build"])
+def test_a_symlinked_out_keeps_its_link_and_writes_its_target(argv, tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale")
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text())
+    if argv[0] == "build":
+        assert np.array_equal(read_operator(target), n_toffoli(3))
 
 
 class TestList:

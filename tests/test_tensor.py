@@ -531,83 +531,109 @@ class TestDiagonalFactors:
 
 
 def _su2toffoli_factors(n, seed):
-    # one nsimplex-su2toffoli equation's factors on n(n + 1)/2 sites
+    # one nsimplex-su2toffoli equation's factors on n(n + 1)/2 sites, each
+    # (operator, sites, (U, Vh)) with its supplied rank-2 form
     return list(verify.CHECKS["nsimplex-su2toffoli"].fn(seed, n=n)[0].factors)
 
 
 def _identity_plus(rng, d, rank):
-    # the d x d identity plus U Vh / d, U and Vh complex Gaussian of the given rank
+    # the d x d identity plus U Vh, U and Vh / d complex Gaussian of the given
+    # rank, with its (U, Vh)
     u = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    vh = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
-    return np.eye(d) + u @ vh / d
+    vh = (rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))) / d
+    return np.eye(d) + u @ vh, (u, vh)
+
+
+def _form_of(factor, n):
+    # the (U, Vh) that placing one factor on an n-site register keeps, or None
+    return tensor._placed([factor], n)[0][3]
 
 
 class TestFactoredFactors:
-    """A non-diagonal factor of 5 or 6 sites that is the identity plus a
-    term of rank r < d/4, to within d * eps of that term's norm, multiplies
-    as U (Vh g) + g; every other factor keeps its GEMM or diagonal multiply."""
+    """A non-diagonal factor of at least 5 sites whose supplied form F - 1 =
+    U Vh has rank r < d/4 and misses F - 1 by at most d * eps * ||F - 1||_F
+    multiplies as U (Vh g) + g; every other factor keeps its GEMM or
+    diagonal multiply."""
 
     @staticmethod
-    def _remainder_over_bound(op, factored):
+    def _remainder_over_bound(op, form):
         a = op - np.eye(len(op))
-        u, vh = factored
+        u, vh = form
         return np.linalg.norm(a - u @ vh) / (len(op) * np.finfo(float).eps * np.linalg.norm(a))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_every_su2toffoli_factor_is_rank_two_within_the_bound(self, n):
         for seed in range(3):
-            for op, sites in _su2toffoli_factors(n, seed):
-                u, vh = factored = tensor._factored(op)
+            for op, sites, form in _su2toffoli_factors(n, seed):
+                u, vh = form
                 assert u.shape == (2**n, 2) and vh.shape == (2, 2**n)
-                assert self._remainder_over_bound(op, factored) <= 1
-                [(_, _, diag, placed)] = tensor._placed([(op, sites)], n * (n + 1) // 2)
-                assert diag is None and all(map(np.array_equal, placed, factored))
-
-    @pytest.mark.parametrize("k", [5, 6])
-    def test_a_haar_unitary_is_refused(self, k):
-        assert tensor._factored(random_unitary(k, np.random.default_rng(60 + k))) is None
+                assert self._remainder_over_bound(op, form) <= 1
+                [(_, _, diag, placed)] = tensor._placed([(op, sites, form)], n * (n + 1) // 2)
+                assert diag is None and all(map(np.array_equal, placed, form))
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_rank_below_a_quarter_is_accepted_and_from_a_quarter_refused(self, k):
         rng, d = np.random.default_rng(62 + k), 2**k
-        op = _identity_plus(rng, d, d // 4 - 1)
-        factored = tensor._factored(op)
-        assert factored[0].shape == (d, d // 4 - 1)
-        assert self._remainder_over_bound(op, factored) <= 1
+        op, form = _identity_plus(rng, d, d // 4 - 1)
+        assert self._remainder_over_bound(op, form) <= 1
+        assert _form_of((op, range(1, k + 1), form), k)[0].shape == (d, d // 4 - 1)
         for rank in (d // 4, d // 4 + 1, d):
-            assert tensor._factored(_identity_plus(rng, d, rank)) is None
+            op, form = _identity_plus(rng, d, rank)
+            assert self._remainder_over_bound(op, form) <= 1
+            assert _form_of((op, range(1, k + 1), form), k) is None
 
-    def test_factors_outside_five_and_six_sites_are_refused(self):
+    def test_no_form_is_used_below_five_sites(self):
         # CCNOT - 1 has rank 1, and so has every factor made here: under 5
         # sites the GEMM is as fast, so the dense and small-check paths are unchanged
         rng = np.random.default_rng(64)
-        assert tensor._factored(CCNOT) is None
-        assert tensor._placed([(CCNOT, (1, 2, 3))], 3)[0][3] is None
-        for k in (1, 2, 3, 4, 7):
-            assert tensor._factored(_identity_plus(rng, 2**k, 1)) is None
-        four = operators.n_simplex_su2_toffoli(verify.random_su2_assignment(4, rng))
-        assert tensor._factored(four) is None
-        # a diagonal factor keeps its diagonal multiply and is never tested
-        constant = operators.n_simplex_constant(5, 0.3)
-        assert tensor._placed([(constant, (1, 2, 3, 4, 5))], 5)[0][3] is None
+        flip = np.array([[0, 0, 0, 0, 0, 0, 1, -1]]).T
+        assert self._remainder_over_bound(CCNOT, (flip, -flip.T)) == 0
+        assert _form_of((CCNOT, (1, 2, 3), (flip, -flip.T)), 3) is None
+        for k in (1, 2, 3, 4):
+            op, form = _identity_plus(rng, 2**k, 1)
+            assert _form_of((op, range(1, k + 1), form), k) is None
+        op, form = operators._su2_toffoli_factor(verify.random_su2_assignment(4, rng))
+        assert self._remainder_over_bound(op, form) <= 1
+        assert _form_of((op, (1, 2, 3, 4), form), 4) is None
+        # a diagonal factor keeps its diagonal multiply, whatever form it carries
+        constant, corner = operators.n_simplex_constant(5, 0.3), np.eye(32)[:, 30:]
+        form = (corner * (np.diagonal(constant)[30:] - 1), corner.T)
+        assert self._remainder_over_bound(constant, form) <= 1
+        [(_, _, diag, placed)] = tensor._placed([(constant, (1, 2, 3, 4, 5), form)], 5)
+        assert diag is not None and placed is None
 
     def test_a_full_rank_perturbation_of_1e_12_is_refused(self):
         rng = np.random.default_rng(65)
-        ops = [op for op, _ in _su2toffoli_factors(5, 0)[:3]] + [_identity_plus(rng, 64, 2)]
-        for op in ops:
-            assert tensor._factored(op) is not None
-            assert tensor._factored(op + 1e-12 * random_operator(arity_of(op), rng)) is None
+        op, form = _identity_plus(rng, 64, 2)
+        for op, _, form in _su2toffoli_factors(5, 0)[:3] + [(op, None, form)]:
+            sites = range(1, arity_of(op) + 1)
+            assert _form_of((op, sites, form), 6) is not None
+            perturbed = op + 1e-12 * random_operator(arity_of(op), rng)
+            assert _form_of((perturbed, sites, form), 6) is None
+
+    def test_a_form_that_misses_its_factor_is_not_used(self):
+        # U scaled by 1 + 1e-9 misses F - 1 by about 2e-9, far above the
+        # bound: each factor takes the plain GEMM, so the residual is the one
+        # of the same factors without forms, bit for bit, not F's with U Vh
+        factors = _su2toffoli_factors(5, 4)
+        missed = [(op, sites, (u * (1 + 1e-9), vh)) for op, sites, (u, vh) in factors]
+        assert all(_form_of(f, 15) is None for f in missed)
+        plain = [(op, sites) for op, sites, _ in factors]
+        for vectors in (2, 3):
+            got = verify.reversal_residual(missed, 15, "matrixfree", vectors, 4)
+            assert got == verify.reversal_residual(plain, 15, "matrixfree", vectors, 4)
+            assert got != verify.reversal_residual(factors, 15, "matrixfree", vectors, 4)
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_a_non_finite_factor_is_refused_and_its_residual_is_not_finite(self, entry):
-        # an infinite F - 1 would otherwise meet an infinite bound at rank 0,
-        # and the factor would act as the identity
+        # an infinite F - 1 would otherwise meet an infinite bound, and the
+        # factor would act as its finite form
         factors = _su2toffoli_factors(5, 3)
-        op, sites = factors[1]
+        op, sites, form = factors[1]
         op = op.copy()
         op[3, 5] = entry
-        factors[1] = (op, sites)
-        assert tensor._factored(op) is None
+        factors[1] = (op, sites, form)
+        assert _form_of(factors[1], 15) is None
         with np.errstate(invalid="ignore", over="ignore"):
             _, norm = verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
         assert not np.isfinite(norm)
@@ -621,8 +647,8 @@ class TestFactoredFactors:
         monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         factors = _su2toffoli_factors(5, 3)
-        op, sites = factors[1]
-        factors[1] = (op.copy(), sites)
+        op, sites, form = factors[1]
+        factors[1] = (op.copy(), sites, form)
         factors[1][0][3, 5] = np.inf
         with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore"):
             warnings.simplefilter("error")
@@ -631,33 +657,36 @@ class TestFactoredFactors:
         with np.errstate(invalid="raise", over="ignore"), pytest.raises(FloatingPointError):
             verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
 
-    def test_the_rank_test_calls_no_lapack(self, monkeypatch):
-        haar = random_unitary(5, np.random.default_rng(66))
+    def test_the_form_check_calls_no_lapack(self, monkeypatch):
+        factor = _su2toffoli_factors(5, 0)[0]
+        op, sites, form = factor
+        perturbed = (op + 1e-12 * random_operator(5, np.random.default_rng(66)), sites, form)
 
         def refused(*args, **kwargs):
-            raise AssertionError("the rank test called LAPACK")
+            raise AssertionError("the form check called LAPACK")
 
         for name in ("svd", "qr", "eig", "eigh", "eigvals", "eigvalsh", "lstsq", "solve", "inv",
                      "pinv", "matrix_rank", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refused)
-        assert tensor._factored(_su2toffoli_factors(5, 0)[0][0]) is not None
-        assert tensor._factored(haar) is None
+        assert _form_of(factor, 15) is not None
+        assert _form_of(perturbed, 15) is None
 
     @staticmethod
     def _mix(rng, n, count):
-        # a low-rank 5- or 6-site factor (U and Vh of rank 1-3) first, then
-        # low-rank, diagonal and dense 1- to 3-site factors at random, each
-        # on sites in a random order
+        # a low-rank 5- or 6-site factor (U and Vh of rank 1-3) with its form
+        # first, then low-rank, diagonal and dense 1- to 3-site factors at
+        # random, each on sites in a random order
         factors = []
         for i in range(count):
             kind = 0 if i == 0 else int(rng.integers(3))
             k = int(rng.integers(5, 7)) if kind == 0 else int(rng.integers(1, 4))
-            op = random_operator(k, rng)
+            op, extra = random_operator(k, rng), ()
             if kind == 0:
-                op = _identity_plus(rng, 2**k, int(rng.integers(1, 4)))
+                op, form = _identity_plus(rng, 2**k, int(rng.integers(1, 4)))
+                extra = (form,)
             elif kind == 1:
                 op = np.diag(np.diagonal(op))
-            factors.append((op, tuple(int(s) + 1 for s in rng.permutation(n)[:k])))
+            factors.append((op, tuple(int(s) + 1 for s in rng.permutation(n)[:k]), *extra))
         return factors
 
     def test_low_rank_mixes_match_the_product_of_embeds(self):
@@ -666,7 +695,7 @@ class TestFactoredFactors:
             factors = self._mix(rng, n, 2 + trial % 5)
             assert tensor._placed(factors, n)[0][3] is not None
             dense = identity(n)
-            for op, sites in factors:
+            for op, sites, *_ in factors:
                 dense = dense @ embed(op, sites, n)
             scale = max(1.0, float(np.linalg.norm(dense)))
             v = random_state(n, rng)
@@ -678,29 +707,30 @@ class TestFactoredFactors:
             assert np.linalg.norm(product(factors, n) - dense) < 1e-13 * scale
 
     def test_a_perturbed_su2toffoli_factor_shows_in_the_matrix_free_residual(self):
-        # 1e-9 times a Gaussian matrix on one factor of an n = 5 equation: the
-        # kernel's residual, over its sqrt(2**N / vectors) scale, matches the
-        # root-sum-of-squares made from whole factor matrices on the same
-        # vectors, to 1e-12 of ||L v|| = 1, so the factored form of the other
-        # factors hides nothing
+        # 1e-9 times a Gaussian matrix on one factor of an n = 5 equation, which
+        # keeps its now stale form: the kernel's residual, over its
+        # sqrt(2**N / vectors) scale, matches the root-sum-of-squares made from
+        # whole factor matrices on the same vectors, to 1e-12 of ||L v|| = 1,
+        # so neither the stale form nor the other factors' forms hide anything
         size, vectors, seed = 15, 3, 72
         factors = _su2toffoli_factors(5, seed)
-        op, sites = factors[2]
-        factors[2] = (op + 1e-9 * random_operator(5, np.random.default_rng(seed)), sites)
-        assert tensor._factored(factors[2][0]) is None
+        op, sites, form = factors[2]
+        factors[2] = (op + 1e-9 * random_operator(5, np.random.default_rng(seed)), sites, form)
+        assert _form_of(factors[2], size) is None
         vector_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         raws, lefts = [], []
+        dense_factors = [f[:2] for f in factors]
         for _ in range(vectors):
             v = tensor._fill_state(np.empty(2**size, dtype=complex), vector_rng)
-            left = apply_dense(factors, v)
-            raws.append(np.linalg.norm(left - apply_dense(factors[::-1], v)))
+            left = apply_dense(dense_factors, v)
+            raws.append(np.linalg.norm(left - apply_dense(dense_factors[::-1], v)))
             lefts.append(np.linalg.norm(left))
         raw, norm = verify.reversal_residual(factors, size, "matrixfree", vectors, seed)
         assert min(r / l for r, l in zip(raws, lefts)) > 1e-10
         rss = np.sqrt(np.sum(np.square(raws)))
         assert abs(raw / np.sqrt(2**size / vectors) - rss) <= 1e-12
         assert abs(norm - rss / np.sqrt(np.sum(np.square(lefts)))) <= 1e-12
-        factors[2] = (op, sites)
+        factors[2] = (op, sites, form)
         assert verify.reversal_residual(factors, size, "matrixfree", vectors, seed)[1] < 1e-14
 
 
@@ -768,6 +798,17 @@ class TestOperatorFile:
         with pytest.raises(ValueError):
             save_operator(op, path)
         assert not path.exists()
+
+
+    def test_a_non_finite_entry_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "op.json"
+        save_operator(X, path)
+        kept = path.read_bytes()
+        op = identity(1)
+        op[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            save_operator(op, path)
+        assert path.read_bytes() == kept
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])
