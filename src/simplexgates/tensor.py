@@ -7,11 +7,13 @@ leftmost tensor factor / most significant bit, so basis state
 mutates its inputs (the random ones advance the generator they are given);
 ``_replay`` (in the buffers ``_program`` binds) and ``_fill_state`` write
 into buffers their caller owns, one per thread.  ``_distance`` computes
-every equation and relation residual.
+every equation and relation residual, by the product kernel's GEMM steps
+or, when every factor is diagonal, as one exact elementwise product.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import itertools
 import json
@@ -109,10 +111,11 @@ def embed(op: np.ndarray, sites: Sequence[int], n: int) -> np.ndarray:
 
 def _placed(factors: Sequence[tuple], n: int) -> list:
     # every factor as (complex operator, validated sites, diagonal, factored),
-    # checked once, where it enters, before the kernel that trusts it; with no
+    # checked once, where it enters, before the code that trusts it; with no
     # nonzero off-diagonal entry, diagonal lists (slot bits, entry) for its
-    # entries not exactly 1, the only slices multiplied (x * (1 + 0j) = x up
-    # to the sign of zero; NaN is kept), else factored is what ``_form`` keeps
+    # entries not exactly 1, the slices an all-diagonal ``_distance`` multiplies
+    # (x * (1 + 0j) = x up to the sign of zero; NaN is kept), else factored is
+    # what ``_form`` keeps
     placed = []
     for op, sites, *form in factors:
         op = np.asarray(op, dtype=complex)
@@ -143,44 +146,38 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
     """The steps that multiply placed factors, last one first, onto a
     working tensor of ``shape``, and the transpose that then puts its axes
     in site order, for ``_program`` to bind.  It reads only structure (each
-    factor's sites and whether it is diagonal, the pinned sites, the start
-    shape), so one plan serves every block, vector and trial of it.
+    factor's sites, the pinned sites, the start shape), so one plan serves
+    every block, vector and trial of it.
 
     Shape () is the matrix, started from the scalar 1, whose untouched
     sites get identity factors (i None) that act last, as outer products;
     any other shape is a (2,) * n + (batch,) state.  ``axes[a]`` labels
     axis a of the working tensor: site s for its row wire, -s for its
-    column wire, 0 for the batch axis.  A diagonal factor whose sites all
-    have row axes is a step (i, transpose, None) and leaves ``axes`` as it
-    is.  Every other factor gathers the row axes of its sites that the
-    tensor holds, in its slot order, so the GEMM sums in one order whatever
-    the layout, into a (2**held, rest) block; the rest axes keep the runs
-    they form between held axes, the run of fewest axes first, so the
-    copy's inner loop runs over the longest contiguous stretch, but the
-    last step puts them in site order, so a last factor on sites 1..k in
-    slot order leaves no transpose.  Its sites with no row axis yet act on
-    the identity, so their input slots move to the output side of the
+    column wire, 0 for the batch axis.  Every factor, diagonal or not, is
+    one GEMM step: it gathers the row axes of its sites that the tensor
+    holds, in its slot order, so the GEMM sums in one order whatever the
+    layout, into a (2**held, rest) block; the rest axes keep the runs they
+    form between held axes, the run of fewest axes first, so the copy's
+    inner loop runs over the longest contiguous stretch, but the last step
+    puts them in site order, so a last factor on sites 1..k in slot order
+    leaves no transpose.  Its sites with no row axis yet act on the
+    identity, so their input slots move to the output side of the
     operator: one (2**(k + new), 2**held) GEMM leaves the factor's row axes
     in front, then the new sites' column axes.  A new pinned site's input
-    slot is indexed at its bit instead, so it gets no column axis.  Such a
-    step is (i, transpose, (slots, pinned, rows, cols, shape)), with slots
-    None when no site is new.  A GEMM step with slots None runs as the
-    third kind, U (Vh g) + g, when the placed factor carries the (U, Vh) of
-    ``_form``; ``_program`` reads that, so the plan and its key do not
-    record it."""
+    slot is indexed at its bit instead, so it gets no column axis.  A step
+    is (i, transpose, slots, pinned, rows, cols, shape), slots None when no
+    site is new; such a step runs factored, U (Vh g) + g, when the placed
+    factor carries the (U, Vh) of ``_form``, which ``_program`` reads, so
+    the plan and its key do not record it."""
     if shape == ():
-        touched = {s for sites, _ in factors for s in sites}
-        untouched = [(None, (s,), False) for s in range(1, n + 1) if s not in touched]
+        touched = {s for sites in factors for s in sites}
+        untouched = [(None, (s,)) for s in range(1, n + 1) if s not in touched]
         axes, shape, tail = [], [], [-s for s in range(1, n + 1) if s not in pinned]
     else:
         untouched, axes, shape, tail = [], [*range(1, n + 1), 0], list(shape), [0]
-    steps, todo = [], untouched + [(i, *f) for i, f in enumerate(factors)]
-    for i, sites, diagonal in reversed(todo):
+    steps, todo = [], untouched + list(enumerate(factors))
+    for i, sites in reversed(todo):
         new = [s for s in sites if s not in axes]
-        if diagonal and not new:
-            front = [axes.index(s) for s in sites]
-            steps.append((i, tuple(front + [a for a in range(len(axes)) if a not in front]), None))
-            continue
         held, slots, new_pins = [s for s in sites if s in axes] if new else sites, None, []
         if new:
             new_pins = [s for s in new if s in pinned]
@@ -190,11 +187,11 @@ def _plan(n: int, factors: tuple, pinned: frozenset, shape: tuple) -> tuple[tupl
         bounds = [-1, *sorted(front), len(axes)]
         rest = [a for run in sorted((range(a + 1, b) for a, b in zip(bounds, bounds[1:])), key=len)
                 for a in run]
-        if (i, sites) == todo[0][:2]:
+        if (i, sites) == todo[0]:
             rest.sort(key=lambda a: (axes[a] <= 0, abs(axes[a])))
         shape = [2] * (len(sites) + len(new)) + [shape[a] for a in rest]
-        steps.append((i, tuple(front + rest), (slots, tuple(new_pins), 2 ** (len(sites) + len(new)),
-                                               2 ** len(held), tuple(shape))))
+        steps.append((i, tuple(front + rest), slots, tuple(new_pins),
+                      2 ** (len(sites) + len(new)), 2 ** len(held), tuple(shape)))
         axes = [*sites, *[-s for s in new], *[axes[a] for a in rest]]
     return tuple(steps), tuple(axes.index(s) for s in [*range(1, n + 1), *tail])
 
@@ -205,24 +202,17 @@ def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=No
     to ``work = (acc, gat)`` and ``state`` (None: the matrix) for ``_replay``:
     (steps, result), the result a C-contiguous site-order view of ``acc``,
     else of the front of ``gat``, where a last step copies it (also the state
-    when no factor acts).  Each step holds fixed views, down to a diagonal
-    factor's slices, and its operator in slot order, one (rows, cols) matrix
-    per bit pattern of its new pinned sites, first most significant
-    (``np.eye`` for an untouched site: a tracer may wrap the public
-    identity).  No entry is read, so ``state`` may be refilled between
-    replays.  Buffers need 4**n >> len(pinned) entries or ``state.size``."""
+    when no factor acts).  Each step holds fixed views and its operator in
+    slot order, one (rows, cols) matrix per bit pattern of its new pinned
+    sites, first most significant (``np.eye`` for an untouched site: a
+    tracer may wrap the public identity).  No entry is read, so ``state``
+    may be refilled between replays.  Buffers need 4**n >> len(pinned)
+    entries or ``state.size``."""
     acc, gat = work
     t = np.array(1, dtype=complex) if state is None else state.reshape((2,) * n + (-1,))
-    plan, order = _plan(n, tuple((sites, diag is not None) for _, sites, diag, _ in placed),
-                        pinned, t.shape)
-    steps, caller = [], t
-    for i, axes, gemm in plan:
-        if gemm is None:
-            source, t = (t, acc[:t.size].reshape(t.shape)) if t is caller else (None, t)
-            views = [(t.transpose(axes)[(*bits, ...)], entry) for bits, entry in placed[i][2]]
-            steps.append((source, t, None, (), views, None, None))
-            continue
-        slots, pins, rows, cols, shape = gemm
+    plan, order = _plan(n, tuple(sites for _, sites, _, _ in placed), pinned, t.shape)
+    steps = []
+    for i, axes, slots, pins, rows, cols, shape in plan:
         op = np.eye(2, dtype=complex) if i is None else placed[i][0]
         op = op if slots is None else op.reshape((2,) * len(slots)).transpose(slots)
         ops = ([op[(..., *bits)].reshape(rows, cols) for bits in np.ndindex((2,) * len(pins))]
@@ -235,7 +225,7 @@ def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=No
         t = out.reshape(shape)
     t = t.transpose(order)
     if not (steps and t.flags.c_contiguous):
-        steps.append((t, gat[:t.size].reshape(t.shape), None, (), (), None, None))
+        steps.append((t, gat[:t.size].reshape(t.shape), None, (), None, None, None))
         t = steps[-1][1]
     return steps, t
 
@@ -244,16 +234,13 @@ def _replay(program: tuple, pins: dict | None = None) -> np.ndarray:
     """Run a ``_program`` on its buffers, ``pins`` ({site: bit}) picking each
     pinned step's operator, and return its result view.  Each gather copies
     into ``gat`` and each GEMM writes into ``acc``, over the tensor the gather
-    read; a diagonal factor multiplies in ``acc``, a first one copying the
-    state there.  Only a factored GEMM allocates (Vh g, r x cols), and the
-    state is written only if bound inside ``acc``, after its first read."""
+    read; a last copy (``out`` None) only settles the result.  Only a factored
+    GEMM allocates (Vh g, r x cols), and the state is written only if bound
+    inside ``acc``, after its first read."""
     steps, result = program
     for source, gathered, ops, pinned, block, out, factored in steps:
-        if source is not None:
-            gathered[...] = source
+        gathered[...] = source
         if out is None:
-            for view, entry in block:
-                view *= entry
             continue
         index = 0
         for s in pinned:
@@ -277,12 +264,12 @@ def apply_product(
     right, so the last factor acts first; an empty sequence is the
     identity.  Equal to ``embed(op_1, sites_1, n) @ ... @ embed(op_m,
     sites_m, n) @ state`` but runs in O(2**n * 2**k) time per column and
-    factor and never forms a 2**n x 2**n matrix: each factor gathers its
-    sites and multiplies them, or, if diagonal, multiplies elementwise (see
-    ``_replay``).  Site order is restored once, after the last factor,
-    into a fresh array; the state itself is never written.  A state
-    with no entries (0-d, or an empty axis) or a leading dimension that is
-    not a power of two >= 2 raises one ValueError naming its shape.
+    factor and never forms a 2**n x 2**n matrix: each factor, diagonal or
+    not, gathers its sites and multiplies them by GEMM (see ``_replay``).
+    Site order is restored once, after the last factor, into a fresh array;
+    the state itself is never written.  A state with no entries (0-d, or an
+    empty axis) or a leading dimension that is not a power of two >= 2
+    raises one ValueError naming its shape.
     """
     state = np.asarray(state, dtype=complex)
     n = (len(state) if state.ndim else 0).bit_length() - 1
@@ -400,20 +387,24 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
     E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
     check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
-    ||L - R||_F.  If ``_placed`` marks every factor diagonal, either mode has
-    one item, the all-ones vector in z, whose norms are ||L - R||_F and
-    ||L||_F exactly.  ``_halves`` splits the items; each half compiles L and
-    R once and replays them per item, and skips the ``_probe_words`` of every
-    vector before its own, so no bit depends on the CPU count."""
-    if diagonal := all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
-        items, size, scale, pinned = [None], 2**n, 1.0, None
-    elif vectors is None:
-        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
-        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
-        size, scale = 4**n >> len(pinned), 1.0
-    else:
-        stream = np.random.SeedSequence(seed).spawn(1)[0]
-        items, size, scale, pinned = range(vectors), 2**n, math.sqrt(2**n / vectors), None
+    ||L - R||_F.  ``_halves`` splits the items; each half compiles L and R
+    once and replays them per item, and skips the ``_probe_words`` of every
+    vector before its own, so no bit depends on the CPU count.  If ``_placed``
+    marks every factor diagonal, both modes run one exact item, no kernel: L 1
+    and R 1, elementwise, for the all-ones 1, with norms ||L - R||_F, ||L||_F."""
+
+    def exact(half, start, work):
+        # L in x and R in z from the all-ones vector, each factor's slices whose
+        # entry is not exactly 1 multiplied, last factor first; then L - R in z
+        x, _, z = work
+        for side, t in ((lhs, x.reshape((2,) * n)), (rhs, z.reshape((2,) * n))):
+            t[...] = 1
+            for _, sites, diag, _ in reversed(side):
+                moved = t.transpose([s - 1 for s in sites] + [a for a in range(n) if a + 1 not in sites])
+                for bits, entry in diag:
+                    moved[(*bits, ...)] *= entry
+        np.subtract(x, z, out=z)
+        return [tuple(math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag)) for a in (z, x))]
 
     def run(half, start, work):
         # L in (x, y), then in site order in y unless ``_plan`` left it so in x
@@ -425,13 +416,21 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
         free = x if np.may_share_memory(left[1], y) else y
         right = _program(rhs, n, (z, free), state, fixed)
         sides = z, left, right, [(a.ravel().real, a.ravel().imag) for a in (right[1], left[1])]
-        if diagonal:
-            z[:] = 1
-        if vectors is None or diagonal:
+        if vectors is None:
             return [_side_norms(sides, pins=pins) for pins in half]
         rng = np.random.default_rng(stream)
         rng.bit_generator.advance(start * _probe_words(2**n))
         return [_side_norms(sides, rng=rng) for _ in half]
+
+    if all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
+        items, size, scale, run = [None], 2**n, 1.0, exact
+    elif vectors is None:
+        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
+        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
+        size, scale = 4**n >> len(pinned), 1.0
+    else:
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        items, size, scale, pinned = range(vectors), 2**n, math.sqrt(2**n / vectors), None
 
     raw, left = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*_halves(items, size, run)))
     return raw * scale, raw / left if left > 0 else raw * scale
@@ -473,10 +472,11 @@ def save_operator(op: np.ndarray, path: str | Path) -> None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path``, a writable regular file there (no symlink) unlinked
-    first: ext4 flushes a file rewritten in place on close (55-75 ms on a 2-vCPU VM)."""
+    """Write ``text`` to ``path``, a writable regular file there (no symlink) unlinked first
+    if its directory allows: ext4 flushes one rewritten in place on close (55-75 ms, 2 vCPUs)."""
     path = Path(path)
-    if path.is_file() and not path.is_symlink() and os.access(path, os.W_OK):
-        path.unlink()
+    with contextlib.suppress(OSError):
+        if path.is_file() and not path.is_symlink() and os.access(path, os.W_OK):
+            path.unlink()
     path.write_text(text)
 

@@ -1,9 +1,9 @@
 """Simplex-equation instances and the named-check verification campaign,
 the one place that picks the residual mode and its tolerances, which apply
 to the normalized value of ``tensor._distance``, where every equation and
-relation residual is computed.  Each matrix-free equation of a trial
-and size draws the same vectors.  Campaign trial i is one ``_trial`` call
-that draws everything from seed + i, so reports are reproducible bit for
+relation residual is computed.  Matrix-free equations of a trial and size draw
+the same vectors, an all-diagonal one none.  Campaign trial i is one ``_trial``
+call that draws everything from seed + i, so reports are reproducible bit for
 bit (wall time aside) and trials could run in any order or in parallel.
 """
 

@@ -540,6 +540,25 @@ def test_a_symlinked_out_keeps_its_link_and_writes_its_target(argv, tmp_path, ca
         assert np.array_equal(read_operator(target), n_toffoli(3))
 
 
+@pytest.mark.parametrize("argv", [["verify", "hadamard-bridge", "--trials", "1"],
+                                  ["build", "toffoli-family"]], ids=["verify", "build"])
+def test_an_out_file_that_cannot_be_unlinked_is_rewritten_in_place(argv, tmp_path, capsys,
+                                                                   monkeypatch):
+    # a writable report in a directory the user may not write: the unlink is
+    # refused (root ignores directory modes, so the refusal is patched in)
+    out = tmp_path / "report.json"
+    out.write_text("stale " * 1000)
+
+    def refuse(path, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+    if argv[0] == "build":
+        assert np.array_equal(read_operator(out), n_toffoli(3))
+
+
 class TestList:
     def test_families_listed(self, capsys):
         assert main(["list"]) == 0

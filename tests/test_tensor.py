@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -425,9 +426,10 @@ class TestPinnedBlocks:
 
 
 class TestDiagonalFactors:
-    """Factors whose off-diagonal entries are exactly zero multiply the
-    working tensor by their diagonal instead of gathering it and running a
-    GEMM, once every site of the factor has a row axis."""
+    """Factors whose off-diagonal entries are exactly zero: in a product with
+    any other factor they take the kernel's GEMM like every factor, checked
+    against the product of embeds; an equation of them alone is one exact
+    elementwise product of the all-ones vector, outside the kernel."""
 
     @staticmethod
     def _mixed_factors(rng, count):
@@ -485,34 +487,52 @@ class TestDiagonalFactors:
         assert np.allclose(product(factors, 3), self._embedded(factors, 3), rtol=1e-15, atol=0)
 
     @staticmethod
-    def _broadcast(t, entries, sites):
-        # the whole-tensor multiply: the diagonal, its slots sorted by site,
-        # broadcast onto the sites' axes of a (2,) * n + (batch,) tensor
-        shape = [2 if s in sites else 1 for s in range(1, t.ndim)] + [1]
-        d = entries.reshape((2,) * len(sites)).transpose(np.argsort(sites))
-        return t * d.reshape(shape)
+    def _exact_norms(sides, n):
+        # (||L - R||, ||L||) as the exact product computes them: each side from
+        # the all-ones vector, the slice of each entry not exactly 1 multiplied
+        # by it, last factor first; each norm sqrt(re . re + im . im)
+        products = []
+        for side in sides:
+            v = np.ones((2,) * n, dtype=complex)
+            for entries, sites in reversed(side):
+                for bits in np.ndindex((2,) * len(sites)):
+                    entry = entries.reshape((2,) * len(sites))[bits]
+                    if entry != 1:
+                        index = [slice(None)] * n
+                        for s, b in zip(sites, bits):
+                            index[s - 1] = b
+                        view = v[tuple(index)]
+                        view *= entry
+            products.append(v.reshape(-1))
+        left, right = products
+        raw, norm = (math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+                     for a in (left - right, left))
+        return raw, raw / norm
 
-    def test_only_entries_that_are_not_one_are_multiplied_with_the_same_bits(self):
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_only_entries_that_are_not_one_are_multiplied_with_the_same_bits(self, n):
         rng = np.random.default_rng(44)
         entries = random_operator(3, rng).diagonal().copy()
         entries[[0, 2, 3, 6]] = 1
-        diag, sites, u = np.diag(entries), (5, 2, 4), random_operator(1, rng)
-        assert [bits for bits, _ in tensor._placed([(diag, sites)], 6)[0][2]] == [
+        assert [bits for bits, _ in tensor._placed([(np.diag(entries), (5, 2, 4))], 6)[0][2]] == [
             (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
-        v = random_state(6, rng)
-        for state in (v, np.stack([v, random_state(6, rng)], axis=1)):
-            kept = state.copy()
-            tensor_shape = (2,) * 6 + (-1,)
-            # first, on the caller's state, which is copied before it is multiplied
-            got = apply_product([(diag, sites)], state)
-            expected = self._broadcast(kept.reshape(tensor_shape), entries, sites)
-            assert np.array_equal(got, expected.reshape(state.shape))
-            # later, in place on the working tensor that u's GEMM left
-            got = apply_product([(diag, sites), (u, (3,))], state)
-            expected = self._broadcast(apply_product([(u, (3,))], state).reshape(tensor_shape),
-                                       entries, sites)
-            assert np.array_equal(got, expected.reshape(state.shape))
-            assert np.array_equal(state, kept)
+        # two unrelated sides of five diagonal factors, arity 1-3, on sites in
+        # random order, a third of the entries exactly 1: every amplitude is a
+        # product of up to five entries, whose rounding depends on their order
+        sides = []
+        for _ in range(2):
+            side = []
+            for k in (1, 2, 3, 3, 2):
+                entries = random_operator(k, rng).diagonal().copy()
+                entries[rng.random(2**k) < 1 / 3] = 1
+                side.append((entries, tuple(int(s) + 1 for s in rng.permutation(n)[:k])))
+            sides.append(side)
+        lhs, rhs = ([(np.diag(entries), sites) for entries, sites in side] for side in sides)
+        expected = self._exact_norms(sides, n)
+        assert expected[1] > 0.1
+        for vectors in (None, 20):
+            assert tensor._distance(tensor._placed(lhs, n), tensor._placed(rhs, n), n,
+                                    vectors, 4) == expected
 
     def test_state_is_neither_mutated_nor_aliased(self):
         # the diagonal factor acts first, on the caller's state itself
@@ -552,8 +572,7 @@ def _form_of(factor, n):
 class TestFactoredFactors:
     """A non-diagonal factor of at least 5 sites whose supplied form F - 1 =
     U Vh has rank r < d/4 and misses F - 1 by at most d * eps * ||F - 1||_F
-    multiplies as U (Vh g) + g; every other factor keeps its GEMM or
-    diagonal multiply."""
+    multiplies as U (Vh g) + g; every other factor keeps its plain GEMM."""
 
     @staticmethod
     def _remainder_over_bound(op, form):
@@ -595,7 +614,7 @@ class TestFactoredFactors:
         op, form = operators._su2_toffoli_factor(verify.random_su2_assignment(4, rng))
         assert self._remainder_over_bound(op, form) <= 1
         assert _form_of((op, (1, 2, 3, 4), form), 4) is None
-        # a diagonal factor keeps its diagonal multiply, whatever form it carries
+        # a diagonal factor keeps no form, whatever form it carries
         constant, corner = operators.n_simplex_constant(5, 0.3), np.eye(32)[:, 30:]
         form = (corner * (np.diagonal(constant)[30:] - 1), corner.T)
         assert self._remainder_over_bound(constant, form) <= 1
@@ -638,8 +657,6 @@ class TestFactoredFactors:
             _, norm = verify.reversal_residual(factors, 15, "matrixfree", 2, 0)
         assert not np.isfinite(norm)
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="np.errstate is a context variable from numpy 2.0 on")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_both_halves_keep_the_callers_error_state(self, monkeypatch, cpus):
         # given two CPUs a pool thread runs the second of the two probes; an

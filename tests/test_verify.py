@@ -461,13 +461,33 @@ class TestDiagonalEquations:
 
     def test_a_diagonal_equation_draws_no_probe_and_stays_on_the_calling_thread(
             self, monkeypatch):
-        # 20 vectors of 15 sites would draw 20 probes on two threads
-        threads = _on_cpus(monkeypatch, 2)
+        # 20 vectors of 15 sites would draw 20 probes on two threads; the
+        # exact product compiles no program, replays no side and allocates
+        # nothing state-sized beyond the calling thread's kept buffers
+        replayed = _on_cpus(monkeypatch, 2)
         drawn = TestSharedDraws._counted_draws(monkeypatch)
-        equation = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
-        _, norm = reversal_residual(*equation, "matrixfree", 20, 0)
-        assert drawn == []
+        threads, programs, halves, program = set(), [], tensor._halves, tensor._program
+
+        def spied(items, size, run):
+            def recorded(*args):
+                threads.add(threading.get_ident())
+                return run(*args)
+            return halves(items, size, recorded)
+
+        monkeypatch.setattr(tensor, "_halves", spied)
+        monkeypatch.setattr(tensor, "_program", lambda *a, **k: programs.append(a) or program(*a, **k))
+        factors, size = CHECKS["nsimplex-constant"].fn(0, n=5)[0]
+        lhs = tensor._placed(factors, size)
+        tensor._distance(lhs, lhs[::-1], size, 20, 0)
+        tracemalloc.start()
+        try:
+            _, norm = tensor._distance(lhs, lhs[::-1], size, 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn == [] and programs == [] and replayed == set()
         assert threads == {threading.get_ident()}
+        assert peak < 16 * 2**size // 8  # bytes: an eighth of one complex state
         assert norm < 1e-15
 
     def test_one_non_diagonal_factor_draws_every_probe(self, monkeypatch):
@@ -977,7 +997,7 @@ class TestCompiledSides:
 
     def test_probe_vectors_through_factored_and_diagonal_first_steps(self, monkeypatch):
         # the 5-site factors of the twin's 15-site equation run as U (Vh g) + g;
-        # a diagonal factor at each end is the first step of each side
+        # a diagonal factor at each end is the first step of each side, a GEMM
         rng = np.random.default_rng(92)
         factors = list(CHECKS["nsimplex-su2toffoli-per-slot"].fn(2, n=5)[0].factors)
         factors = [(np.diag(random_operator(2, rng).diagonal()), (1, 2)), *factors,
@@ -986,9 +1006,9 @@ class TestCompiledSides:
         self._assert_items_match_one_shot(monkeypatch, factors, 15, "matrixfree")
 
     def test_a_side_with_no_factors_keeps_its_item(self):
-        # both sides diagonal, so the one item is the all-ones vector in z: an
-        # empty L is z itself, which R's first step used to multiply in place,
-        # so ||1 - CZ||_F read 0
+        # both sides diagonal, so each is the all-ones vector times its factors:
+        # an empty side must stay all ones, not read the buffer that the other
+        # side multiplies, or ||1 - CZ||_F would read 0
         cz = np.diag([1, 1, 1, -1]).astype(complex)
         assert verify._relation_distance([], [(cz, (1, 2))], 2) == (2.0, 1.0)
         assert verify._relation_distance([(cz, (1, 2))], [], 2) == (2.0, 1.0)
@@ -1120,7 +1140,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
     def test_nan_diagonal_member_fails(self, monkeypatch, mode):
-        # a diagonal member takes the kernel's broadcast multiply, which the
+        # a diagonal member takes the exact elementwise product, which the
         # all-NaN matrix above, not being diagonal, never reaches
         _patch_phased_constant(monkeypatch, np.diag([np.nan] * 8).astype(complex))
         check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
@@ -1129,7 +1149,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
     def test_one_nan_among_unit_diagonal_entries_fails(self, monkeypatch, mode):
-        # the kernel skips diagonal entries of exactly 1; NaN is not 1
+        # the exact product skips diagonal entries of exactly 1; NaN is not 1
         _patch_phased_constant(monkeypatch, np.diag([1.0] * 7 + [np.nan]).astype(complex))
         check = campaign(["constant-vertex"], trials=2, mode=mode, vectors=2).checks[0]
         assert check.verdict == "fail"
