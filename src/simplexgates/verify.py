@@ -1,8 +1,9 @@
-"""Simplex-equation instances and the named-check verification campaign,
-the one place that picks the residual mode and its tolerances, which apply
-to the normalized value of ``tensor._distance``, where every equation and
-relation residual is computed.  Matrix-free equations of a trial and size draw
-the same vectors, an all-diagonal one none.  Campaign trial i is one ``_trial``
+"""Simplex-equation instances, operator relations and the named-check
+verification campaign, the one place that picks the residual mode and its
+tolerances, which apply to the normalized value of ``tensor._distance``,
+where every equation and relation residual is computed, each through
+``reversal_residual``.  Matrix-free members of a trial and size draw the
+same vectors, an all-diagonal one none.  Campaign trial i is one ``_trial``
 call that draws everything from seed + i, so reports are reproducible bit for
 bit (wall time aside) and trials could run in any order or in parallel.
 """
@@ -33,6 +34,7 @@ __all__ = [
     "index_scheme",
     "edge_scheme",
     "Equation",
+    "Relation",
     "reversal_residual",
     "slot_equation",
     "random_su2_assignment",
@@ -60,8 +62,8 @@ class CampaignArgumentError(ValueError):
     simplex order below 2, or an unknown residual mode; a campaign or
     residual asked for fewer than 1 or over sys.maxsize vectors, a register
     of no sites or beyond the ceiling (DENSE_SITE_LIMIT sites dense, twice
-    that matrix-free), an unknown mode, or an equation of fewer than two
-    factors; and the command line found a non-integer SIMPLEX_SEED."""
+    that matrix-free), an unknown mode, or an equation (no ``rhs``) of fewer
+    than two factors; and the command line found a non-integer SIMPLEX_SEED."""
 
 
 def index_scheme(n: int) -> tuple[tuple[int, ...], ...]:
@@ -122,25 +124,39 @@ class Equation(NamedTuple):
     register_size: int
 
 
+class Relation(NamedTuple):
+    """An operator identity such as a braid relation: the product of the
+    placed ``factors`` equals the product of ``rhs``, each composed left to
+    right, and either side may be empty (the identity).  Factors are as in
+    ``Equation``."""
+
+    factors: Sequence[tuple]
+    register_size: int
+    rhs: Sequence[tuple]
+
+
 def reversal_residual(factors: Sequence[tuple], register_size: int,
                       mode: str = "dense", vectors: int = DEFAULT_VECTORS,
-                      seed: int = 0) -> tuple[float, float]:
+                      seed: int = 0, rhs: Sequence[tuple] | None = None) -> tuple[float, float]:
     """(raw, normalized) residual between the forward product L of the
-    factors, composed left to right, and the same product reversed, R.
+    factors, composed left to right, and R: the same product reversed (an
+    ``Equation``), or the product of ``rhs`` (a ``Relation``).
 
-    The block is checked and fewer than two factors, which are their own
-    reversal, are refused; then each factor, with or without its (U, Vh)
-    (see ``Equation``), is placed and checked once, and R reuses the placed
-    list; ``vectors`` outside 1..sys.maxsize is refused in either mode.
-    Both modes are ``tensor._distance``: dense mode on pinned column blocks,
-    matrix-free mode on ``vectors`` sign probes from a child stream of ``seed``.
+    The block is checked and, without ``rhs``, fewer than two factors, which
+    are their own reversal, are refused; then each factor, with or without
+    its (U, Vh) (see ``Equation``), is placed and checked once, and a
+    reversed R reuses the placed list; ``vectors`` outside 1..sys.maxsize is
+    refused in either mode.  Both modes are ``tensor._distance``: dense mode on pinned column
+    blocks, matrix-free mode on ``vectors`` sign probes from a child stream
+    of ``seed``.
     """
     _check_block(register_size, mode)
     _check_vectors(vectors)
-    if len(factors) < 2:
+    if rhs is None and len(factors) < 2:
         raise CampaignArgumentError(f"an equation needs at least two factors, got {len(factors)}")
     lhs = _placed(factors, register_size)
-    return _distance(lhs, lhs[::-1], register_size, None if mode == "dense" else vectors, seed)
+    rhs = lhs[::-1] if rhs is None else _placed(rhs, register_size)
+    return _distance(lhs, rhs, register_size, None if mode == "dense" else vectors, seed)
 
 
 def slot_equation(tuples: Sequence[tuple[int, ...]], provider: Callable[[tuple], np.ndarray],
@@ -207,50 +223,18 @@ class VerificationReport:
     ms: float
 
 
-def _relation_distance(lhs, rhs, n) -> tuple[float, float]:
-    """(||L - R||_F, that over ||L||_F) for the products L of ``lhs`` and R
-    of ``rhs`` on an n-site register, an operator identity L = R."""
-    return _distance(_placed(lhs, n), _placed(rhs, n), n)
-
-
-def _perm_relation_residuals(p_1, p_2, p_3, rng) -> dict[str, tuple[float, float]]:
-    """Braid, involution, and distant-commutation relations for placed
-    twisted permutations, plus the shared-core conjugation exchange for
-    cores X, H, and a random unitary drawn from ``rng``.
-
-    The braid runs on a 3-site register with the (1,2) and (2,3)
-    placements; distant commutation uses a 4-site register, where any
-    parameters work because the supports are disjoint.
-    """
-    tw = op_families.twisted_permutation
-    p12, p23 = (tw(p_1, p_2), (1, 2)), (tw(p_2, p_3), (2, 3))
-    # disjoint supports commute regardless of parameters; p_1 reused for site 4
-    p34 = (tw(p_3, p_1), (3, 4))
-    out = {
-        "braid": _relation_distance([p12, p23, p12], [p23, p12, p23], 3),
-        "involution": _relation_distance([p12, p12], [], 2),
-        "distant_commutation": _relation_distance([p12, p34], [p34, p12], 4),
-    }
-    for label, core in (("conjugation_x", X), ("conjugation_h", H),
-                        ("conjugation_random", random_unitary(1, rng))):
-        m1 = (op_families.conjugated_site_operator(p_1, core), (1,))
-        m2 = (op_families.conjugated_site_operator(p_2, core), (2,))
-        out[label] = _relation_distance([p12, m1, p12], [m2], 2)
-    return out
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """A registered check: one function ``fn(trial_seed, *, n)`` run per
     trial.  It returns the trial's non-empty list of members, each an
-    Equation, which the campaign evaluates in its residual mode, or a
-    (raw, normalized) residual the check computed itself, such as a gate
-    identity's distance.  An inverted check passes when every residual
-    exceeds ``tolerance`` instead."""
+    Equation or a Relation, which the campaign evaluates in its residual
+    mode, or a (raw, normalized) residual the check computed itself, such
+    as a gate identity's distance, the same in every mode.  An inverted
+    check passes when every residual exceeds ``tolerance`` instead."""
 
     name: str
     description: str
-    fn: Callable[..., list[Equation | tuple[float, float]]]
+    fn: Callable[..., list[Equation | Relation | tuple[float, float]]]
     tolerance: float
     default_n: int | None = None
     supports_n: bool = False
@@ -381,10 +365,19 @@ def _check_unitary_families(trial_seed, *, n):
            "twisted permutation relations: braid, involution, distant commutation, conjugation exchange",
            1e-13)
 def _check_perm_relations(trial_seed, *, n):
+    # braid on sites 1..3; involution; commutation on disjoint supports, where
+    # any parameters work (p_1 reused for site 4); and the conjugation exchange
+    # of sites 1 and 2 for cores X, H and a random unitary
     rng = np.random.default_rng(trial_seed)
-    named = _perm_relation_residuals(random_axis_angle(rng), random_axis_angle(rng),
-                                     random_axis_angle(rng), rng)
-    return list(named.values())
+    p_1, p_2, p_3 = (random_axis_angle(rng) for _ in range(3))
+    tw = op_families.twisted_permutation
+    p12, p23, p34 = (tw(p_1, p_2), (1, 2)), (tw(p_2, p_3), (2, 3)), (tw(p_3, p_1), (3, 4))
+    members = [Relation([p12, p23, p12], 3, [p23, p12, p23]), Relation([p12, p12], 2, []),
+               Relation([p12, p34], 4, [p34, p12])]
+    for core in (X, H, random_unitary(1, rng)):
+        m1, m2 = (op_families.conjugated_site_operator(p, core) for p in (p_1, p_2))
+        members.append(Relation([p12, (m1, (1,)), p12], 2, [(m2, (2,))]))
+    return members
 
 
 @_register("su2-4simplex-vertex",
@@ -452,14 +445,14 @@ for _name in ("su2-tetra-vertex", "generic-vertex", "edge-form-3", "su2-4simplex
 
 def _trial(runs, seed, vectors) -> list[tuple[np.ndarray, float]]:
     """One trial at ``seed``: each run's worst (raw, normalized) member and
-    the seconds spent on its members, in run order.  Each Equation member is
-    one ``reversal_residual`` call in the run's mode.  Nothing carries over
-    between trials, so they may run in any order."""
+    the seconds spent on its members, in run order.  Each Equation or
+    Relation member is one ``reversal_residual`` call in the run's mode.
+    Nothing carries over between trials, so they may run in any order."""
     out = []
     for _, spec, use_n, use_mode in runs:
         c0 = time.perf_counter()
-        row = [reversal_residual(*m, use_mode, vectors, seed) if isinstance(m, Equation) else m
-               for m in spec.fn(seed, n=use_n)]
+        row = [reversal_residual(*m[:2], use_mode, vectors, seed, getattr(m, "rhs", None))
+               if isinstance(m, (Equation, Relation)) else m for m in spec.fn(seed, n=use_n)]
         # np.max, unlike max(), lets a NaN member through to the verdict and max_residual
         out.append((np.max(row, axis=0), time.perf_counter() - c0))
     return out
@@ -479,13 +472,14 @@ def campaign(
 
     Trials run outermost, one ``_trial`` each.  A check's residual in a
     trial is its worst member, and its ``ms`` sums its trials' seconds.
-    Equation members are evaluated in ``mode`` (else matrix-free for n-aware
-    checks, dense for the rest).  ``tol`` overrides each check's default
-    absolute tolerance on the normalized residual, but never an inverted
-    check's bound; ``n`` is honored only by checks that take a simplex
-    order.  A check passes only if every normalized residual is finite and
-    within its bound, or above it for an inverted check.  The verdict is the
-    conjunction over checks (an empty campaign passes).  Fewer than one
+    Equation and Relation members are evaluated in ``mode`` (else
+    matrix-free for n-aware checks, dense for the rest); a residual that a
+    check computes itself is the same in every mode.  ``tol`` overrides each
+    check's default absolute tolerance on the normalized residual, but never
+    an inverted check's bound; ``n`` is honored only by checks that take a
+    simplex order.  A check passes only if every normalized residual is
+    finite and within its bound, or above it for an inverted check.  The
+    verdict is the conjunction over checks (an empty campaign passes).  Fewer than one
     trial, vectors outside 1..sys.maxsize, a negative seed, an ``n`` below
     2, an unknown mode, an unregistered name, or an n-aware check's register
     beyond the residual-block ceiling raises CampaignArgumentError, all

@@ -534,6 +534,25 @@ class TestDiagonalFactors:
             assert tensor._distance(tensor._placed(lhs, n), tensor._placed(rhs, n), n,
                                     vectors, 4) == expected
 
+    def test_two_orders_of_the_same_factors_differ_by_their_rounding_alone(self):
+        # R multiplies L's five diagonal factors in an order that is not their
+        # reversal, so L = R but for rounding, and ||L - R|| moves with the
+        # order in which either side multiplies: last factor first, not first
+        rng = np.random.default_rng(45)
+        side = []
+        for k in (1, 2, 3, 3, 2):
+            entries = random_operator(k, rng).diagonal().copy()
+            entries[rng.random(2**k) < 1 / 3] = 1
+            side.append((entries, tuple(int(s) + 1 for s in rng.permutation(6)[:k])))
+        sides = [side, [side[i] for i in (2, 0, 4, 1, 3)]]
+        lhs, rhs = ([(np.diag(entries), sites) for entries, sites in s] for s in sides)
+        expected = self._exact_norms(sides, 6)
+        assert 0 < expected[1] < 1e-14
+        assert self._exact_norms([s[::-1] for s in sides], 6) != expected
+        for vectors in (None, 20):
+            assert tensor._distance(tensor._placed(lhs, 6), tensor._placed(rhs, 6), 6,
+                                    vectors, 4) == expected
+
     def test_state_is_neither_mutated_nor_aliased(self):
         # the diagonal factor acts first, on the caller's state itself
         rng = np.random.default_rng(43)

@@ -631,10 +631,12 @@ def _reversal_cases():
 def _relation_cases():
     rng = np.random.default_rng(4)
     p12 = (twisted_permutation(random_axis_angle(rng), random_axis_angle(rng)), (1, 2))
-    # site 1 only on the left; sites 4 and 5 on neither side
+    # site 1 only on the left; sites 4 and 5 on neither side; a side of one
+    # factor or none is a relation to evaluate, not its own reversal
     return [pytest.param([p12, p12], [], 2, id="involution-vs-empty"),
             pytest.param([(random_operator(3, rng), (3, 1, 2))],
-                         [(random_operator(2, rng), (2, 3))], 5, id="untouched-sites")]
+                         [(random_operator(2, rng), (2, 3))], 5, id="untouched-sites"),
+            pytest.param([], [(CCNOT, (3, 1, 2))], 3, id="empty-vs-one")]
 
 
 class TestProductResidual:
@@ -644,14 +646,15 @@ class TestProductResidual:
         expected = _reference_residual(factors, factors[::-1], n, mode, vectors=3, seed=11)
         assert reversal_residual(factors, n, mode, vectors=3, seed=11) == expected
 
+    @pytest.mark.parametrize("mode", ["dense", "matrixfree"])
     @pytest.mark.parametrize("lhs, rhs, n", _relation_cases())
-    def test_relation_distance_matches_product(self, lhs, rhs, n):
-        assert verify._relation_distance(lhs, rhs, n) == _reference_residual(
-            lhs, rhs, n, "dense", vectors=3, seed=11)
+    def test_relation_distance_matches_product(self, mode, lhs, rhs, n):
+        assert reversal_residual(lhs, n, mode, 3, 11, rhs=rhs) == _reference_residual(
+            lhs, rhs, n, mode, vectors=3, seed=11)
 
     @pytest.mark.parametrize("factors, n", _reversal_cases())
     def test_relations_and_equations_share_the_dense_distance(self, factors, n):
-        assert verify._relation_distance(factors, factors[::-1], n) == reversal_residual(
+        assert reversal_residual(factors, n, "dense", rhs=factors[::-1]) == reversal_residual(
             factors, n, "dense")
 
     def test_blocked_dense_residual_matches_the_whole_matrix_norm(self):
@@ -1010,8 +1013,8 @@ class TestCompiledSides:
         # an empty side must stay all ones, not read the buffer that the other
         # side multiplies, or ||1 - CZ||_F would read 0
         cz = np.diag([1, 1, 1, -1]).astype(complex)
-        assert verify._relation_distance([], [(cz, (1, 2))], 2) == (2.0, 1.0)
-        assert verify._relation_distance([(cz, (1, 2))], [], 2) == (2.0, 1.0)
+        assert reversal_residual([], 2, rhs=[(cz, (1, 2))]) == (2.0, 1.0)
+        assert reversal_residual([(cz, (1, 2))], 2, rhs=[]) == (2.0, 1.0)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("check, order, mode", [("su2-4simplex-vertex", 4, "dense"),
@@ -1034,10 +1037,31 @@ class TestCompiledSides:
 
 
 class TestPermutationRelations:
-    def test_plain_permutations(self):
-        p = AxisAngle(Z_AXIS, 0.0)
-        named = verify._perm_relation_residuals(p, p, p, np.random.default_rng(0))
-        assert all(norm < 1e-14 for _, norm in named.values()), named
+    @pytest.mark.parametrize("mode", verify.MODES)
+    def test_plain_permutations(self, monkeypatch, mode):
+        monkeypatch.setattr(verify, "random_axis_angle", lambda rng: AxisAngle(Z_AXIS, 0.0))
+        members = CHECKS["perm-relations"].fn(0, n=None)
+        assert len(members) == 6 and all(isinstance(m, verify.Relation) for m in members)
+        norms = [reversal_residual(*m[:2], mode, 3, 0, rhs=m.rhs)[1] for m in members]
+        assert all(norm < 1e-14 for norm in norms), norms
+
+    def test_the_relations_follow_the_mode_and_its_vectors(self):
+        # each relation is evaluated in the run's mode, on its probe vectors
+        # when matrix-free, so the residuals are not the dense ones
+        runs = [{}, {"mode": "matrixfree", "vectors": 3}, {"mode": "matrixfree", "vectors": 20}]
+        dense, few, many = (campaign(["perm-relations"], trials=2, seed=3, **kwargs).checks[0]
+                            for kwargs in runs)
+        for check in (few, many):
+            assert check.verdict == "pass" and check.mode == "matrixfree"
+        assert dense.mode == "dense"
+        assert len({tuple(check.residuals) for check in (dense, few, many)}) == 3
+        for check, kwargs in zip((dense, few, many), runs):
+            for i, seed in enumerate((3, 4)):
+                pairs = [reversal_residual(*m[:2], check.mode, kwargs.get("vectors", 20), seed,
+                                           rhs=m.rhs)
+                         for m in CHECKS["perm-relations"].fn(seed, n=None)]
+                assert check.raw_residuals[i] == max(raw for raw, _ in pairs)
+                assert check.residuals[i] == max(norm for _, norm in pairs)
 
     def test_random_parameters(self):
         report = campaign(["perm-relations"], trials=10, seed=37)
@@ -1226,7 +1250,7 @@ class TestCampaign:
             members = spec.fn(7, n=spec.default_n)
             assert isinstance(members, list) and members, name
             for m in members:
-                assert isinstance(m, verify.Equation) or (
+                assert isinstance(m, (verify.Equation, verify.Relation)) or (
                     len(m) == 2 and all(isinstance(x, float) for x in m)), (name, m)
 
     def test_every_registered_check_passes_one_trial(self):
