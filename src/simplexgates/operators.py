@@ -1,17 +1,20 @@
 """Operator families: tetrahedron and higher simplex constructions, Toffoli
 gate families, constant solutions, and twisted permutations.
 
-Most constructors here are site-local: their dependence on each site runs
-through a single 2x2 operator attached to that site.  Such operators solve
-the n-simplex equations identically, because every factor in the equation
-touches a shared site only through polynomials in one and the same 2x2
-matrix, so all the factors commute and the forward and reversed products
-coincide.  general_toffoli is the exception: a site acts through an
-eigenprojector when it is a control but through a conjugated flip when it
-is the target, the two do not commute for generic rotations, and the
-vertex-form equation fails whenever a placement shares a site between the
-two roles (CCNOT, the family at its special point, is the standard
-counterexample).  The 4-site edge form holds though its site 3 takes both.
+Every Toffoli-type family here is 1 - C_1 x ... x C_(k-1) x (1 - T) on k
+sites, controls C_m and a phased flip T; su2_4simplex's two_control form
+fills the last two slots with one two-site block.  The site-local argument
+reads off that form, as off generic_tetrahedron's sum: when each site's
+factors are polynomials in one 2x2 operator attached to that site, every
+factor in an n-simplex equation touches a shared site only through
+polynomials in one and the same 2x2 matrix, so all the factors commute and
+the forward and reversed products coincide.  general_toffoli is the
+exception: a site acts through an eigenprojector when it is a control but
+through a conjugated flip when it is the target, the two do not commute
+for generic rotations, and the vertex-form equation fails whenever a
+placement shares a site between the two roles (CCNOT, the family at its
+special point, is the standard counterexample).  The 4-site edge form
+holds though its site 3 takes both.
 
 An abelian family passes those equations too.  What shows that a family's
 members fail to commute is not a screen at construction but the per-slot
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 FOUR_SIMPLEX_VARIANTS = ("two_control", "three_control")
+P1 = (I2 - Z) / 2  # |1><1|: the controls of toffoli_family and the diagonal solutions
 
 
 @dataclass(frozen=True)
@@ -131,32 +135,26 @@ def su2_tetrahedron(
     """Three-site rotation family
 
         ((1 + i Ri)/2)((1 + i Rj)/2) + (1 + Ri Rj)/2
-          + e^{i alpha} ((1 - i Ri)/2)((1 - i Rj)/2) (i Rk),
+          + e^{i alpha} ((1 - i Ri)/2)((1 - i Rj)/2) (i Rk)
+        = 1 - A_i A_j (1 - e^{i alpha} i Rk),   A_m = (1 - i Rm)/2,
 
-    with Ri, Rj, Rk the site rotations on slots 1, 2, 3.  At
-    p_i = p_j = (z, pi/2) and p_k = (x, pi/2) this equals
-    toffoli_family(alpha); it is not unitary for arbitrary rotations.
+    with Ri, Rj, Rk the site rotations on slots 1, 2, 3: the three-site
+    case of su2_4simplex's three_control form.  At p_i = p_j = (z, pi/2)
+    and p_k = (x, pi/2) this equals toffoli_family(alpha); it is not
+    unitary for arbitrary rotations.
     """
-    ri, rj, rk = rotation(p_i), rotation(p_j), rotation(p_k)
-    return (
-        kron((I2 + 1j * ri) / 2, (I2 + 1j * rj) / 2, I2)
-        + (identity(3) + kron(ri, rj, I2)) / 2
-        + np.exp(1j * alpha) * kron((I2 - 1j * ri) / 2, (I2 - 1j * rj) / 2, 1j * rk)
-    )
+    a_i, a_j = ((I2 - 1j * rotation(p)) / 2 for p in (p_i, p_j))
+    return identity(3) - kron(a_i, a_j, I2 - np.exp(1j * alpha) * 1j * rotation(p_k))
 
 
 def toffoli_family(alpha: float) -> np.ndarray:
-    """Unitary three-qubit family equal to CCNOT at alpha = 0.
+    """Unitary three-qubit family 1 - P1 x P1 x (1 - e^{i alpha} X), equal
+    to CCNOT at alpha = 0.
 
     Acts as the identity unless both controls (sites 1, 2) are |1>, in
     which case the target (site 3) is flipped with phase e^{i alpha}.
     """
-    p0, p1 = (I2 + Z) / 2, (I2 - Z) / 2
-    return (
-        kron(p0, p0, I2)
-        + kron((identity(2) - kron(Z, Z)) / 2, I2)
-        + np.exp(1j * alpha) * kron(p1, p1, X)
-    )
+    return identity(3) - kron(P1, P1, I2 - np.exp(1j * alpha) * X)
 
 
 def general_toffoli(p_i: AxisAngle, p_j: AxisAngle, p_k: AxisAngle) -> np.ndarray:
@@ -182,7 +180,7 @@ def constant_alpha_beta(alpha: float, beta: float) -> np.ndarray:
     """n_simplex_constant(3)'s shape with diag(e^{i alpha}, e^{i beta}) Z
     in the last factor; unitary for all real alpha, beta."""
     u = np.diag([np.exp(1j * alpha), np.exp(1j * beta)])
-    return identity(3) - 0.25 * kron(I2 - Z, I2 - Z, I2 - u @ Z)
+    return identity(3) - kron(P1, P1, I2 - u @ Z)
 
 
 def constant_linear(a: complex, b: complex) -> np.ndarray:
@@ -201,11 +199,11 @@ def su2_4simplex(
     alpha: float = 0.0,
     variant: str = "three_control",
 ) -> np.ndarray:
-    """Four-site rotation family.  With A_m = (1 - i R_m)/2 on slot m and
-    the flip factor i R_l on slot 4:
+    """Four-site rotation family 1 - A_i A_j T, with A_m = (1 - i R_m)/2 on
+    slot m, the flip factor i R_l on slot 4, and T on slots 3 and 4:
 
-        two_control:    1 - A_i A_j A_k + e^{i alpha} A_i A_j (i R_l)
-        three_control:  1 - A_i A_j A_k (1 - e^{i alpha} i R_l)
+        two_control:    T = A_k x 1 - e^{i alpha} 1 x i R_l
+        three_control:  T = A_k x (1 - e^{i alpha} i R_l)
 
     Both are site-local and satisfy the 4-simplex equation, but only the
     three_control form reduces to the four-qubit Toffoli at
@@ -215,16 +213,14 @@ def su2_4simplex(
     if variant not in FOUR_SIMPLEX_VARIANTS:
         raise ValueError(f"variant must be one of {FOUR_SIMPLEX_VARIANTS}, got {variant!r}")
     a_i, a_j, a_k = ((I2 - 1j * rotation(p)) / 2 for p in (p_i, p_j, p_k))
-    flip = 1j * rotation(p_l)
-    out = identity(4) - kron(a_i, a_j, a_k, I2)
+    flip = np.exp(1j * alpha) * 1j * rotation(p_l)
     if variant == "two_control":
-        return out + np.exp(1j * alpha) * kron(a_i, a_j, I2, flip)
-    return out + np.exp(1j * alpha) * kron(a_i, a_j, a_k, flip)
+        return identity(4) - kron(a_i, a_j, kron(a_k, I2) - kron(I2, flip))
+    return identity(4) - kron(a_i, a_j, a_k, I2 - flip)
 
 
 def n_simplex_constant(n: int, alpha: float = 0.0) -> np.ndarray:
-    """Diagonal n-site solution
-    1 - (1/2^{n-1})(1 - Z)^{x(n-1)} x (1 - e^{i alpha} Z).
+    """Diagonal n-site solution 1 - P1^{x(n-1)} x (1 - e^{i alpha} Z).
 
     At alpha = 0 it is the sign flip on |1...1> alone.  At n = 3 it solves
     the tetrahedron equation: CCZ at alpha = 0, and its site-3 Hadamard
@@ -233,8 +229,7 @@ def n_simplex_constant(n: int, alpha: float = 0.0) -> np.ndarray:
     is CNOT."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    factors = [I2 - Z] * (n - 1) + [I2 - np.exp(1j * alpha) * Z]
-    return identity(n) - kron(*factors) / 2 ** (n - 1)
+    return identity(n) - kron(*[P1] * (n - 1), I2 - np.exp(1j * alpha) * Z)
 
 
 def n_simplex_su2_toffoli(params: Sequence[AxisAngle]) -> np.ndarray:

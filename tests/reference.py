@@ -3,8 +3,9 @@ product of placed factors, a product applied to a vector one whole factor
 matrix at a time, an operator embedded by a Kronecker product with the
 identity, the unitarity verdict, a reader for the operator files that
 ``simplexgates build --out`` writes, a scheme's equation whose slots read
-one parameter per site, and the sites of a simplex scheme that take two
-roles."""
+one parameter per site, the sites of a simplex scheme that take two
+roles, and the rotation and Toffoli families written as the sums of
+Kronecker products that their identity-minus-one-product forms replace."""
 
 import json
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from simplexgates import tensor, verify
+from simplexgates.su2 import I2, X, Z, rotation
+from simplexgates.tensor import identity, kron
 
 
 def product(factors, n):
@@ -79,3 +82,36 @@ def role_conflicted_sites(scheme):
     targets = {t[-1] for t in scheme}
     controls = {s for t in scheme for s in t[:-1]}
     return sorted(targets & controls)
+
+
+def su2_tetrahedron_sum(p_i, p_j, p_k, alpha=0.0):
+    """((1 + i Ri)/2)((1 + i Rj)/2) + (1 + Ri Rj)/2
+    + e^{i alpha} ((1 - i Ri)/2)((1 - i Rj)/2) (i Rk), term by term."""
+    ri, rj, rk = rotation(p_i), rotation(p_j), rotation(p_k)
+    return (
+        kron((I2 + 1j * ri) / 2, (I2 + 1j * rj) / 2, I2)
+        + (identity(3) + kron(ri, rj, I2)) / 2
+        + np.exp(1j * alpha) * kron((I2 - 1j * ri) / 2, (I2 - 1j * rj) / 2, 1j * rk)
+    )
+
+
+def toffoli_family_sum(alpha):
+    """|00><00| x 1 + (1 - Z x Z)/2 x 1 + e^{i alpha} |11><11| x X: the
+    identity off |11> on the controls, the phased flip on it."""
+    p0, p1 = (I2 + Z) / 2, (I2 - Z) / 2
+    return (
+        kron(p0, p0, I2)
+        + kron((identity(2) - kron(Z, Z)) / 2, I2)
+        + np.exp(1j * alpha) * kron(p1, p1, X)
+    )
+
+
+def su2_4simplex_sum(p_i, p_j, p_k, p_l, alpha=0.0, variant="three_control"):
+    """1 - A_i A_j A_k plus e^{i alpha} A_i A_j (i R_l), with A_k on slot 3
+    for three_control and the identity there for two_control."""
+    a_i, a_j, a_k = ((I2 - 1j * rotation(p)) / 2 for p in (p_i, p_j, p_k))
+    flip = 1j * rotation(p_l)
+    out = identity(4) - kron(a_i, a_j, a_k, I2)
+    if variant == "two_control":
+        return out + np.exp(1j * alpha) * kron(a_i, a_j, I2, flip)
+    return out + np.exp(1j * alpha) * kron(a_i, a_j, a_k, flip)

@@ -39,7 +39,14 @@ from simplexgates.verify import (
     reversal_residual,
 )
 
-from reference import is_unitary, role_conflicted_sites, site_equation
+from reference import (
+    is_unitary,
+    role_conflicted_sites,
+    site_equation,
+    su2_4simplex_sum,
+    su2_tetrahedron_sum,
+    toffoli_family_sum,
+)
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
@@ -153,6 +160,24 @@ class TestToffoliFamily:
         assert len(alphas) == 50
         for alpha in alphas:
             assert is_unitary(toffoli_family(alpha))
+
+
+@pytest.mark.parametrize("member, expanded, draws, tol", [
+    (lambda ps, a: toffoli_family(a), lambda ps, a: toffoli_family_sum(a), 500, 0.0),
+    (lambda ps, a: su2_tetrahedron(*ps[:3], alpha=a),
+     lambda ps, a: su2_tetrahedron_sum(*ps[:3], alpha=a), 200, 1e-15),
+    (lambda ps, a: su2_4simplex(*ps, alpha=a, variant="three_control"),
+     lambda ps, a: su2_4simplex_sum(*ps, alpha=a, variant="three_control"), 200, 1e-15),
+    (lambda ps, a: su2_4simplex(*ps, alpha=a, variant="two_control"),
+     lambda ps, a: su2_4simplex_sum(*ps, alpha=a, variant="two_control"), 200, 1e-15),
+], ids=["toffoli_family", "su2_tetrahedron", "three_control", "two_control"])
+def test_product_form_is_the_expanded_sum(member, expanded, draws, tol):
+    # 1 - C_1 x ... x (1 - T) against the sum of products it replaced, per
+    # entry; tol 0 is the Toffoli family's, which keeps its bits
+    rng = np.random.default_rng(40)
+    for alpha in [0.0, np.pi, *rng.uniform(0, 2 * np.pi, draws)]:
+        ps = [random_axis_angle(rng) for _ in range(4)]
+        assert np.abs(member(ps, alpha) - expanded(ps, alpha)).max() <= tol
 
 
 class TestGeneralToffoli:
