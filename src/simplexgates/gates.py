@@ -46,5 +46,5 @@ def local_conjugate(op: np.ndarray, singles) -> np.ndarray:
     for s in singles:
         if s.shape != (2, 2):
             raise ValueError(f"conjugating factors must be 2x2, got shape {s.shape}")
-    w = kron(*singles) if k > 1 else singles[0]
+    w = kron(*singles)
     return w @ op @ w.conj().T

@@ -67,7 +67,7 @@ def rotation(p: AxisAngle) -> np.ndarray:
 
 
 def projector_pm(p: AxisAngle, sign: int) -> np.ndarray:
-    """Eigenprojector of rotation(p): (R - e^{+-i angle}) / (e^{-+i angle} - e^{+-i angle}).
+    """Eigenprojector of rotation(p) in closed form: (1 + sign * sigma . axis) / 2.
 
     sign=+1 selects the e^{-i angle} eigenvector, sign=-1 the e^{+i angle}
     one.  Both are Hermitian idempotents, mutually orthogonal, sum to the
@@ -75,17 +75,13 @@ def projector_pm(p: AxisAngle, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    e_plus = np.exp(1j * p.angle)
-    e_minus = np.exp(-1j * p.angle)
-    if abs(e_plus - e_minus) < _DEGENERATE_TOL:
+    if abs(np.exp(1j * p.angle) - np.exp(-1j * p.angle)) < _DEGENERATE_TOL:
         raise DegenerateEigenvaluesError(
             f"angle {p.angle!r} is within {_DEGENERATE_TOL} of a multiple of pi; "
             "the rotation eigenvalues coincide"
         )
-    r = rotation(p)
-    if sign > 0:
-        return (r - e_plus * I2) / (e_minus - e_plus)
-    return (r - e_minus * I2) / (e_plus - e_minus)
+    ux, uy, uz = p.axis
+    return (I2 + sign * (ux * X + uy * Y + uz * Z)) / 2
 
 
 _FIXED = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H}

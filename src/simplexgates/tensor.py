@@ -13,16 +13,13 @@ or, when every factor is diagonal, as one exact elementwise product.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
-import json
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +35,6 @@ __all__ = [
     "random_state",
     "random_operator",
     "random_unitary",
-    "save_operator",
 ]
 
 
@@ -59,12 +55,13 @@ def identity(k: int) -> np.ndarray:
     return np.eye(2**k, dtype=complex)
 
 
-def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor takes the more significant slots.
     One broadcast multiply per factor, the one ``np.kron`` makes on 2-D
-    arrays, so the result equals chained ``np.kron`` bit for bit."""
-    out = np.ascontiguousarray(a, dtype=complex)
-    for m in (np.ascontiguousarray(x, dtype=complex) for x in (b, *rest)):
+    arrays, so the result equals chained ``np.kron`` bit for bit.  Always a
+    new C-contiguous complex array, also for one factor."""
+    out = np.array(a, dtype=complex, order="C")
+    for m in (np.ascontiguousarray(x, dtype=complex) for x in rest):
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(len(out) * len(m), -1)
     return out
 
@@ -458,25 +455,3 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(random_operator(k, rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def save_operator(op: np.ndarray, path: str | Path) -> None:
-    """Write the operator as JSON: {"arity": k, "dim": 2**k, "entries":
-    [[re, im], ...]}, entries row-major.  Floats round-trip exactly through
-    JSON; a non-finite entry raises ValueError and leaves ``path`` as it was."""
-    op = np.asarray(op, dtype=complex)
-    k = arity_of(op)
-    entries = [[float(z.real), float(z.imag)] for z in op.reshape(-1)]
-    _write_text(path, json.dumps({"arity": k, "dim": 2**k, "entries": entries},
-                                 allow_nan=False) + "\n")
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path``, a writable regular file there (no symlink) unlinked first
-    if its directory allows: ext4 flushes one rewritten in place on close (55-75 ms, 2 vCPUs)."""
-    path = Path(path)
-    with contextlib.suppress(OSError):
-        if path.is_file() and not path.is_symlink() and os.access(path, os.W_OK):
-            path.unlink()
-    path.write_text(text)
-

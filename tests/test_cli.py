@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from simplexgates import cli, operators, tensor, verify
-from simplexgates.cli import FAMILIES, main, parse_angle, parse_axis, parse_complex
+from simplexgates.cli import (FAMILIES, main, parse_angle, parse_axis, parse_complex,
+                              save_operator)
 from simplexgates.gates import n_toffoli
+from simplexgates.su2 import X
+from simplexgates.tensor import identity, random_operator
 from simplexgates.verify import CHECKS
 
 from reference import read_operator
@@ -557,6 +560,42 @@ def test_an_out_file_that_cannot_be_unlinked_is_rewritten_in_place(argv, tmp_pat
     assert json.loads(out.read_text())
     if argv[0] == "build":
         assert np.array_equal(read_operator(out), n_toffoli(3))
+
+
+class TestOperatorFile:
+    def test_roundtrip_exact(self, tmp_path):
+        rng = np.random.default_rng(23)
+        op = random_operator(2, rng)
+        path = tmp_path / "op.json"
+        save_operator(op, path)
+        assert np.array_equal(read_operator(path), op)
+
+    def test_dict_shape(self, tmp_path):
+        path = tmp_path / "x.json"
+        save_operator(X, path)
+        d = json.loads(path.read_text())
+        assert d["arity"] == 1 and d["dim"] == 2
+        assert d["entries"] == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_is_refused_before_writing(self, bad, tmp_path):
+        # NaN and Infinity are not JSON: the file would not load elsewhere
+        op = identity(1).astype(complex)
+        op[1, 0] = bad
+        path = tmp_path / "op.json"
+        with pytest.raises(ValueError):
+            save_operator(op, path)
+        assert not path.exists()
+
+    def test_a_non_finite_entry_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "op.json"
+        save_operator(X, path)
+        kept = path.read_bytes()
+        op = identity(1)
+        op[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            save_operator(op, path)
+        assert path.read_bytes() == kept
 
 
 class TestList:

@@ -62,3 +62,16 @@ def test_verify_imports_no_other_private_kernel_name():
                 for alias in node.names}
     private = {name for name in imported if name.startswith("_")}
     assert private <= {"_distance", "_placed", "_unitarity", "_validated_sites"}
+
+
+def test_no_module_imports_another_private_tensor_name():
+    # tensor lends private names to verify's residuals and to cli's unitarity
+    # report alone; file output lives in cli, its one caller
+    allowed = {"verify.py": {"_distance", "_placed", "_unitarity", "_validated_sites"},
+               "cli.py": {"_unitarity"}}
+    imported = {p.name: {alias.name for node in ast.walk(ast.parse(p.read_text()))
+                         if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+                         for alias in node.names if alias.name.startswith("_")}
+                for p in Path(simplexgates.__file__).parent.glob("*.py")}
+    extra = {name: names - allowed.get(name, set()) for name, names in imported.items()}
+    assert {name: names for name, names in extra.items() if names} == {}

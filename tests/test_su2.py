@@ -68,6 +68,17 @@ class TestProjectors:
         with pytest.raises(ValueError, match="sign"):
             projector_pm(AxisAngle(Z_AXIS, 1.0), 0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_closed_form_at_every_axis(self, sign):
+        # (1 + sign sigma.u)/2 to the bit, at 500 seeded draws and on the
+        # three coordinate axes
+        rng = np.random.default_rng(11)
+        params = [random_axis_angle(rng) for _ in range(500)]
+        params += [AxisAngle(axis, 1.0) for axis in (X_AXIS, (0.0, 1.0, 0.0), Z_AXIS)]
+        for p in params:
+            ux, uy, uz = p.axis
+            assert np.array_equal(projector_pm(p, sign), (I2 + sign * (ux * X + uy * Y + uz * Z)) / 2)
+
     def test_projector_algebra(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import re
 import tracemalloc
@@ -23,11 +22,9 @@ from simplexgates.tensor import (
     random_operator,
     random_state,
     random_unitary,
-    save_operator,
 )
 
-from reference import (apply_dense, embed_by_kron, is_unitary, product, read_operator,
-                       site_equation)
+from reference import apply_dense, embed_by_kron, is_unitary, product, site_equation
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,6 +72,14 @@ class TestKron:
         expected[1, 3] = 1
         expected[3, 1] = 1
         assert np.array_equal(kron(X, np.diag([0.0, 1.0])), expected)
+
+    @pytest.mark.parametrize("a", [X, np.diag([0.0, 1.0]), random_operator(2, np.random.default_rng(5))],
+                             ids=["complex", "real", "two-site"])
+    def test_one_factor_is_a_new_complex_copy(self, a):
+        out = kron(a)
+        assert np.array_equal(out, a)
+        assert out.dtype == complex and out.flags.c_contiguous
+        assert out is not a and not np.shares_memory(out, a)
 
     def test_variadic_matches_nested(self):
         rng = np.random.default_rng(3)
@@ -808,43 +813,6 @@ class TestPredicates:
                 measured = np.linalg.norm(a @ a.conj().T - identity(k))
                 assert abs(measured - deviation) < slack / 8
                 assert is_unitary(a) is unitary
-
-
-class TestOperatorFile:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(23)
-        op = random_operator(2, rng)
-        path = tmp_path / "op.json"
-        save_operator(op, path)
-        assert np.array_equal(read_operator(path), op)
-
-    def test_dict_shape(self, tmp_path):
-        path = tmp_path / "x.json"
-        save_operator(X, path)
-        d = json.loads(path.read_text())
-        assert d["arity"] == 1 and d["dim"] == 2
-        assert d["entries"] == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_entry_is_refused_before_writing(self, bad, tmp_path):
-        # NaN and Infinity are not JSON: the file would not load elsewhere
-        op = identity(1).astype(complex)
-        op[1, 0] = bad
-        path = tmp_path / "op.json"
-        with pytest.raises(ValueError):
-            save_operator(op, path)
-        assert not path.exists()
-
-
-    def test_a_non_finite_entry_leaves_an_existing_file_as_it_was(self, tmp_path):
-        path = tmp_path / "op.json"
-        save_operator(X, path)
-        kept = path.read_bytes()
-        op = identity(1)
-        op[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            save_operator(op, path)
-        assert path.read_bytes() == kept
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])
