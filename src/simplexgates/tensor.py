@@ -338,14 +338,21 @@ _BLOCK_BITS = 15
 _KEPT = threading.local()  # each calling thread's ``_halves`` buffers
 
 
+def _norm(a: np.ndarray) -> float:
+    # ||a||_2 of a C-contiguous complex array: one dot of its float64 view with
+    # itself, so real and imaginary squares are summed together, in BLAS's order
+    f = a.reshape(-1).view(np.float64)
+    return math.sqrt(f.dot(f))
+
+
 def _side_norms(sides, pins=None, rng=None) -> tuple[float, float]:
     # (||L - R||, ||L||) of a half's ``_distance`` sides on the block of ``pins``,
-    # the probe ``rng`` draws into z, or z: np.linalg.norm's sums, in site order
-    z, left, right, norms = sides
+    # the probe ``rng`` draws into z, or z, each by ``_norm``
+    z, left, right = sides
     if rng is not None:
         _fill_state(z, rng)
     np.subtract(_replay(left, pins), _replay(right, pins), out=right[1])
-    return tuple(math.sqrt(re.dot(re) + im.dot(im)) for re, im in norms)
+    return _norm(right[1]), _norm(left[1])
 
 
 def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], list]) -> list:
@@ -374,14 +381,53 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
         return run(items[:cut], 0, works[0]) + second.result()
 
 
+def _pin_costs(n: int, sides: Sequence[tuple], sets: np.ndarray) -> np.ndarray:
+    """(multiply-adds, gathered entries) that ``_plan`` steps of the matrix
+    make for every side in ``sides`` (its factors' site tuples), summed, with
+    the sites of each row of ``sets`` pinned.  A step of k sites that reaches
+    the sites T from T' (untouched sites last) gathers 2**(2|T'| - |P & T'|)
+    entries and makes 2**(k + |T| + |T'| - |P & T|) multiply-adds, so each
+    set P is counted from the step at which each site is first reached,
+    with no plan per set."""
+    chosen = np.zeros((len(sets), n + 1), dtype=np.int64)
+    chosen[np.arange(len(sets))[:, None], sets] = 1
+    cost = np.zeros((2, len(sets)), dtype=np.int64)
+    for side in sides:
+        steps = [*side[::-1], *[(s,) for s in range(n, 0, -1) if all(s not in t for t in side)]]
+        order = list(dict.fromkeys(s for sites in steps for s in sites))
+        inside = np.zeros((len(sets), n + 1), dtype=np.int64)  # |P & first j sites reached|
+        np.cumsum(chosen[:, order], axis=1, out=inside[:, 1:])
+        reached = set()
+        for sites in steps:
+            before = len(reached)
+            reached.update(sites)
+            cost[0] += 2 ** (len(sites) + len(reached) + before - inside[:, len(reached)])
+            cost[1] += 2 ** (2 * before - inside[:, before])
+    return cost
+
+
+@lru_cache(maxsize=64)
+def _pins(n: int, lhs: tuple, rhs: tuple) -> frozenset:
+    """The m = max(0, 2n - _BLOCK_BITS) sites whose column bits a dense
+    residual of the factor sites ``lhs`` and ``rhs`` pins: of all m-subsets,
+    the one of fewest ``_pin_costs`` multiply-adds, then gathered entries,
+    then the lexicographically smallest (lexsort is stable, and
+    combinations come in lexicographic order)."""
+    m = max(0, 2 * n - _BLOCK_BITS)
+    sets = list(itertools.combinations(range(1, n + 1), m))
+    sets = np.array(sets, dtype=np.intp).reshape(len(sets), m)
+    return frozenset(sets[np.lexsort(_pin_costs(n, (lhs, rhs), sets)[::-1])[0]].tolist())
+
+
 def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     """(raw, normalized) residual of the products L of ``lhs`` and R of
     ``rhs`` on n sites: the roots of the items' ||(L - R) x||**2 and
     ||L x||**2 summed in item order, the first over the second normalized
-    (raw where that is zero; a NaN goes through).  Dense items are the
-    column blocks with the bits of sites 1..m, m = max(0, 2n - _BLOCK_BITS),
-    pinned to each pattern: ||L - R||_F and ||L||_F, whole-matrix bits at
-    m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
+    (raw where that is zero; a NaN goes through), each item's norms by
+    ``_norm``.  Dense items are the column blocks with the bits of the m =
+    max(0, 2n - _BLOCK_BITS) sites of ``_pins`` pinned to each pattern, the
+    smallest site's bit most significant: ||L - R||_F and ||L||_F,
+    whole-matrix bits at m = 0.  Matrix-free items are ``vectors`` sign probes x (``_fill_state``),
     E[x x+] = 2**-n, from a child of ``seed``'s SeedSequence, apart from a
     check's ``default_rng(seed)``; raw times sqrt(2**n / vectors) estimates
     ||L - R||_F.  ``_halves`` splits the items; each half compiles L and R
@@ -401,7 +447,7 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
                 for bits, entry in diag:
                     moved[(*bits, ...)] *= entry
         np.subtract(x, z, out=z)
-        return [tuple(math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag)) for a in (z, x))]
+        return [(_norm(z), _norm(x))]
 
     def run(half, start, work):
         # L in (x, y), then in site order in y unless ``_plan`` left it so in x
@@ -412,7 +458,7 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
         left = _program(lhs, n, (x, y), state, fixed)
         free = x if np.may_share_memory(left[1], y) else y
         right = _program(rhs, n, (z, free), state, fixed)
-        sides = z, left, right, [(a.ravel().real, a.ravel().imag) for a in (right[1], left[1])]
+        sides = z, left, right
         if vectors is None:
             return [_side_norms(sides, pins=pins) for pins in half]
         rng = np.random.default_rng(stream)
@@ -422,8 +468,9 @@ def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:
     if all(diag is not None for _, _, diag, _ in (*lhs, *rhs)):
         items, size, scale, run = [None], 2**n, 1.0, exact
     elif vectors is None:
-        pinned = frozenset(range(1, max(0, 2 * n - _BLOCK_BITS) + 1))
-        items = [dict(enumerate(bits, 1)) for bits in itertools.product((0, 1), repeat=len(pinned))]
+        pinned = _pins(n, *(tuple(sites for _, sites, _, _ in side) for side in (lhs, rhs)))
+        items = [dict(zip(sorted(pinned), bits))
+                 for bits in itertools.product((0, 1), repeat=len(pinned))]
         size, scale = 4**n >> len(pinned), 1.0
     else:
         stream = np.random.SeedSequence(seed).spawn(1)[0]

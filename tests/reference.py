@@ -5,9 +5,13 @@ identity, the unitarity verdict, a reader for the operator files that
 ``simplexgates build --out`` writes, a scheme's equation whose slots read
 one parameter per site, the sites of a simplex scheme that take two
 roles, and the rotation and Toffoli families written as the sums of
-Kronecker products that their identity-minus-one-product forms replace."""
+Kronecker products that their identity-minus-one-product forms replace;
+and, for the residual, a 12-site placement set, a norm summed as one dot,
+and the column blocks of a matrix at pinned column bits."""
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,38 @@ def product(factors, n):
     placed = tensor._placed(factors, n)
     work = (np.empty(4**n, dtype=complex), np.empty(4**n, dtype=complex))
     return tensor._replay(tensor._program(placed, n, work)).reshape(2**n, 2**n)
+
+
+# six 4-site placements on 12 sites, each site in two of them: a dense
+# residual there pins 2 * 12 - _BLOCK_BITS = 9 column bits, those of sites
+# 1-4, 6-8, 11 and 12 (``tensor._pins``), so its blocks are strided columns
+TWELVE_SITE_TUPLES = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
+                      (1, 5, 9, 2), (3, 6, 10, 7), (4, 8, 11, 12))
+
+
+def dot_norm(a):
+    """||a||_2 with every squared real and imaginary part summed by one
+    ``np.dot`` of the float64 view of a C-contiguous copy of ``a`` with
+    itself, the order in which a residual sums them."""
+    f = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64)
+    return math.sqrt(np.dot(f, f))
+
+
+def pin_patterns(pins):
+    """Every {site: bit} pattern of the sites ``pins``, the smallest site's
+    bit most significant, in the order a dense residual visits them."""
+    pins = sorted(pins)
+    return [dict(zip(pins, bits)) for bits in itertools.product((0, 1), repeat=len(pins))]
+
+
+def pinned_columns(matrix, n, pattern):
+    """The columns of a 2**n x 2**n ``matrix`` whose column bits on the
+    sites of ``pattern`` ({site: bit}) read its bits, in the order of the
+    other sites' column bits in site order, as a C-contiguous 2**n x
+    2**(n - len(pattern)) copy: a strided selection, not a slice."""
+    index = tuple(pattern.get(s, slice(None)) for s in range(1, n + 1))
+    return np.ascontiguousarray(matrix.reshape((2**n,) + (2,) * n)[(slice(None), *index)]
+                                ).reshape(2**n, -1)
 
 
 def apply_dense(factors, v):

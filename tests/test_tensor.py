@@ -24,7 +24,8 @@ from simplexgates.tensor import (
     random_unitary,
 )
 
-from reference import apply_dense, embed_by_kron, is_unitary, product, site_equation
+from reference import (TWELVE_SITE_TUPLES, apply_dense, dot_norm, embed_by_kron, is_unitary,
+                       pin_patterns, pinned_columns, product, site_equation)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -383,24 +384,99 @@ def test_residual_is_unchanged_by_clearing_the_plan_cache(mode):
     assert verify.reversal_residual(factors, 6, mode) == fresh
 
 
+def _plan_work(n, sites, pins):
+    # (multiply-adds, gathered entries) of the matrix plan's GEMM steps, read
+    # off the plan itself: rows x cols x columns, and the tensor each gathers
+    steps, _ = tensor._plan.__wrapped__(n, sites, frozenset(pins), ())
+    macs, gathered, size = 0, 0, 1
+    for *_, rows, cols, shape in steps:
+        gathered += size
+        size = math.prod(shape)
+        macs += rows * cols * (size // rows)
+    return macs, gathered
+
+
+# the 9-site structure of TestPinnedBlocks: site 1 is on no factor
+NINE_SITE_TUPLES = ((4, 5, 3), (2, 6), (9, 3, 7, 8))
+
+
+class TestPinChoice:
+    """A dense residual pins the column bits of the m = 2n - _BLOCK_BITS
+    sites that cost both sides' plans the fewest multiply-adds, then the
+    fewest gathered entries, then the lexicographically smallest set."""
+
+    @pytest.mark.parametrize("n, tuples", [(10, verify.index_scheme(4)), (12, TWELVE_SITE_TUPLES),
+                                           (9, NINE_SITE_TUPLES)], ids=["4simplex", "12", "9"])
+    def test_the_chosen_set_is_cost_minimal_over_every_m_subset(self, n, tuples):
+        sides, m = (tuple(tuples), tuple(tuples)[::-1]), 2 * n - tensor._BLOCK_BITS
+        ranked = sorted((*map(sum, zip(*(_plan_work(n, side, pins) for side in sides))), pins)
+                        for pins in itertools.combinations(range(1, n + 1), m))
+        assert tensor._pins(n, *sides) == set(ranked[0][2])
+        assert ranked[0][2] != tuple(range(1, m + 1))
+
+    def test_ties_go_to_the_lexicographically_smallest_set(self):
+        # {3, 4, 6, 7, 9} costs the 4-simplex as much as {2, 3, 4, 6, 7}
+        sides = (verify.index_scheme(4), verify.index_scheme(4)[::-1])
+        costs = [tuple(map(sum, zip(*(_plan_work(10, side, pins) for side in sides))))
+                 for pins in ((2, 3, 4, 6, 7), (3, 4, 6, 7, 9))]
+        assert costs[0] == costs[1]
+        assert tensor._pins(10, *sides) == {2, 3, 4, 6, 7}
+
+    @pytest.mark.parametrize("n, tuples", [(10, verify.index_scheme(4)), (12, TWELVE_SITE_TUPLES),
+                                           (9, NINE_SITE_TUPLES), (6, ((3, 1, 2), (2, 4)))],
+                             ids=["4simplex", "12", "9", "6-untouched"])
+    def test_counted_work_is_the_plans(self, n, tuples):
+        # up to 40 random pin sets of every size, for each side on its own;
+        # sites 5 and 6 of the 6-site case are on no factor
+        rng = np.random.default_rng(n)
+        for side in (tuple(tuples), tuple(tuples)[::-1]):
+            for m in range(n + 1):
+                sets = list(itertools.combinations(range(1, n + 1), m))
+                sets = [sets[i] for i in rng.permutation(len(sets))[:40]]
+                array = np.array(sets, dtype=np.intp).reshape(len(sets), m)
+                got = tensor._pin_costs(n, [side], array)
+                assert [tuple(c) for c in got.T.tolist()] == [_plan_work(n, side, p) for p in sets]
+
+    def test_the_10_site_4simplex_block_work(self, monkeypatch):
+        # counted from the plans that a dense su2-4simplex residual compiles,
+        # so it does not depend on the host: one block of each side, under
+        # the chosen pins {2, 3, 4, 6, 7} (1,641,568 multiply-adds in all,
+        # against 1,680,528 under 1..5)
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        program, compiled = tensor._program, []
+
+        def spy(placed, n, work, state=None, pinned=frozenset()):
+            compiled.append(_plan_work(n, tuple(sites for _, sites, _, _ in placed), pinned))
+            return program(placed, n, work, state, pinned)
+
+        monkeypatch.setattr(tensor, "_program", spy)
+        equation = verify.CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
+        verify.reversal_residual(*equation)
+        assert compiled == [(821_312, 42_049), (820_256, 41_505)]
+
+
 class TestPinnedBlocks:
-    """Dense residuals build each side one column block at a time, with
-    the column bits of sites 1..m pinned: every block must be exactly the
-    matching columns of the whole product."""
+    """Dense residuals build each side one column block at a time, with the
+    column bits of some sites pinned, those of ``tensor._pins`` or any other
+    set: every block must be exactly the matching columns of the whole
+    product, strided when the pins do not lead."""
 
     @staticmethod
     def _assert_blocks_match_product(factors, n):
-        m = max(0, 2 * n - tensor._BLOCK_BITS)
+        m = 2 * n - tensor._BLOCK_BITS
         assert m > 0
         whole = product(factors, n)
         placed = tensor._placed(factors, n)
         work = (np.empty(4**n >> m, dtype=complex), np.empty(4**n >> m, dtype=complex))
-        width = 2 ** (n - m)
-        for b, bits in enumerate(itertools.product((0, 1), repeat=m)):
-            pins = dict(enumerate(bits, 1))
-            view = tensor._replay(tensor._program(placed, n, work, pinned=frozenset(pins)), pins)
-            assert view.shape == (2,) * (2 * n - m)
-            assert np.array_equal(view.reshape(2**n, width), whole[:, b * width:(b + 1) * width])
+        sites = tuple(sites for _, sites in factors)
+        chosen = tensor._pins(n, sites, sites[::-1])
+        assert chosen != set(range(1, m + 1))
+        for pinned in (chosen, frozenset(range(1, m + 1))):
+            program = tensor._program(placed, n, work, pinned=pinned)
+            for pins in pin_patterns(pinned):
+                view = tensor._replay(program, pins)
+                assert view.shape == (2,) * (2 * n - m)
+                assert np.array_equal(view.reshape(2**n, -1), pinned_columns(whole, n, pins))
 
     @pytest.mark.parametrize("variant", operators.FOUR_SIMPLEX_VARIANTS)
     def test_su2_4simplex_blocks(self, variant):
@@ -420,12 +496,12 @@ class TestPinnedBlocks:
             self._assert_blocks_match_product(side, 10)
 
     def test_untouched_pinned_site_is_a_basis_column(self):
-        # 9 sites pin sites 1 and 2; no factor touches site 1, a diagonal
-        # factor first reaches pinned site 2
+        # 9 sites pin sites 1, 2 and 3, or the chosen 2, 3 and 6; no factor
+        # touches site 1, a diagonal factor first reaches pinned site 2
         rng = np.random.default_rng(53)
         diag = np.diag(random_operator(2, rng).diagonal())
-        factors = [(random_unitary(3, rng), (4, 5, 3)), (diag, (2, 6)),
-                   (random_unitary(4, rng), (9, 3, 7, 8))]
+        factors = [(random_unitary(3, rng), NINE_SITE_TUPLES[0]), (diag, NINE_SITE_TUPLES[1]),
+                   (random_unitary(4, rng), NINE_SITE_TUPLES[2])]
         for side in (factors, factors[::-1]):
             self._assert_blocks_match_product(side, 9)
 
@@ -495,7 +571,7 @@ class TestDiagonalFactors:
     def _exact_norms(sides, n):
         # (||L - R||, ||L||) as the exact product computes them: each side from
         # the all-ones vector, the slice of each entry not exactly 1 multiplied
-        # by it, last factor first; each norm sqrt(re . re + im . im)
+        # by it, last factor first; each norm one dot over its float64 view
         products = []
         for side in sides:
             v = np.ones((2,) * n, dtype=complex)
@@ -510,8 +586,7 @@ class TestDiagonalFactors:
                         view *= entry
             products.append(v.reshape(-1))
         left, right = products
-        raw, norm = (math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
-                     for a in (left - right, left))
+        raw, norm = dot_norm(left - right), dot_norm(left)
         return raw, raw / norm
 
     @pytest.mark.parametrize("n", [6, 15])

@@ -31,7 +31,8 @@ from simplexgates.verify import (
     slot_equation,
 )
 
-from reference import product, site_equation
+from reference import (TWELVE_SITE_TUPLES, dot_norm, pin_patterns, pinned_columns, product,
+                       site_equation)
 
 Z_AXIS = (0.0, 0.0, 1.0)
 # the registered checks whose every equation has diagonal factors alone
@@ -520,12 +521,6 @@ def _haar_equation(tuples, rng):
     return factors, size, base
 
 
-# six 4-site placements on 12 sites, each site in two of them: a dense
-# residual there pins the 2 * 12 - _BLOCK_BITS = 9 column bits of sites 1..9
-TWELVE_SITE_TUPLES = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
-                      (1, 5, 9, 2), (3, 6, 10, 7), (4, 8, 11, 12))
-
-
 # Each invariance below holds in exact arithmetic for the dense residual, so
 # these three tests check the kernel's axis bookkeeping with no reference matrix.
 def test_residual_invariant_under_global_site_relabeling():
@@ -590,28 +585,19 @@ def test_residual_of_the_adjoint_equation():
 def _reference_residual(lhs, rhs, n, mode, vectors, seed):
     # the same residual from the public kernel: whole matrices or vectors
     # in site order, subtracted, then the roots of the squared norms summed
-    # in vector order, raw times sqrt(2**n / vectors).  Above 8 sites a
-    # dense residual sums squared norms over the column blocks whose
-    # leading m column bits are pinned, as the residual does
-    m = max(0, 2 * n - tensor._BLOCK_BITS)
-    if mode == "dense" and m > 0:
-        left, right = product(lhs, n), product(rhs, n)
-        width = 2 ** (n - m)
-        blocks = [slice(j, j + width) for j in range(0, 2**n, width)]
-        raw = math.sqrt(sum(np.linalg.norm(left[:, b] - right[:, b]) ** 2 for b in blocks))
-        scale = math.sqrt(sum(np.linalg.norm(left[:, b]) ** 2 for b in blocks))
-        return raw, raw / scale
+    # in item order, raw times sqrt(2**n / vectors).  A dense residual's
+    # items are the column blocks of the sites the kernel pins (from 8 sites
+    # on; below, the whole matrix), each norm one dot over its float64 view
     if mode == "dense":
-        blocks = [None]
-        side = lambda factors, block: product(factors, n)
+        pins = tensor._pins(n, *(tuple(tuple(f[1]) for f in side) for side in (lhs, rhs)))
+        left, right = product(lhs, n), product(rhs, n)
+        items = [(pinned_columns(left, n, p), pinned_columns(right, n, p))
+                 for p in pin_patterns(pins)]
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        blocks = [tensor._fill_state(np.empty(2**n, dtype=complex), rng) for _ in range(vectors)]
-        side = apply_product
-    pairs = []
-    for block in blocks:
-        left, right = side(lhs, block), side(rhs, block)
-        pairs.append((float(np.linalg.norm(left - right)), float(np.linalg.norm(left))))
+        probes = [tensor._fill_state(np.empty(2**n, dtype=complex), rng) for _ in range(vectors)]
+        items = [(apply_product(lhs, v), apply_product(rhs, v)) for v in probes]
+    pairs = [(dot_norm(left - right), dot_norm(left)) for left, right in items]
     raw, scale = (math.sqrt(sum(x * x for x in norms)) for norms in zip(*pairs))
     factor = 1.0 if mode == "dense" else math.sqrt(2**n / vectors)
     return raw * factor, raw / scale if scale > 0 else raw * factor
@@ -754,14 +740,15 @@ class TestTwoThreadBlocks:
         _on_cpus(monkeypatch, 2)
         side_norms, failed_on = tensor._side_norms, []
 
-        def fail_on_site_1_set(*args, pins=None, **kwargs):
-            # site 1's column bit is 1 in exactly the second half of the patterns
-            if pins[1] == 1:
+        def fail_on_first_pin_set(*args, pins=None, **kwargs):
+            # the first pinned site's column bit is 1 in exactly the second
+            # half of the patterns
+            if pins[min(pins)] == 1:
                 failed_on.append(threading.get_ident())
                 raise RuntimeError("second half")
             return side_norms(*args, pins=pins, **kwargs)
 
-        monkeypatch.setattr(tensor, "_side_norms", fail_on_site_1_set)
+        monkeypatch.setattr(tensor, "_side_norms", fail_on_first_pin_set)
         before = threading.enumerate()
         equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
         with pytest.raises(RuntimeError, match="second half"):
@@ -773,22 +760,23 @@ class TestTwoThreadBlocks:
         _on_cpus(monkeypatch, 2)
         side_norms, worker_blocks = tensor._side_norms, []
 
-        def fail_on_site_1_clear(*args, pins=None, **kwargs):
-            # site 1's column bit is 0 in exactly the caller's half of the patterns
+        def fail_on_first_pin_clear(*args, pins=None, **kwargs):
+            # the first pinned site's column bit is 0 in exactly the caller's
+            # half of the patterns
             if threading.get_ident() != caller:
                 worker_blocks.append(pins)
-            elif pins[1] == 0:
+            elif pins[min(pins)] == 0:
                 raise RuntimeError("first half")
             return side_norms(*args, pins=pins, **kwargs)
 
-        monkeypatch.setattr(tensor, "_side_norms", fail_on_site_1_clear)
+        monkeypatch.setattr(tensor, "_side_norms", fail_on_first_pin_clear)
         caller, before = threading.get_ident(), threading.enumerate()
         equation = CHECKS["su2-4simplex-vertex"].fn(0, n=4)[0]
         with pytest.raises(RuntimeError, match="first half"):
             reversal_residual(*equation)
         # the worker built its whole half before the error left, and no thread runs on
         assert len(worker_blocks) == 2 ** (2 * 10 - tensor._BLOCK_BITS) // 2
-        assert all(pins[1] == 1 for pins in worker_blocks)
+        assert all(pins[min(pins)] == 1 for pins in worker_blocks)
         assert threading.enumerate() == before
 
 
@@ -958,28 +946,28 @@ class TestCompiledSides:
     def _assert_items_match_one_shot(monkeypatch, factors, n, mode):
         # on one CPU one compiled pair runs every item; after each, L must be
         # in its view and L - R in R's: for a block, its columns of the whole
-        # matrices, built with no pinned site; for a probe, both sides built
-        # in fresh buffers from a copy of it
+        # matrices, built with no pinned site, at the pinned bits; for a
+        # probe, both sides built in fresh buffers from a copy of it
         _on_cpus(monkeypatch, 1)
         placed, side_norms, items = tensor._placed(factors, n), tensor._side_norms, []
         wholes = (product(factors, n), product(factors[::-1], n)) if mode == "dense" else None
 
+        sites = tuple(f[1] for f in factors)
+
         def checked(sides, pins=None, rng=None):
             if rng is None:
-                width = 2 ** (n - len(pins))
-                start = width * int("".join(str(pins[s]) for s in sorted(pins)), 2)
-                left, right = (np.ascontiguousarray(whole[:, start:start + width])
-                               for whole in wholes)
+                assert pins.keys() == tensor._pins(n, sites, sites[::-1])
+                left, right = (pinned_columns(whole, n, pins) for whole in wholes)
             else:
                 probe = tensor._fill_state(np.empty(2**n, dtype=complex), copy.deepcopy(rng))
                 left, right = (np.ascontiguousarray(tensor._replay(tensor._program(
                     side, n, (np.empty(2**n, dtype=complex), np.empty(2**n, dtype=complex)),
                     probe.copy()))) for side in (placed, placed[::-1]))
             got = side_norms(sides, pins=pins, rng=rng)
-            _, compiled_left, compiled_right, _ = sides
+            _, compiled_left, compiled_right = sides
             assert compiled_left[1].tobytes() == left.tobytes()
             assert compiled_right[1].tobytes() == (left - right).tobytes()
-            assert got == (float(np.linalg.norm(left - right)), float(np.linalg.norm(left)))
+            assert got == (dot_norm(left - right), dot_norm(left))
             items.append(got)
             return got
 
@@ -988,14 +976,18 @@ class TestCompiledSides:
         assert len(items) >= 3 and norm > 0.01
 
     def test_dense_blocks_with_an_untouched_site_and_two_new_pinned_sites(self, monkeypatch):
-        # 10 sites pin sites 1..5 in 32 blocks; no factor touches site 1; on
-        # each side one factor creates two pinned sites in one step (5 and 3
-        # in L, 4 and 3 in R), so its operator table is read at two bits; the
-        # diagonal factor creates site 10 by a GEMM
+        # 10 sites pin the column bits of sites 2, 3, 5, 6 and 8 in 32 blocks,
+        # so each block is a strided set of columns; no factor touches site 1;
+        # on each side one factor creates two or three pinned sites in one
+        # step (2 and 8, then 5, 6 and 3 in L; 8 and 3, then 5 and 6 in R), so
+        # its operator table is read at several bits; the diagonal factor
+        # creates site 10 by a GEMM
         rng = np.random.default_rng(91)
         diag = np.diag(random_operator(2, rng).diagonal())
         factors = [(random_unitary(3, rng), (4, 8, 3)), (diag, (2, 10)),
                    (random_unitary(4, rng), (5, 6, 3, 7)), (random_unitary(3, rng), (9, 2, 8))]
+        sites = tuple(sites for _, sites in factors)
+        assert tensor._pins(10, sites, sites[::-1]) == {2, 3, 5, 6, 8}
         self._assert_items_match_one_shot(monkeypatch, factors, 10, "dense")
 
     def test_probe_vectors_through_factored_and_diagonal_first_steps(self, monkeypatch):
