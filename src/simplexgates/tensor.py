@@ -212,8 +212,7 @@ def _program(placed: list, n: int, work: tuple[np.ndarray, np.ndarray], state=No
     for i, axes, slots, pins, rows, cols, shape in plan:
         op = np.eye(2, dtype=complex) if i is None else placed[i][0]
         op = op if slots is None else op.reshape((2,) * len(slots)).transpose(slots)
-        ops = ([op[(..., *bits)].reshape(rows, cols) for bits in np.ndindex((2,) * len(pins))]
-               if pins else [op.reshape(rows, cols)])
+        ops = [op[(..., *b)].reshape(rows, cols) for b in itertools.product((0, 1), repeat=len(pins))]
         moved = t.transpose(axes)
         gathered = gat[:t.size].reshape(moved.shape)
         out = acc[:rows * (t.size // cols)].reshape(rows, -1)
@@ -381,42 +380,21 @@ def _halves(items: Sequence, size: int, run: Callable[[Sequence, int, tuple], li
         return run(items[:cut], 0, works[0]) + second.result()
 
 
-def _pin_costs(n: int, sides: Sequence[tuple], sets: np.ndarray) -> np.ndarray:
-    """(multiply-adds, gathered entries) that ``_plan`` steps of the matrix
-    make for every side in ``sides`` (its factors' site tuples), summed, with
-    the sites of each row of ``sets`` pinned.  A step of k sites that reaches
-    the sites T from T' (untouched sites last) gathers 2**(2|T'| - |P & T'|)
-    entries and makes 2**(k + |T| + |T'| - |P & T|) multiply-adds, so each
-    set P is counted from the step at which each site is first reached,
-    with no plan per set."""
-    chosen = np.zeros((len(sets), n + 1), dtype=np.int64)
-    chosen[np.arange(len(sets))[:, None], sets] = 1
-    cost = np.zeros((2, len(sets)), dtype=np.int64)
-    for side in sides:
-        steps = [*side[::-1], *[(s,) for s in range(n, 0, -1) if all(s not in t for t in side)]]
-        order = list(dict.fromkeys(s for sites in steps for s in sites))
-        inside = np.zeros((len(sets), n + 1), dtype=np.int64)  # |P & first j sites reached|
-        np.cumsum(chosen[:, order], axis=1, out=inside[:, 1:])
-        reached = set()
-        for sites in steps:
-            before = len(reached)
-            reached.update(sites)
-            cost[0] += 2 ** (len(sites) + len(reached) + before - inside[:, len(reached)])
-            cost[1] += 2 ** (2 * before - inside[:, before])
-    return cost
-
-
 @lru_cache(maxsize=64)
 def _pins(n: int, lhs: tuple, rhs: tuple) -> frozenset:
     """The m = max(0, 2n - _BLOCK_BITS) sites whose column bits a dense
-    residual of the factor sites ``lhs`` and ``rhs`` pins: of all m-subsets,
-    the one of fewest ``_pin_costs`` multiply-adds, then gathered entries,
-    then the lexicographically smallest (lexsort is stable, and
-    combinations come in lexicographic order)."""
-    m = max(0, 2 * n - _BLOCK_BITS)
-    sets = list(itertools.combinations(range(1, n + 1), m))
-    sets = np.array(sets, dtype=np.intp).reshape(len(sets), m)
-    return frozenset(sets[np.lexsort(_pin_costs(n, (lhs, rhs), sets)[::-1])[0]].tolist())
+    residual of the factor sites ``lhs`` and ``rhs`` pins: those of least
+    rank, ties to the smaller site.  A site's rank sums, over both sides,
+    the index of the first factor that reaches it, last first, as ``_plan``
+    does; an untouched site s ranks len(side) + n - s, as its identity step
+    comes.  The sites one side's plan reaches only grow, so those it reaches
+    first share the most pinned bits with the reached ones at every step:
+    the fewest multiply-adds and gathers for one side, a heuristic for two."""
+    def rank(side, s):
+        return next((j for j, sites in enumerate(side[::-1]) if s in sites), len(side) + n - s)
+
+    ranked = sorted(range(1, n + 1), key=lambda s: (rank(lhs, s) + rank(rhs, s), s))
+    return frozenset(ranked[:max(0, 2 * n - _BLOCK_BITS)])
 
 
 def _distance(lhs, rhs, n, vectors=None, seed=0) -> tuple[float, float]:

@@ -361,8 +361,9 @@ class TestTwistedPermutation:
 
 
 class TestConjugatedSiteOperator:
-    def test_identity_rotation(self):
-        assert np.array_equal(conjugated_site_operator(AxisAngle(Z_AXIS, 0.0), Z), Z)
+    @pytest.mark.parametrize("op", [Z, X], ids=["Z", "X"])
+    def test_identity_rotation(self, op):
+        assert np.array_equal(conjugated_site_operator(AxisAngle(Z_AXIS, 0.0), op), op)
 
     def test_z_quarter_turn_negates_x(self):
         got = conjugated_site_operator(CTRL, X)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from simplexgates.operators import conjugated_site_operator
 from simplexgates.su2 import (
     H,
     I2,
@@ -92,18 +91,6 @@ class TestProjectors:
             assert np.linalg.norm(plus + minus - I2) < 1e-13  # complete
             spectral = np.exp(-1j * p.angle) * plus + np.exp(1j * p.angle) * minus
             assert np.linalg.norm(spectral - r) < 1e-13
-
-
-class TestRotatedX:
-    """R X R+, the flip slot of general_toffoli, built by
-    operators.conjugated_site_operator."""
-
-    def test_zero_angle_is_x(self):
-        assert np.allclose(conjugated_site_operator(AxisAngle(Z_AXIS, 0.0), X), X, atol=0)
-
-    def test_z_quarter_turn_negates_x(self):
-        got = conjugated_site_operator(AxisAngle(Z_AXIS, np.pi / 2), X)
-        assert np.allclose(got, -X, atol=1e-15)
 
 
 def test_fixed_gates():

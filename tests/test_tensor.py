@@ -400,19 +400,26 @@ def _plan_work(n, sites, pins):
 NINE_SITE_TUPLES = ((4, 5, 3), (2, 6), (9, 3, 7, 8))
 
 
+def _cost_minimal(n, sides, m):
+    # the m-subset of fewest multiply-adds, then gathered entries, then the
+    # lexicographically smallest, over every m-subset of the n sites
+    return set(min((*map(sum, zip(*(_plan_work(n, side, pins) for side in sides))), pins)
+                   for pins in itertools.combinations(range(1, n + 1), m))[2])
+
+
 class TestPinChoice:
     """A dense residual pins the column bits of the m = 2n - _BLOCK_BITS
-    sites that cost both sides' plans the fewest multiply-adds, then the
-    fewest gathered entries, then the lexicographically smallest set."""
+    sites of least first-reach rank: cost-minimal over every m-subset for
+    one side, and on the structures that registered checks run densely."""
 
     @pytest.mark.parametrize("n, tuples", [(10, verify.index_scheme(4)), (12, TWELVE_SITE_TUPLES),
-                                           (9, NINE_SITE_TUPLES)], ids=["4simplex", "12", "9"])
+                                           *[(k + 1, verify.edge_scheme(k)) for k in range(7, 12)]],
+                             ids=["4simplex", "12", *[f"edge{k}" for k in range(7, 12)]])
     def test_the_chosen_set_is_cost_minimal_over_every_m_subset(self, n, tuples):
         sides, m = (tuple(tuples), tuple(tuples)[::-1]), 2 * n - tensor._BLOCK_BITS
-        ranked = sorted((*map(sum, zip(*(_plan_work(n, side, pins) for side in sides))), pins)
-                        for pins in itertools.combinations(range(1, n + 1), m))
-        assert tensor._pins(n, *sides) == set(ranked[0][2])
-        assert ranked[0][2] != tuple(range(1, m + 1))
+        chosen = _cost_minimal(n, sides, m)
+        assert tensor._pins(n, *sides) == chosen
+        assert chosen != set(range(1, m + 1))
 
     def test_ties_go_to_the_lexicographically_smallest_set(self):
         # {3, 4, 6, 7, 9} costs the 4-simplex as much as {2, 3, 4, 6, 7}
@@ -422,20 +429,35 @@ class TestPinChoice:
         assert costs[0] == costs[1]
         assert tensor._pins(10, *sides) == {2, 3, 4, 6, 7}
 
-    @pytest.mark.parametrize("n, tuples", [(10, verify.index_scheme(4)), (12, TWELVE_SITE_TUPLES),
-                                           (9, NINE_SITE_TUPLES), (6, ((3, 1, 2), (2, 4)))],
-                             ids=["4simplex", "12", "9", "6-untouched"])
-    def test_counted_work_is_the_plans(self, n, tuples):
-        # up to 40 random pin sets of every size, for each side on its own;
-        # sites 5 and 6 of the 6-site case are on no factor
-        rng = np.random.default_rng(n)
-        for side in (tuple(tuples), tuple(tuples)[::-1]):
-            for m in range(n + 1):
-                sets = list(itertools.combinations(range(1, n + 1), m))
-                sets = [sets[i] for i in rng.permutation(len(sets))[:40]]
-                array = np.array(sets, dtype=np.intp).reshape(len(sets), m)
-                got = tensor._pin_costs(n, [side], array)
-                assert [tuple(c) for c in got.T.tolist()] == [_plan_work(n, side, p) for p in sets]
+    def test_one_side_gets_a_cost_minimal_set(self):
+        # 60 random structures of 8 to 12 sites, most with sites on no factor:
+        # the sites one plan reaches only grow, so the rank is exact for one side
+        rng = np.random.default_rng(45)
+        for _ in range(60):
+            n = int(rng.integers(8, 13))
+            side = tuple(tuple(rng.permutation(range(1, n + 1))[:rng.integers(1, 5)].tolist())
+                         for _ in range(rng.integers(1, 7)))
+            best = _cost_minimal(n, (side,), 2 * n - tensor._BLOCK_BITS)
+            assert _plan_work(n, side, tensor._pins(n, side, side)) == _plan_work(n, side, best)
+
+    @pytest.mark.parametrize("n, mode", [(None, None), (4, "dense")], ids=["default", "n4-dense"])
+    def test_every_dense_campaign_member_above_7_sites_gets_the_minimum(self, monkeypatch, n, mode):
+        # the members that checks run densely on more than 7 sites, at each
+        # check's default n and at --n 4 --mode dense, keep the cost-minimal
+        # pins, so the benchmark's plans do not move; residuals are skipped
+        members, pins = set(), tensor._pins
+
+        def spy(size, lhs, rhs):
+            members.add((size, lhs, rhs))
+            return pins(size, lhs, rhs)
+
+        monkeypatch.setattr(tensor, "_pins", spy)
+        monkeypatch.setattr(tensor, "_halves", lambda items, size, run: [(0.0, 1.0)])
+        verify.campaign(list(verify.CHECKS), trials=1, seed=5, n=n, mode=mode)
+        big = [member for member in members if member[0] > 7]
+        assert big
+        for size, lhs, rhs in big:
+            assert pins(size, lhs, rhs) == _cost_minimal(size, (lhs, rhs), 2 * size - tensor._BLOCK_BITS)
 
     def test_the_10_site_4simplex_block_work(self, monkeypatch):
         # counted from the plans that a dense su2-4simplex residual compiles,
@@ -496,7 +518,7 @@ class TestPinnedBlocks:
             self._assert_blocks_match_product(side, 10)
 
     def test_untouched_pinned_site_is_a_basis_column(self):
-        # 9 sites pin sites 1, 2 and 3, or the chosen 2, 3 and 6; no factor
+        # 9 sites pin sites 1, 2 and 3, or the chosen 2, 3 and 4; no factor
         # touches site 1, a diagonal factor first reaches pinned site 2
         rng = np.random.default_rng(53)
         diag = np.diag(random_operator(2, rng).diagonal())

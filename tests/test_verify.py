@@ -976,18 +976,17 @@ class TestCompiledSides:
         assert len(items) >= 3 and norm > 0.01
 
     def test_dense_blocks_with_an_untouched_site_and_two_new_pinned_sites(self, monkeypatch):
-        # 10 sites pin the column bits of sites 2, 3, 5, 6 and 8 in 32 blocks,
+        # 10 sites pin the column bits of sites 2, 3, 4, 5 and 8 in 32 blocks,
         # so each block is a strided set of columns; no factor touches site 1;
-        # on each side one factor creates two or three pinned sites in one
-        # step (2 and 8, then 5, 6 and 3 in L; 8 and 3, then 5 and 6 in R), so
-        # its operator table is read at several bits; the diagonal factor
-        # creates site 10 by a GEMM
+        # on each side a factor creates two or three pinned sites in one step
+        # (2 and 8, then 5 and 3 in L; 4, 8 and 3 in R), so its operator table
+        # is read at several bits; the diagonal factor creates site 10 by a GEMM
         rng = np.random.default_rng(91)
         diag = np.diag(random_operator(2, rng).diagonal())
         factors = [(random_unitary(3, rng), (4, 8, 3)), (diag, (2, 10)),
                    (random_unitary(4, rng), (5, 6, 3, 7)), (random_unitary(3, rng), (9, 2, 8))]
         sites = tuple(sites for _, sites in factors)
-        assert tensor._pins(10, sites, sites[::-1]) == {2, 3, 5, 6, 8}
+        assert tensor._pins(10, sites, sites[::-1]) == {2, 3, 4, 5, 8}
         self._assert_items_match_one_shot(monkeypatch, factors, 10, "dense")
 
     def test_probe_vectors_through_factored_and_diagonal_first_steps(self, monkeypatch):
